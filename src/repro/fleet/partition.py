@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 __all__ = [
     "shard_for_user",
     "route_user",
+    "failover_shard",
     "group_by_shard",
     "split_catalogue",
     "merge_topk",
@@ -55,13 +56,23 @@ def route_user(user_index: int, num_shards: int,
     catalogue from the same shared parameter block, any placement is
     correct — failover degrades capacity, never results.
     """
+    return failover_shard(shard_for_user(user_index, num_shards),
+                          live_shards)
+
+
+def failover_shard(shard: int, live_shards: Sequence[int]) -> int:
+    """``shard`` if alive, else its fold onto the sorted live list.
+
+    The failover rule of :func:`route_user`, applied to a shard slot:
+    the router re-sends a whole-user batch lost with its shard here,
+    unchanged, so the batch keeps the shape it was scored in.
+    """
     live = sorted(live_shards)
     if not live:
         raise ValueError("no live shards to route to")
-    home = shard_for_user(user_index, num_shards)
-    if home in live:
-        return home
-    return live[home % len(live)]
+    if shard in live:
+        return shard
+    return live[shard % len(live)]
 
 
 def group_by_shard(entries: Iterable[Tuple[int, int]], num_shards: int,

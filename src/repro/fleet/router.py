@@ -7,42 +7,54 @@
 * the **shard processes**, managed by the same
   :class:`~repro.parallel.supervisor.WorkerSupervisor` the
   data-parallel trainer uses — dead-shard detection on send and
-  gather, bounded respawn with backoff, graceful degradation to the
+  receive, bounded respawn with backoff, graceful degradation to the
   surviving shards, :class:`FleetUnavailableError` only when the last
   shard is gone;
 * the **request semantics**: user-id resolution, visited-POI
   exclusion, deterministic hash routing with failover
-  (:func:`~repro.fleet.partition.route_user`), bounded re-dispatch of
-  requests whose shard died mid-flight, and deterministic partial
-  top-K merge (:func:`~repro.fleet.partition.merge_topk`).
+  (:func:`~repro.fleet.partition.route_user`), re-sending work lost
+  with its shard, and deterministic partial top-K merge
+  (:func:`~repro.fleet.partition.merge_topk`).
 
-Three request shapes are served:
+There is one request path with three entry points.  Each entry point
+cuts its request into *work units* — ``(user indices, catalogue slice
+[lo, hi), preferred shard)`` — and hands them to one event loop
+(:meth:`ShardRouter._serve`) that sends them, harvests replies as they
+arrive, re-sends lost units, and merges every user's partials.  Every
+shard scores with the same code from the same shared buffers, so the
+merged answer is the single-process
+:class:`~repro.serving.service.RecommendationService` answer whichever
+shards scored it — degradation and respawn change capacity, never
+results.
 
-* :meth:`recommend_many` — each user goes whole to one shard (its hash
-  home, or a deterministic survivor).  Every shard scores the full
-  catalogue from the same shared buffers with the same code, so the
-  results are identical to a single-process
-  :class:`~repro.serving.service.RecommendationService` no matter
-  which shard answers — degradation and respawn change capacity,
-  never results.
-* :meth:`recommend_fanout` — one user's catalogue is split into
-  contiguous slices scored in parallel across shards, and the partial
-  top-Ks are merged under the engine's exact tie-break.  This is the
-  wide-catalogue path; slices from dead shards are re-dispatched to
-  survivors before merging.
-* :meth:`recommend_resilient` — the deadline-bounded path (enabled by
-  passing a :class:`~repro.resilience.ResilienceConfig`): admission
-  control at the door, slice fanout across breaker-approved shards
-  with per-hop timeouts and hedged retries, and a degraded-fallback
-  chain (partial merge → stale cache → popularity) so *every* admitted
-  request gets an answer within its budget, truthfully tagged
-  ``full | partial | cached | fallback``.
+* :meth:`~ShardRouter.recommend_many` — one unit per
+  :func:`~repro.fleet.partition.group_by_shard` group, covering the
+  whole catalogue ``[0, N)``; a unit lost to a dead shard is re-sent
+  unchanged to its failover shard, so batch shapes never change.
+* :meth:`~ShardRouter.recommend_fanout` — one user's catalogue split
+  into one unit per slice, scored in parallel across shards.
+* :meth:`~ShardRouter.recommend_resilient` — one unit per slice
+  carrying the whole admitted batch, run under a
+  :class:`~repro.resilience.ResilienceConfig`: admission control at
+  the door, per-hop timeouts, hedged retries, circuit breakers, and a
+  degraded-fallback chain (partial merge → stale cache → popularity)
+  so *every* admitted request gets an answer within its budget,
+  truthfully tagged ``full | partial | cached | fallback``.
+
+The plain entry points run the loop with no deadline, hedging,
+breakers or fallback: a shard silent past the supervision step timeout
+is declared hung, and total loss raises :class:`FleetUnavailableError`.
+:meth:`~ShardRouter.swap` sends its shard-pinned control messages
+through the same loop.  With ``tracing=`` or ``slo=`` set, every
+request on every entry point is traced and counted.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -52,7 +64,12 @@ from repro.core.recommend import visited_poi_ids
 from repro.data.dataset import CheckinDataset
 from repro.data.vocabulary import DatasetIndex
 from repro.fleet.params import ServingParameterBlock
-from repro.fleet.partition import group_by_shard, merge_topk, split_catalogue
+from repro.fleet.partition import (
+    failover_shard,
+    group_by_shard,
+    merge_topk,
+    split_catalogue,
+)
 from repro.fleet.shard import shard_serve_loop
 from repro.obs.flight import TRACES_FILENAME, FlightRecorder, TraceRecord
 from repro.obs.metrics import MetricsRegistry
@@ -94,10 +111,9 @@ __all__ = ["FleetUnavailableError", "ShardRouter"]
 
 logger = get_logger("fleet.router")
 
-# Stale-reply bookkeeping is bounded: abandoned request ids whose
-# replies never arrive (their shard died) are pruned oldest-first past
-# this cap, so the map cannot grow without bound under chaos.
-_STALE_CAP = 4096
+# The plain policy's longest single wait for replies; the loop wakes at
+# once when one arrives, so this only paces the hung-shard check.
+_PLAIN_POLL_MS = 50.0
 
 
 class FleetUnavailableError(WorkerFailure):
@@ -116,6 +132,29 @@ class FleetUnavailableError(WorkerFailure):
         super().__init__(
             step, reason=f"no live shards to route to [{described}]")
         self.shard_states = dict(shard_states)
+
+
+@dataclass(eq=False)
+class _Unit:
+    """One unit of fleet work and its progress through the loop.
+
+    ``message`` is the ``(op, payload)`` sent to a shard — ``("topk",
+    (user_indices, k, lo, hi, excludes))`` for scoring, ``("swap",
+    manifest)`` for control; ``members`` are the user ids the reply's
+    rows belong to, in payload order.  ``shard`` is the preferred shard;
+    a ``pinned`` unit runs there or nowhere.
+    """
+
+    members: List[int]
+    shard: int
+    message: Tuple[str, object]
+    pinned: bool = False
+    result: object = None
+    done: bool = False
+    failed: bool = False
+    sends: int = 0
+    hedges: int = 0
+    rids: Set[int] = field(default_factory=set)
 
 
 class ShardRouter:
@@ -147,23 +186,22 @@ class ShardRouter:
         Optional router-side registry for ``fleet.router.*`` and
         ``fleet.resilience.*`` metrics.
     resilience:
-        Optional :class:`~repro.resilience.ResilienceConfig`.  ``None``
-        (the default) leaves the router byte-for-byte on its plain
-        paths; when set, :meth:`recommend_resilient` becomes available
-        and the router builds its breakers, admission controller,
-        result cache, and fallback chain.
+        Optional :class:`~repro.resilience.ResilienceConfig`.  When
+        set, :meth:`recommend_resilient` becomes available and the
+        router builds its breakers, admission controller, result cache,
+        and fallback chain; the plain entry points never use them.
     tracing:
         Optional :class:`~repro.obs.spans.TracingConfig` (or ``True``
-        for defaults).  Enables per-request distributed tracing on the
-        resilient path: a :class:`TraceContext` is minted per request
-        at arrival, slice RPCs carry child contexts through the pipe
-        envelope, shard scoring spans ride the replies back, and a
+        for defaults).  Enables per-request distributed tracing on
+        every entry point: a :class:`TraceContext` is minted per
+        request at arrival, unit RPCs carry child contexts through the
+        pipe envelope, shard scoring spans ride the replies back, and a
         tail-sampled :class:`~repro.obs.flight.FlightRecorder` keeps
         the complete traces of slow / degraded / shed / errored
         requests (dumped to ``telemetry_dir/traces.jsonl`` at close).
     slo:
-        Optional :class:`~repro.obs.slo.SloTracker`; every resilient
-        response is fed to it (availability, deadline, latency
+        Optional :class:`~repro.obs.slo.SloTracker`; every request on
+        every entry point is fed to it (availability, deadline, latency
         objectives).  The caller owns evaluation cadence and
         persistence.
     """
@@ -217,12 +255,6 @@ class ShardRouter:
         # keyed per incarnation so a respawn never erases its
         # predecessor's counts from the merged view.
         self._shard_metrics: Dict[Tuple[int, int], dict] = {}
-        # Abandoned request ids whose replies may still arrive (hedge
-        # losers, timed-out attempts): rid -> shard last sent to.
-        self._stale: Dict[int, int] = {}
-        if registry is not None:
-            self._redispatches = registry.counter(
-                "fleet.router.redispatches")
         self._resilience = resilience
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._admission: Optional[AdmissionController] = None
@@ -307,8 +339,29 @@ class ShardRouter:
             raise KeyError(f"user {user_id} unknown to the model")
         return idx
 
-    def _excluded(self, user_id: int) -> Set[int]:
-        return visited_poi_ids(self.dataset, user_id)
+    def _known(self, user_ids: Sequence[int]) -> List[Tuple[int, int]]:
+        """``(user_id, user_index)`` of the known users, deduplicated
+        in first-seen order (unknown users are skipped)."""
+        known = []
+        for user_id in dict.fromkeys(user_ids):
+            idx = self.index.users.get(user_id)
+            if idx >= 0:
+                known.append((user_id, idx))
+        return known
+
+    def _excludes(self, entries: Sequence[Tuple[int, int]],
+                  exclude_visited: bool) -> Dict[int, Optional[Set[int]]]:
+        return {uid: visited_poi_ids(self.dataset, uid)
+                if exclude_visited else None for uid, _idx in entries}
+
+    @staticmethod
+    def _topk_unit(entries: Sequence[Tuple[int, int]],
+                   excludes: Dict[int, Optional[Set[int]]], k: int,
+                   lo: int, hi: int, shard: int) -> _Unit:
+        """Rank catalogue slice ``[lo, hi)`` for ``entries`` on ``shard``."""
+        return _Unit([uid for uid, _idx in entries], shard, (
+            "topk", ([idx for _uid, idx in entries], k, lo, hi,
+                     [excludes[uid] for uid, _idx in entries])))
 
     def _require_live(self) -> List[int]:
         live = self.live_shards
@@ -317,110 +370,19 @@ class ShardRouter:
                                         self._supervisor.slot_states())
         return live
 
-    def _next_rid(self) -> int:
-        self._request_seq += 1
-        return self._request_seq
-
-    def _mark_stale(self, rid: int, shard_id: int) -> None:
-        self._stale[rid] = shard_id
-        if len(self._stale) > _STALE_CAP:
-            for old in sorted(self._stale)[:len(self._stale) - _STALE_CAP]:
-                del self._stale[old]
-
-    def _absorb_reply(self, reply) -> Optional[Tuple[int, object, dict]]:
-        """Record a raw shard reply's metrics; drop it if stale.
-
-        Returns ``(request_id, result, meta)`` for live replies,
-        ``None`` for stale ones (hedge losers and timed-out attempts
-        finally answering — harvested for telemetry, discarded as
-        data).  Shard-side spans riding the reply are pushed into the
-        router's span ring either way: a hedge loser's scoring span is
-        still part of its trace.
-        """
-        request_id, result, meta = reply
-        self._shard_metrics[(meta["shard"], meta["incarnation"])] = \
-            meta["metrics"]
-        if self._recorder is not None:
-            for span in meta.get("spans") or ():
-                self._recorder.append(SpanEvent.from_dict(span))
-        if request_id in self._stale:
-            del self._stale[request_id]
-            return None
-        return request_id, result, meta
-
-    def _dispatch(self, requests: Dict[int, Tuple[str, object]]
-                  ) -> Dict[int, Tuple[object, dict]]:
-        """One scatter/gather round: ``{shard: (op, payload)}`` in,
-        ``{shard: (result, meta)}`` out for the shards that replied.
-        ``meta`` is the shard's reply envelope — callers that tag
-        responses with the scoring generation read it from here.
-
-        Replies are matched by request id, not arrival order, so stale
-        replies from abandoned resilient attempts interleave harmlessly
-        with this synchronous path.  Send-side deaths are handled by
-        the supervisor inside ``send_to``; a shard that stays silent
-        past the supervision step timeout is declared hung (killed and
-        respawned); either way the shard is simply absent from the
-        result and the caller re-routes its work.
-        """
-        self._step += 1
-        step = self._step
-        sent: Dict[int, int] = {}
-        for shard_id, (op, payload) in requests.items():
-            request_id = self._next_rid()
-            if self._supervisor.send_to(shard_id,
-                                        (request_id, op, payload), step):
-                sent[request_id] = shard_id
-        out: Dict[int, Tuple[object, dict]] = {}
-        if not sent:
-            return out
-        deadline = time.monotonic() + self._supervisor.supervision.step_timeout
-        outstanding: Set[int] = set(sent)
-        while outstanding:
-            waiting_on = sorted({sent[rid] for rid in outstanding})
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for shard_id in waiting_on:
-                    self._supervisor.declare_hung(shard_id, step)
-                break
-            ready = self._supervisor.wait_any(waiting_on,
-                                              min(remaining, 0.05))
-            for shard_id in ready:
-                while True:
-                    status, message = self._supervisor.try_recv(
-                        shard_id, step)
-                    if status == "message":
-                        absorbed = self._absorb_reply(message)
-                        if absorbed is None:
-                            continue        # stale: keep draining
-                        request_id, result, meta = absorbed
-                        if request_id in outstanding:
-                            outstanding.discard(request_id)
-                            out[sent[request_id]] = (result, meta)
-                        break
-                    if status == "dead":
-                        outstanding -= {rid for rid in outstanding
-                                        if sent[rid] == shard_id}
-                    break                   # empty or dead: next shard
-        return out
-
     def _record_latency(self, start: float, outcome: str = "ok") -> None:
-        """Observe plain-path latency on *every* exit, labelled by
-        outcome — a failed request's latency is data, not noise (a
-        success-only histogram hides exactly the slow failures a p99
-        is supposed to expose)."""
+        """Observe a plain entry point's latency on *every* exit,
+        labelled by outcome — a failed request's latency is data, not
+        noise (a success-only histogram hides exactly the slow failures
+        a p99 is supposed to expose)."""
         if self.registry is not None:
             self.registry.histogram(
                 "fleet.router.request_latency_ms",
                 outcome=outcome).observe(
                     (time.perf_counter() - start) * 1000.0)
 
-    def _note_redispatch(self, count: int) -> None:
-        if self.registry is not None:
-            self._redispatches.inc(count)
-
     # ------------------------------------------------------------------
-    # Serving API (plain paths: no deadlines, bit-identical results)
+    # Serving API (plain entry points: no deadlines, bit-identical)
     # ------------------------------------------------------------------
     def recommend(self, user_id: int, k: int = 10,
                   exclude_visited: bool = True) -> List[Tuple[int, float]]:
@@ -434,13 +396,17 @@ class ShardRouter:
                        return_generations: bool = False):
         """Top-k lists for many users, hash-partitioned across shards.
 
-        Unknown users are skipped (absence in the result, matching the
-        single-process service).  Requests whose shard dies mid-flight
-        are re-dispatched to the survivors — the routing function
-        degrades deterministically, and every shard computes identical
-        results, so a degraded fleet returns exactly what a healthy one
-        would, just slower.  A fleet with zero live shards raises
-        :class:`FleetUnavailableError` naming the slot states.
+        Each :func:`~repro.fleet.partition.group_by_shard` group is one
+        work unit ranking the whole catalogue on its shard, so every
+        shard scores exactly the batch a single-process engine would be
+        handed for those users.  Unknown users are skipped (absence in
+        the result, matching the single-process service).  A unit whose
+        shard dies mid-flight is re-sent unchanged to the shard's
+        failover (:func:`~repro.fleet.partition.failover_shard`) —
+        every shard computes identical results, so a degraded fleet
+        returns exactly what a healthy one would, just slower.  A fleet
+        with zero live shards raises :class:`FleetUnavailableError`
+        naming the slot states.
 
         With ``return_generations=True`` the return value is
         ``(results, generations)`` where ``generations[user_id]`` is
@@ -452,131 +418,49 @@ class ShardRouter:
             raise ValueError(f"k must be positive, got {k}")
         start = time.perf_counter()
         try:
-            pending: List[Tuple[int, int]] = []
-            for user_id in dict.fromkeys(user_ids):
-                idx = self.index.users.get(user_id)
-                if idx >= 0:
-                    pending.append((user_id, idx))
-            out: Dict[int, List[Tuple[int, float]]] = {}
-            gens: Dict[int, int] = {}
-            # Every round either completes requests or consumes a
-            # respawn / removal, so num_shards * (budget + 1) rounds is
-            # a safe bound.
-            max_rounds = self.num_shards * \
-                (self._supervisor.supervision.max_respawns + 1) + 1
-            for round_no in range(max_rounds):
-                if not pending:
-                    break
-                live = self._require_live()
-                groups = group_by_shard(pending, self.num_shards, live)
-                requests = {}
-                for shard_id, entries in groups.items():
-                    indices = [idx for _uid, idx in entries]
-                    exclude = [self._excluded(uid) if exclude_visited
-                               else None for uid, _idx in entries]
-                    requests[shard_id] = ("topk_users",
-                                          (indices, k, exclude))
-                results = self._dispatch_or_unavailable(requests)
-                pending = []
-                for shard_id, entries in groups.items():
-                    reply = results.get(shard_id)
-                    if reply is None:
-                        pending.extend(entries)
-                        continue
-                    rows, meta = reply
-                    generation = meta.get("generation", 0)
-                    for (user_id, _idx), row in zip(entries, rows):
-                        out[user_id] = [(int(p), float(s))
-                                        for p, s in row]
-                        gens[user_id] = generation
-                if pending:
-                    self._note_redispatch(len(pending))
-                    logger.warning(
-                        "re-dispatching %d requests after shard loss "
-                        "(round %d)", len(pending), round_no + 1)
-            if pending:
-                raise WorkerFailure(
-                    self._step,
-                    reason=f"{len(pending)} requests undeliverable after "
-                           f"{max_rounds} dispatch rounds")
+            known = self._known(user_ids)
+            groups = group_by_shard(known, self.num_shards,
+                                    self._require_live()) if known else {}
+            excludes = self._excludes(known, exclude_visited)
+            responses, gens = self._serve(known, [
+                self._topk_unit(entries, excludes, k, 0, self.catalogue_size,
+                                shard)
+                for shard, entries in groups.items()], k, exclude_visited)
         except Exception:
             self._record_latency(start, outcome="error")
             raise
         self._record_latency(start)
-        if return_generations:
-            return out, gens
-        return out
-
-    def _dispatch_or_unavailable(self, requests):
-        """Dispatch, translating total replica loss into the clear error."""
-        try:
-            return self._dispatch(requests)
-        except FleetUnavailableError:
-            raise
-        except WorkerFailure as failure:
-            raise FleetUnavailableError(
-                self._step, self._supervisor.slot_states()) from failure
+        out = {uid: response.items for uid, response in responses.items()}
+        return (out, gens) if return_generations else out
 
     def recommend_fanout(self, user_id: int, k: int = 10,
                          exclude_visited: bool = True
                          ) -> List[Tuple[int, float]]:
         """Top-k for one user via catalogue-slice fanout + merge.
 
-        The catalogue is split into contiguous slices, each scored on a
-        different shard, and the partial top-Ks are merged under the
-        engine's exact ordering — deterministic regardless of reply
-        order or which shards survived to score which slices.
+        The catalogue is split into one contiguous slice per live
+        shard, each slice one work unit, and the partial top-Ks are
+        merged under the engine's exact ordering — deterministic
+        regardless of reply order or which shards survived to score
+        which slices.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         start = time.perf_counter()
         try:
-            idx = self._user_index(user_id)
-            exclude = self._excluded(user_id) if exclude_visited else None
-            pending = split_catalogue(self.catalogue_size,
-                                      max(1, self.num_live))
-            partials: List[Tuple[int, int, float]] = []
-            max_rounds = self.num_shards * \
-                (self._supervisor.supervision.max_respawns + 1) + 1
-            for round_no in range(max_rounds):
-                if not pending:
-                    break
-                live = self._require_live()
-                # Round-robin outstanding slices over the live shards;
-                # one request per shard per round, maybe many slices.
-                assignment: Dict[int, List[Tuple[int, int]]] = {}
-                for i, piece in enumerate(pending):
-                    assignment.setdefault(live[i % len(live)],
-                                          []).append(piece)
-                requests = {
-                    shard_id: ("topk_slices", (idx, k, pieces, exclude))
-                    for shard_id, pieces in assignment.items()
-                }
-                results = self._dispatch_or_unavailable(requests)
-                pending = []
-                for shard_id, pieces in assignment.items():
-                    reply = results.get(shard_id)
-                    if reply is None:
-                        pending.extend(pieces)
-                        continue
-                    rows, _meta = reply
-                    for piece_partials in rows:
-                        partials.extend(piece_partials)
-                if pending:
-                    self._note_redispatch(len(pending))
-                    logger.warning(
-                        "re-dispatching %d catalogue slices after shard "
-                        "loss (round %d)", len(pending), round_no + 1)
-            if pending:
-                raise WorkerFailure(
-                    self._step,
-                    reason=f"{len(pending)} catalogue slices unscored "
-                           f"after {max_rounds} dispatch rounds")
+            entry = [(user_id, self._user_index(user_id))]
+            live = self._require_live()
+            excludes = self._excludes(entry, exclude_visited)
+            responses, _gens = self._serve(entry, [
+                self._topk_unit(entry, excludes, k, lo, hi, shard)
+                for (lo, hi), shard in zip(
+                    split_catalogue(self.catalogue_size, len(live)), live)],
+                k, exclude_visited)
         except Exception:
             self._record_latency(start, outcome="error")
             raise
         self._record_latency(start)
-        return merge_topk(partials, k)
+        return responses[user_id].items
 
     # ------------------------------------------------------------------
     # Zero-downtime model hot-swap
@@ -599,14 +483,16 @@ class ShardRouter:
         2. Point ``self._block`` at the new block *before* telling any
            shard: a shard that crashes mid-swap respawns attached to
            the new generation, not the old one.
-        3. Send ``("swap", new_manifest)`` down each live shard's pipe.
-           Pipes are FIFO, so every request enqueued before the swap is
-           answered on the old engine first — the swap message *is* the
-           drain barrier, and no request is dropped.
-        4. After the acks, close (unlink) the old block.  POSIX keeps
-           existing mappings alive past the unlink, so a laggard shard
-           that has not yet processed its swap keeps scoring safely on
-           the old generation until it does.
+        3. Send ``("swap", new_manifest)`` to each live shard as a
+           shard-pinned unit on the request path.  Pipes are FIFO, so
+           every request enqueued before the swap is answered on the
+           old engine first — the swap message *is* the drain barrier,
+           and no request is dropped.
+        4. After the acks, close (unlink) the old block — on every
+           exit, including total fleet loss.  POSIX keeps existing
+           mappings alive past the unlink, so a laggard shard that has
+           not yet processed its swap keeps scoring safely on the old
+           generation until it does.
         5. Invalidate the resilient result cache — cached rankings are
            stale against the new parameters, and serving them tagged
            with the new generation would be a provenance lie.
@@ -615,7 +501,8 @@ class ShardRouter:
         cannot change the entity vocabulary, only parameter values.
         ``generation`` pins the new number (it must advance); by
         default the fleet's own counter increments.  Returns a summary
-        dict; raises ``ValueError`` on vocabulary/generation mismatch.
+        dict; raises ``ValueError`` on vocabulary/generation mismatch
+        and :class:`FleetUnavailableError` when no shard is left.
         """
         if self._closed:
             raise RuntimeError("router is closed")
@@ -646,16 +533,17 @@ class ShardRouter:
         # Step 2 before step 3: mid-swap respawns must attach the new
         # generation (see _spawn_shard, which reads self._block).
         self._block = new_block
-        live = self.live_shards
-        replies = self._dispatch(
-            {shard: ("swap", new_block.manifest) for shard in live})
-        acked = sorted(
-            shard for shard, (result, _meta) in replies.items()
-            if isinstance(result, dict)
-            and result.get("generation") == generation)
-        old_block.close()
-        if self._res_cache is not None:
-            self._res_cache.invalidate_all()
+        try:
+            live = self._require_live()
+            units = [_Unit([], shard, ("swap", new_block.manifest),
+                           pinned=True) for shard in live]
+            self._serve([], units, 0, False)
+        finally:
+            old_block.close()
+            if self._res_cache is not None:
+                self._res_cache.invalidate_all()
+        acked = sorted(unit.shard for unit in units if unit.done
+                       and unit.result.get("generation") == generation)
         self._swap_count += 1
         duration_ms = (time.perf_counter() - start) * 1000.0
         if self.registry is not None:
@@ -696,7 +584,7 @@ class ShardRouter:
         return self.swap(model, index, generation=recorded)
 
     # ------------------------------------------------------------------
-    # Serving API (resilient path: deadlines, hedging, degraded answers)
+    # Serving API (resilient entry point: deadlines, hedging, fallback)
     # ------------------------------------------------------------------
     def recommend_resilient(self, user_ids: Sequence[int], k: int = 10,
                             exclude_visited: bool = True, *,
@@ -706,14 +594,14 @@ class ShardRouter:
         """Deadline-bounded top-k with hedging, shedding, and fallback.
 
         Every *known* user gets a :class:`ResilientResponse` — this
-        path never raises on shard failure.  Admitted requests are
-        scored by catalogue-slice fanout across breaker-approved
-        shards: all slices merged is bit-identical to the plain path
-        (``quality="full"``); a subset merged is a valid degraded
-        ranking (``"partial"``); zero slices falls back to the stale
-        cache (``"cached"``) and then the popularity baseline
-        (``"fallback"``).  Shed requests are answered from the fallback
-        chain immediately and flagged ``shed=True``.
+        entry point never raises on shard failure.  Admitted requests
+        are scored as one work unit per catalogue slice across
+        breaker-approved shards: all slices merged is bit-identical to
+        the plain entry points (``quality="full"``); a subset merged is
+        a valid degraded ranking (``"partial"``); zero slices falls back
+        to the stale cache (``"cached"``) and then the popularity
+        baseline (``"fallback"``).  Shed requests are answered from the
+        fallback chain immediately and flagged ``shed=True``.
 
         Parameters
         ----------
@@ -741,33 +629,11 @@ class ShardRouter:
             elif given is not None and given.start < current.start:
                 per_user[user_id] = given   # duplicate: earliest arrival
         batch_start = time.perf_counter()
-        out: Dict[int, ResilientResponse] = {}
-        known: List[Tuple[int, int]] = []
-        for user_id in per_user:
-            idx = self.index.users.get(user_id)
-            if idx >= 0:
-                known.append((user_id, idx))
-        # Tracing: mint one root context per known request at the front
-        # door.  The queue segment covers scheduled arrival -> router
-        # entry (the deadline anchors on the same monotonic clock the
-        # recorder stamps with, so the subtraction is exact).
+        known = self._known(per_user)
+        traces = self._open_traces(known, per_user)
         recorder = self._recorder
-        traces: Dict[int, dict] = {}
-        entry_ms = 0.0
-        if recorder is not None:
-            entry_ms = recorder.now_ms()
-            for user_id, _idx in known:
-                ctx = TraceContext.mint()
-                arrival_ms = per_user[user_id].start * 1000.0
-                traces[user_id] = {
-                    "ctx": ctx, "arrival_ms": arrival_ms,
-                    "adm_end_ms": entry_ms,
-                    "events": [recorder.emit(
-                        ctx, "queue_wait", CAT_QUEUE, ts_ms=arrival_ms,
-                        dur_ms=max(0.0, entry_ms - arrival_ms),
-                        user=user_id)],
-                }
         # 1. Admission: shed at the door what cannot be served in time.
+        out: Dict[int, ResilientResponse] = {}
         admitted: List[Tuple[int, int]] = []
         assert self._admission is not None
         for user_id, idx in known:
@@ -780,82 +646,74 @@ class ShardRouter:
                 adm_ms = recorder.now_ms()
                 state["events"].append(recorder.emit(
                     state["ctx"], "admission", CAT_ADMISSION,
-                    ts_ms=entry_ms, dur_ms=max(0.0, adm_ms - entry_ms),
+                    ts_ms=state["adm_end_ms"],
+                    dur_ms=max(0.0, adm_ms - state["adm_end_ms"]),
                     admitted=ok, reason=reason))
                 state["adm_end_ms"] = adm_ms
             if ok:
                 admitted.append((user_id, idx))
-            else:
-                response = self._degraded_response(
-                    user_id, k, exclude_visited, per_user[user_id],
-                    partial_items=None, shed=True, shed_reason=reason)
-                out[user_id] = response
-                if state is not None:
-                    # Shed answers come straight from the fallback
-                    # chain: the merge segment covers decision -> done,
-                    # ending where the response stamped its latency so
-                    # the covering identity stays exact.
-                    answered_ms = (state["arrival_ms"]
-                                   + response.latency_ms)
-                    state["events"].append(recorder.emit(
-                        state["ctx"], "shed_fallback", CAT_MERGE,
-                        ts_ms=state["adm_end_ms"],
-                        dur_ms=max(0.0, answered_ms
-                                   - state["adm_end_ms"]),
-                        quality=response.quality))
-                    self._finish_trace(state, response)
+                continue
+            response = self._degraded_response(
+                user_id, k, exclude_visited, deadline, partial_items=None,
+                shed=True, shed_reason=reason)
+            out[user_id] = response
+            if state is not None:
+                # Shed answers come straight from the fallback chain:
+                # the merge segment covers decision -> done.
+                self._close_trace(state, response, "shed_fallback",
+                                  state["adm_end_ms"])
         if not admitted:
             return out
-        # 2. Slice fanout + event loop; answers land in ``out``.
-        self._resilient_fanout(admitted, per_user, k, exclude_visited,
-                               out, traces)
+        # 2. One unit per catalogue slice, each carrying the whole
+        # admitted batch, on breaker-approved shards.  Every half-open
+        # grant taken here is used by one unit or cancelled.  No
+        # approved shard means no units: the loop answers from the
+        # fallbacks.
+        participants = [shard_id for shard_id in self.live_shards
+                        if self._breakers[shard_id].allow()]
+        num_slices = min(len(participants), self.catalogue_size)
+        for shard_id in participants[num_slices:]:
+            self._breakers[shard_id].cancel_probe()
+        slices = split_catalogue(self.catalogue_size, num_slices) \
+            if num_slices else []
+        excludes = self._excludes(admitted, exclude_visited)
+        served, _gens = self._serve(admitted, [
+            self._topk_unit(admitted, excludes, k, lo, hi, shard)
+            for (lo, hi), shard in zip(slices, participants)],
+            k, exclude_visited, cfg=cfg, deadlines=per_user, traces=traces)
+        out.update(served)
         self._admission.note_service(
             (time.perf_counter() - batch_start) * 1000.0)
         return out
 
-    # -- resilient-path helpers ----------------------------------------
-    def _allowed_live_shards(self) -> List[int]:
-        """Live shards whose breaker admits traffic right now.
-
-        Every half-open grant returned here MUST be used (one slice
-        sent) or cancelled by the caller via ``cancel_probe``.
-        """
-        allowed = []
-        for shard_id in self.live_shards:
-            breaker = self._breakers.get(shard_id)
-            if breaker is None or breaker.allow():
-                allowed.append(shard_id)
-        return allowed
-
+    # -- resilient-policy helpers ----------------------------------------
     def _pick_shard(self, exclude: Set[int]) -> Optional[int]:
         """One breaker-approved live shard outside ``exclude`` (rotating)."""
         live = self.live_shards
-        if not live:
-            return None
         self._rr += 1
         for offset in range(len(live)):
             shard_id = live[(self._rr + offset) % len(live)]
-            if shard_id in exclude:
-                continue
-            breaker = self._breakers.get(shard_id)
-            if breaker is None or breaker.allow():
+            if shard_id not in exclude and self._breakers[shard_id].allow():
                 return shard_id
         return None
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        self._res_counters[name] += amount
+    def _count(self, name: str) -> None:
+        self._res_counters[name] += 1
         if self.registry is not None:
-            self.registry.counter(f"fleet.resilience.{name}").inc(amount)
+            self.registry.counter(f"fleet.resilience.{name}").inc()
 
-    def _note_response(self, response: ResilientResponse) -> None:
-        if response.deadline_met:
-            self._count("deadline_hits")
-        else:
-            self._count("deadline_misses")
+    def _note_response(self, response: ResilientResponse,
+                       resilient: bool = True) -> None:
+        """Feed one answer to the SLO tracker and, for the resilient
+        entry point, to the ``fleet.resilience.*`` counters."""
         if self._slo is not None:
             self._slo.record_request(
                 answered=True, deadline_met=response.deadline_met,
                 latency_ms=response.latency_ms)
+        if not resilient:
+            return
+        self._count("deadline_hits" if response.deadline_met
+                    else "deadline_misses")
         if self.registry is not None:
             self.registry.counter("fleet.resilience.responses",
                                   quality=response.quality).inc()
@@ -866,48 +724,13 @@ class ShardRouter:
                                     quality=response.quality).observe(
                                         response.latency_ms)
 
-    def _finish_trace(self, state: dict, response: ResilientResponse,
-                      batch_events: Optional[List[dict]] = None,
-                      batch_trace: str = "") -> None:
-        """Hand one finished request's trace to the flight recorder.
-
-        ``batch_events`` (dispatch attempts, hedges, breaker trips,
-        shard scoring spans — all recorded under the fan-out's *batch*
-        trace, because slice RPCs are batch-scoped) are embedded in
-        every member request's record; ``attrs.batch_trace`` lets the
-        report join further loose spans later.  The tail-sampling
-        judgement is the flight recorder's.
-        """
-        if self._flight is None:
-            return
-        # Judge on the scalars first: the boring majority is dropped
-        # without ever serialising its span events.
-        reason = self._flight.judge(
-            latency_ms=response.latency_ms, quality=response.quality,
-            shed=response.shed)
-        if reason is None:
-            return
-        ctx: TraceContext = state["ctx"]
-        events = [event.to_dict() for event in state["events"]
-                  if event is not None]
-        attrs: Dict = {}
-        if batch_events:
-            events.extend(batch_events)
-            attrs["batch_trace"] = batch_trace
-        self._flight.keep(reason, TraceRecord(
-            trace_id=ctx.trace_id, user_id=response.user_id,
-            start_ms=state["arrival_ms"],
-            latency_ms=response.latency_ms, quality=response.quality,
-            deadline_met=response.deadline_met, shed=response.shed,
-            shed_reason=response.shed_reason, events=events,
-            attrs=attrs))
-
     def _degraded_response(self, user_id: int, k: int,
                            exclude_visited: bool, deadline: Deadline,
                            partial_items, shed: bool = False,
                            shed_reason: str = "") -> ResilientResponse:
         assert self._chain is not None
-        exclude = self._excluded(user_id) if exclude_visited else None
+        exclude = visited_poi_ids(self.dataset, user_id) \
+            if exclude_visited else None
         items, quality = self._chain.answer(
             user_id, k, exclude_visited=exclude_visited,
             partial_items=partial_items, exclude=exclude)
@@ -919,135 +742,219 @@ class ShardRouter:
         self._note_response(response)
         return response
 
-    def _resilient_fanout(self, admitted: List[Tuple[int, int]],
-                          per_user: Dict[int, Deadline], k: int,
-                          exclude_visited: bool,
-                          out: Dict[int, ResilientResponse],
-                          traces: Optional[Dict[int, dict]] = None
-                          ) -> None:
-        """Score one admitted batch by slice fanout under deadlines.
+    # -- tracing -----------------------------------------------------------
+    def _open_traces(self, entries: Sequence[Tuple[int, int]],
+                     deadlines: Dict[int, Deadline]) -> Dict[int, dict]:
+        """Mint one root context per request at the front door.
 
-        The whole batch shares one set of catalogue slices; each slice
-        is one RPC carrying every admitted user.  The event loop
-        harvests replies as they arrive, hedges slices that stay silent
-        past ``hedge_after_ms``, strikes breakers (and optionally
-        restarts shards) on ``hop_timeout_ms``, and finalizes each user
-        individually when their budget runs down to the margin — so one
-        straggling slice can cost *partial* quality but never a blown
-        deadline.
-
-        When tracing is on, the fan-out itself runs under one *batch*
-        trace (slice RPCs carry every admitted user, so per-user RPC
-        spans would be a fiction): dispatch attempts, hedges, breaker
-        trips, and the shard scoring spans that ride replies all land
-        in ``batch_events``, which every member request's flight record
-        embeds.  Per-user ``traces`` state (from
-        :meth:`recommend_resilient`) gets its covering score and merge
-        segments at finalize.
+        The queue segment covers scheduled arrival -> router entry (the
+        deadline anchors on the same monotonic clock the recorder
+        stamps with, so the subtraction is exact).
         """
-        cfg = self._resilience
-        assert cfg is not None
+        recorder = self._recorder
+        if recorder is None:
+            return {}
+        entry_ms = recorder.now_ms()
+        traces: Dict[int, dict] = {}
+        for user_id, _idx in entries:
+            ctx = TraceContext.mint()
+            arrival_ms = deadlines[user_id].start * 1000.0
+            traces[user_id] = {
+                "ctx": ctx, "arrival_ms": arrival_ms,
+                "adm_end_ms": entry_ms,
+                "events": [recorder.emit(
+                    ctx, "queue_wait", CAT_QUEUE, ts_ms=arrival_ms,
+                    dur_ms=max(0.0, entry_ms - arrival_ms), user=user_id)],
+            }
+        return traces
+
+    def _close_trace(self, state: dict, response: ResilientResponse,
+                     name: str, start_ms: float, outcome: str = "ok",
+                     batch_events: Optional[List[dict]] = None,
+                     batch_trace: str = "") -> None:
+        """Emit a request's last covering segment and hand its trace to
+        the flight recorder.
+
+        The segment ends at the instant the response stamped its
+        latency — not at this emit — so the covering identity
+        (segments sum to ``latency_ms``) holds even if the router is
+        preempted in between.  ``batch_events`` (dispatch attempts,
+        hedges, breaker trips, shard scoring spans — recorded under the
+        call's *batch* trace, because units are batch-scoped) are
+        embedded in the kept record; ``attrs.batch_trace`` lets the
+        report join further loose spans later.  The tail-sampling
+        judgement is the flight recorder's, made on the scalars first
+        so the boring majority is dropped without serialising spans.
+        """
+        ctx: TraceContext = state["ctx"]
+        answered_ms = state["arrival_ms"] + response.latency_ms
+        state["events"].append(self._recorder.emit(
+            ctx, name, CAT_MERGE, ts_ms=start_ms,
+            dur_ms=max(0.0, answered_ms - start_ms),
+            quality=response.quality))
+        reason = self._flight.judge(
+            latency_ms=response.latency_ms, quality=response.quality,
+            outcome=outcome, shed=response.shed)
+        if reason is None:
+            return
+        events = [event.to_dict() for event in state["events"]
+                  if event is not None]
+        attrs: Dict = {}
+        if batch_events:
+            events.extend(batch_events)
+            attrs["batch_trace"] = batch_trace
+        self._flight.keep(reason, TraceRecord(
+            trace_id=ctx.trace_id, user_id=response.user_id,
+            start_ms=state["arrival_ms"],
+            latency_ms=response.latency_ms, quality=response.quality,
+            deadline_met=response.deadline_met, shed=response.shed,
+            shed_reason=response.shed_reason, outcome=outcome,
+            events=events, attrs=attrs))
+
+    # ------------------------------------------------------------------
+    # The request path
+    # ------------------------------------------------------------------
+    def _serve(self, entries: Sequence[Tuple[int, int]],
+               units: List[_Unit], k: int, exclude_visited: bool, *,
+               cfg: Optional[ResilienceConfig] = None,
+               deadlines: Optional[Dict[int, Deadline]] = None,
+               traces: Optional[Dict[int, dict]] = None
+               ) -> Tuple[Dict[int, ResilientResponse], Dict[int, int]]:
+        """Run ``units`` for the ``entries`` users; answer every user.
+
+        The router's only dispatch machinery.  One event loop sends
+        each unit, harvests replies as they arrive (matched by request
+        id, so late replies of abandoned attempts drain harmlessly),
+        re-sends units lost with their shard, and merges every user's
+        partial top-Ks with :func:`merge_topk`.  Returns
+        ``(responses, generations)`` keyed by user id.
+
+        ``cfg=None`` is the plain policy: no deadline, hedging, breakers
+        or fallback.  A unit is re-sent unchanged to its shard's
+        failover; a shard silent past ``supervision.step_timeout`` is
+        declared hung; total loss raises :class:`FleetUnavailableError`.
+        Under a :class:`ResilienceConfig` the loop hedges units silent
+        past ``hedge_after_ms``, strikes breakers (and optionally
+        restarts shards) on ``hop_timeout_ms``, re-sends lost units to
+        any approved shard, and finalizes each user individually when
+        their budget runs down to the margin — answering from the
+        fallback chain when their units are not all in — so one
+        straggling slice can cost *partial* quality but never a blown
+        deadline.  Shard-pinned units (the swap's control messages)
+        are never re-sent.
+
+        When tracing is on, the call's units run under one *batch*
+        trace (units carry many users, so per-user RPC spans would be a
+        fiction): attempts, hedges, breaker trips, and the shard
+        scoring spans that ride replies land in ``batch_events``, which
+        every member request's kept record embeds.  Per-user ``traces``
+        state gets its covering score and merge segments at finalize.
+        """
         self._step += 1
         step = self._step
         recorder = self._recorder
-        batch_ctx = TraceContext.mint() if recorder is not None else None
+        if deadlines is None:
+            arrival = Deadline(math.inf)
+            deadlines = {uid: arrival for uid, _idx in entries}
+        if traces is None:
+            traces = self._open_traces(entries, deadlines)
+        batch_ctx = TraceContext.mint() \
+            if recorder is not None and entries else None
         batch_events: List[dict] = []
+        supervision = self._supervisor.supervision
+        if cfg is None:
+            breakers: Dict[int, CircuitBreaker] = {}
+            hop_ms = supervision.step_timeout * 1000.0
+            hedge_ms, max_hedges, poll_ms = math.inf, 0, _PLAIN_POLL_MS
+        else:
+            breakers = self._breakers
+            hop_ms, hedge_ms = cfg.hop_timeout_ms, cfg.hedge_after_ms
+            max_hedges, poll_ms = cfg.max_hedges, cfg.poll_interval_ms
+            margin_ms = cfg.finalize_margin_ms
+        max_sends = self.num_shards * (supervision.max_respawns + 1) + 1
+        partials: Dict[int, List[Tuple[int, int, float]]] = {
+            uid: [] for uid, _idx in entries}
+        owed = dict.fromkeys(partials, 0)       # units not yet in
+        scored = dict.fromkeys(partials, 0)     # units in
+        for unit in units:
+            for uid in unit.members:
+                owed[uid] += 1
+        out: Dict[int, ResilientResponse] = {}
+        gens: Dict[int, int] = {}
+        unanswered = dict.fromkeys(partials)
+        inflight: Dict[int, dict] = {}          # rid -> attempt
 
         def bevent(name: str, cat: str, *, ts_ms=None, dur_ms=0.0,
                    **attrs) -> None:
-            if recorder is None:
-                return
             span = recorder.emit(batch_ctx, name, cat, ts_ms=ts_ms,
-                                 dur_ms=dur_ms, **attrs)
+                                 dur_ms=dur_ms, **attrs) \
+                if batch_ctx is not None else None
             if span is not None:
                 batch_events.append(span.to_dict())
-        indices = [idx for _uid, idx in admitted]
-        excludes = [self._excluded(uid) if exclude_visited else None
-                    for uid, _idx in admitted]
-        user_pos = {uid: i for i, (uid, _idx) in enumerate(admitted)}
-        participants = self._allowed_live_shards()
-        num_slices = min(len(participants), self.catalogue_size) \
-            if participants else 0
-        # Cancel probe grants we are not going to use.
-        for shard_id in participants[num_slices:]:
-            breaker = self._breakers.get(shard_id)
-            if breaker is not None:
-                breaker.cancel_probe()
-        participants = participants[:num_slices]
-        unanswered: List[int] = [uid for uid, _idx in admitted]
-        if num_slices == 0:
-            # Every breaker is open (or no shard is live): the whole
-            # batch short-circuits to the fallback chain.  These are
-            # exactly the degraded answers the flight recorder exists
-            # for, so finish their traces here too.
-            for uid in unanswered:
-                response = self._degraded_response(
-                    uid, k, exclude_visited, per_user[uid], None)
-                out[uid] = response
-                state = traces.get(uid) if traces else None
-                if state is not None:
-                    start_ms = state["adm_end_ms"]
-                    answered_ms = state["arrival_ms"] + response.latency_ms
-                    state["events"].append(recorder.emit(
-                        state["ctx"], "no_shard_fallback", CAT_MERGE,
-                        ts_ms=start_ms,
-                        dur_ms=max(0.0, answered_ms - start_ms),
-                        quality=response.quality))
-                    self._finish_trace(state, response, batch_events,
-                                       batch_ctx.trace_id)
-            return
-        slices = split_catalogue(self.catalogue_size, num_slices)
-        slice_rows: List[Optional[list]] = [None] * num_slices
-        slice_failed = [False] * num_slices
-        hedges_used = [0] * num_slices
-        inflight: Dict[int, dict] = {}          # rid -> attempt
-        slice_rids: List[Set[int]] = [set() for _ in range(num_slices)]
-        all_lost = False
 
-        def send_attempt(slice_id: int, shard_id: int) -> bool:
-            rid = self._next_rid()
-            lo, hi = slices[slice_id]
-            payload = (indices, k, lo, hi, excludes)
-            message = (rid, "topk_users_slice", payload)
+        def retarget(unit: _Unit, tried: Set[int]) -> Optional[int]:
+            if unit.pinned:
+                return None
+            if cfg is not None:
+                return self._pick_shard(tried)
+            if unit.sends >= max_sends:
+                raise WorkerFailure(
+                    step, reason=f"{len(unit.members)} requests "
+                    f"undeliverable after {max_sends} dispatch rounds")
+            return failover_shard(unit.shard, self._require_live())
+
+        def send_attempt(unit: _Unit, shard_id: int) -> bool:
+            self._request_seq += 1
+            rid = self._request_seq
+            message = (rid,) + unit.message
             if batch_ctx is not None and self._tracing.shard_spans:
                 # Fourth envelope element: the shard times its scoring
                 # under a child of the batch context (see shard.py).
                 message = message + (batch_ctx.child().to_wire(),)
-            ok = self._supervisor.send_to(shard_id, message, step)
-            if ok:
-                inflight[rid] = {"slice": slice_id, "shard": shard_id,
-                                 "sent_at": time.perf_counter()}
-                slice_rids[slice_id].add(rid)
-            return ok
+            if not self._supervisor.send_to(shard_id, message, step):
+                return False
+            inflight[rid] = {"unit": unit, "shard": shard_id,
+                             "sent_at": time.perf_counter()}
+            unit.rids.add(rid)
+            unit.sends += 1
+            return True
 
-        def abandon(rid: int, track_stale: bool) -> None:
+        def dispatch(unit: _Unit) -> None:
+            """Send a unit with no attempt in flight (or give it up)."""
+            resend = unit.sends > 0
+            shard_id = retarget(unit, set()) if resend else unit.shard
+            tried: Set[int] = set()
+            while shard_id is not None and not send_attempt(unit, shard_id):
+                tried.add(shard_id)
+                shard_id = retarget(unit, tried)
+            if shard_id is None:
+                unit.failed = True
+            elif resend:
+                if cfg is not None:
+                    self._count("retries")
+                elif self.registry is not None:
+                    self.registry.counter("fleet.router.redispatches").inc()
+
+        def abandon(rid: int) -> None:
             attempt = inflight.pop(rid, None)
             if attempt is None:
                 return
-            slice_rids[attempt["slice"]].discard(rid)
-            if track_stale:
-                self._mark_stale(rid, attempt["shard"])
-            # A stale probe reply is dropped without credit, so return
+            attempt["unit"].rids.discard(rid)
+            # A late probe reply is dropped without credit, so return
             # an in-flight half-open grant rather than wedging it.
-            breaker = self._breakers.get(attempt["shard"])
+            breaker = breakers.get(attempt["shard"])
             if breaker is not None:
                 breaker.cancel_probe()
 
-        def fail_attempt(rid: int, track_stale: bool = True,
-                         allow_restart: bool = True) -> None:
-            attempt = inflight.pop(rid, None)
-            if attempt is None:
-                return
+        def fail_attempt(rid: int, allow_restart: bool = True) -> None:
+            attempt = inflight.pop(rid)
             shard_id = attempt["shard"]
-            slice_rids[attempt["slice"]].discard(rid)
+            attempt["unit"].rids.discard(rid)
             bevent("attempt_failed", CAT_DISPATCH,
                    ts_ms=attempt["sent_at"] * 1000.0,
                    dur_ms=(time.perf_counter() - attempt["sent_at"])
-                   * 1000.0, slice=attempt["slice"], shard=shard_id,
-                   stale=track_stale)
-            if track_stale:
-                self._mark_stale(rid, shard_id)
-            breaker = self._breakers.get(shard_id)
+                   * 1000.0, shard=shard_id)
+            breaker = breakers.get(shard_id)
             if breaker is not None and breaker.record_failure():
                 self._count("breaker_opens")
                 bevent("breaker_open", CAT_BREAKER, shard=shard_id)
@@ -1060,195 +967,189 @@ class ShardRouter:
                     self._supervisor.restart_worker(
                         shard_id, step, "circuit breaker opened")
 
-        def finalize(uid: int) -> None:
-            unanswered.remove(uid)
-            pos = user_pos[uid]
-            done = [i for i in range(num_slices)
-                    if slice_rows[i] is not None]
+        def lose_shard(shard_id: int) -> None:
+            # Replies owed by a dead incarnation are gone with its pipe.
+            for rid in [r for r, a in inflight.items()
+                        if a["shard"] == shard_id]:
+                fail_attempt(rid, allow_restart=False)
+
+        def harvest(reply) -> None:
+            # Every reply's metrics and spans are kept, including late
+            # ones whose attempt was abandoned (hedge losers, timed-out
+            # attempts, earlier calls): a hedge loser's scoring span is
+            # still part of its trace.  Only its result is dropped.
+            rid, result, meta = reply
+            self._shard_metrics[(meta["shard"], meta["incarnation"])] = \
+                meta["metrics"]
+            spans = meta.get("spans") or ()
+            if recorder is not None:
+                for span in spans:
+                    recorder.append(SpanEvent.from_dict(span))
+            attempt = inflight.pop(rid, None)
+            if attempt is None:
+                return
+            unit = attempt["unit"]
+            unit.rids.discard(rid)
+            now = time.perf_counter()
+            if batch_ctx is not None:
+                bevent("rpc", CAT_DISPATCH,
+                       ts_ms=attempt["sent_at"] * 1000.0,
+                       dur_ms=(now - attempt["sent_at"]) * 1000.0,
+                       shard=attempt["shard"], users=len(unit.members))
+                batch_events.extend(spans)
+            breaker = breakers.get(attempt["shard"])
+            if breaker is not None:
+                breaker.record_success()
+            if not unit.done:
+                unit.done, unit.result = True, result
+                for uid, row in zip(unit.members, result):
+                    partials[uid].extend(row)
+                    owed[uid] -= 1
+                    scored[uid] += 1
+                    gens[uid] = meta.get("generation", 0)
+            for loser in list(unit.rids):
+                # A shard out-raced by a hedge was silent past
+                # hedge_after: that is a slowness strike, so a
+                # persistently slow shard trips its breaker even when
+                # hedging hides the latency.
+                lost = inflight[loser]
+                if (now - lost["sent_at"]) * 1000.0 >= hedge_ms:
+                    fail_attempt(loser)
+                else:
+                    bevent("hedge_absorb", CAT_HEDGE, shard=lost["shard"])
+                    abandon(loser)
+
+        def finalize(uid: int, outcome: str = "ok") -> None:
+            del unanswered[uid]
             fin_start_ms = recorder.now_ms() if recorder is not None \
                 else 0.0
-            if len(done) == num_slices:
-                partials = [triple for i in done
-                            for triple in slice_rows[i][pos]]
-                items = merge_topk(partials, k)
-                assert self._chain is not None
-                self._chain.note_full()
-                if self._res_cache is not None:
-                    self._res_cache.put(uid, k, items, exclude_visited)
-                deadline = per_user[uid]
+            deadline = deadlines[uid]
+            items = None
+            if scored[uid] > 1:
+                items = merge_topk(partials[uid], k)
+            elif scored[uid]:       # one reply is already a ranked top-k
+                items = [(poi_id, score)
+                         for _pos, poi_id, score in partials[uid]]
+            if outcome != "ok":
+                response = ResilientResponse(
+                    user_id=uid, items=[], quality="", deadline_met=False,
+                    latency_ms=deadline.elapsed_ms())
+                if self._slo is not None:
+                    self._slo.record_request(answered=False)
+            elif scored[uid] and not owed[uid]:
+                if cfg is not None:
+                    self._chain.note_full()
+                    if self._res_cache is not None:
+                        self._res_cache.put(uid, k, items, exclude_visited)
+                latency_ms = deadline.elapsed_ms()
                 response = ResilientResponse(
                     user_id=uid, items=items, quality=QUALITY_FULL,
-                    deadline_met=not deadline.expired(),
-                    latency_ms=deadline.elapsed_ms())
-                self._note_response(response)
+                    deadline_met=latency_ms < deadline.budget_ms,
+                    latency_ms=latency_ms)
+                self._note_response(response, resilient=cfg is not None)
                 out[uid] = response
             else:
-                partial_items = None
-                if done:
-                    partials = [triple for i in done
-                                for triple in slice_rows[i][pos]]
-                    partial_items = merge_topk(partials, k)
                 response = self._degraded_response(
-                    uid, k, exclude_visited, per_user[uid],
-                    partial_items)
+                    uid, k, exclude_visited, deadline, items)
                 out[uid] = response
-            state = traces.get(uid) if traces else None
-            if recorder is not None and state is not None:
+            state = traces.get(uid)
+            if state is not None:
                 # The two covering segments this side of admission:
                 # score (fan-out wait, admission end -> finalize entry)
                 # and merge (finalize entry -> answered).
-                ctx = state["ctx"]
                 adm_end = state["adm_end_ms"]
                 state["events"].append(recorder.emit(
-                    ctx, "fanout_wait", CAT_SCORE, ts_ms=adm_end,
+                    state["ctx"], "fanout_wait", CAT_SCORE, ts_ms=adm_end,
                     dur_ms=max(0.0, fin_start_ms - adm_end),
-                    slices_done=len(done), slices=num_slices))
-                # The segment ends at the instant the response stamped
-                # its latency — not at this emit — so the covering
-                # identity (segments sum to latency_ms) holds even if
-                # the router is preempted in between.
-                answered_ms = state["arrival_ms"] + response.latency_ms
-                state["events"].append(recorder.emit(
-                    ctx, "finalize", CAT_MERGE, ts_ms=fin_start_ms,
-                    dur_ms=max(0.0, answered_ms - fin_start_ms),
-                    quality=response.quality))
-                self._finish_trace(state, response, batch_events,
-                                   batch_ctx.trace_id)
+                    units_done=scored[uid],
+                    units=scored[uid] + owed[uid]))
+                self._close_trace(state, response, "finalize",
+                                  fin_start_ms, outcome, batch_events,
+                                  batch_ctx.trace_id)
 
         try:
-            for slice_id, shard_id in enumerate(participants):
-                if not send_attempt(slice_id, shard_id):
-                    fallback_shard = self._pick_shard({shard_id})
-                    if fallback_shard is None or \
-                            not send_attempt(slice_id, fallback_shard):
-                        slice_failed[slice_id] = True
-            while unanswered:
-                now = time.perf_counter()
-                # Finalize users whose budget ran down to the margin.
-                for uid in list(unanswered):
-                    if per_user[uid].remaining_ms() <= \
-                            cfg.finalize_margin_ms:
-                        finalize(uid)
-                if not unanswered:
+            while True:
+                if cfg is not None:
+                    # Finalize users whose budget ran down to the margin.
+                    for uid in list(unanswered):
+                        if deadlines[uid].remaining_ms() <= margin_ms:
+                            finalize(uid)
+                if entries and not unanswered:
                     break
-                if all_lost or all(
-                        slice_rows[i] is not None or slice_failed[i]
-                        for i in range(num_slices)):
+                if all(unit.done or unit.failed for unit in units):
                     for uid in list(unanswered):
                         finalize(uid)
                     break
-                # Re-dispatch slices with no attempt in flight.
-                for slice_id in range(num_slices):
-                    if slice_rows[slice_id] is not None or \
-                            slice_failed[slice_id] or \
-                            slice_rids[slice_id]:
-                        continue
-                    shard_id = self._pick_shard(set())
-                    if shard_id is None or \
-                            not send_attempt(slice_id, shard_id):
-                        slice_failed[slice_id] = True
-                    else:
-                        self._count("retries")
+                for unit in units:
+                    if not (unit.done or unit.failed or unit.rids):
+                        dispatch(unit)
                 # Wait for the earliest edge: a reply, a hedge point, a
                 # hop timeout, or a user's finalize margin.
-                horizon = cfg.poll_interval_ms
-                for uid in unanswered:
-                    horizon = min(horizon, per_user[uid].remaining_ms()
-                                  - cfg.finalize_margin_ms)
-                for rid, attempt in inflight.items():
+                now = time.perf_counter()
+                horizon = poll_ms
+                if cfg is not None:
+                    for uid in unanswered:
+                        horizon = min(horizon, deadlines[uid].remaining_ms()
+                                      - margin_ms)
+                for attempt in inflight.values():
                     age_ms = (now - attempt["sent_at"]) * 1000.0
-                    slice_id = attempt["slice"]
-                    if hedges_used[slice_id] < cfg.max_hedges and \
-                            len(slice_rids[slice_id]) == 1:
-                        horizon = min(horizon,
-                                      cfg.hedge_after_ms - age_ms)
-                    horizon = min(horizon, cfg.hop_timeout_ms - age_ms)
+                    unit = attempt["unit"]
+                    if unit.hedges < max_hedges and len(unit.rids) == 1:
+                        horizon = min(horizon, hedge_ms - age_ms)
+                    horizon = min(horizon, hop_ms - age_ms)
                 waiting_on = sorted({attempt["shard"]
                                      for attempt in inflight.values()})
                 ready = self._supervisor.wait_any(
                     waiting_on, max(0.0, horizon) / 1000.0) \
                     if waiting_on else []
+                # One reply per ready shard per pass: anything still
+                # queued wakes the next pass's wait at once.
                 for shard_id in ready:
-                    while True:
-                        status, message = self._supervisor.try_recv(
-                            shard_id, step)
-                        if status == "message":
-                            absorbed = self._absorb_reply(message)
-                            if absorbed is None:
-                                continue    # stale: keep draining
-                            rid, result, meta = absorbed
-                            attempt = inflight.pop(rid, None)
-                            if attempt is None:
-                                continue
-                            slice_id = attempt["slice"]
-                            slice_rids[slice_id].discard(rid)
-                            bevent("rpc", CAT_DISPATCH,
-                                   ts_ms=attempt["sent_at"] * 1000.0,
-                                   dur_ms=(time.perf_counter()
-                                           - attempt["sent_at"]) * 1000.0,
-                                   slice=slice_id,
-                                   shard=attempt["shard"])
-                            if recorder is not None:
-                                batch_events.extend(
-                                    meta.get("spans") or ())
-                            breaker = self._breakers.get(attempt["shard"])
-                            if breaker is not None:
-                                breaker.record_success()
-                            if slice_rows[slice_id] is None:
-                                slice_rows[slice_id] = result
-                            win_time = time.perf_counter()
-                            for loser in list(slice_rids[slice_id]):
-                                # A shard out-raced by a hedge was
-                                # silent past hedge_after: that is a
-                                # slowness strike, so a persistently
-                                # slow shard trips its breaker even
-                                # when hedging hides the latency.
-                                lost = inflight.get(loser)
-                                age_ms = (win_time - lost["sent_at"]) \
-                                    * 1000.0 if lost else 0.0
-                                if age_ms >= cfg.hedge_after_ms:
-                                    fail_attempt(loser)
-                                else:
-                                    bevent("hedge_absorb", CAT_HEDGE,
-                                           slice=slice_id,
-                                           shard=(lost or {}).get(
-                                               "shard", -1))
-                                    abandon(loser, track_stale=True)
-                            continue        # drain everything queued
-                        if status == "dead":
-                            # Replies sent to the dead incarnation are
-                            # gone with its pipe: no stale tracking.
-                            for rid in [r for r, a in inflight.items()
-                                        if a["shard"] == shard_id]:
-                                fail_attempt(rid, track_stale=False,
-                                             allow_restart=False)
-                        break
-                # Hedges and hop timeouts, against a fresh clock.
+                    status, message = self._supervisor.try_recv(shard_id,
+                                                                step)
+                    if status == "message":
+                        harvest(message)
+                    elif status == "dead":
+                        lose_shard(shard_id)
+                # Hop timeouts and hedges, against a fresh clock.
                 now = time.perf_counter()
                 for rid, attempt in list(inflight.items()):
+                    if rid not in inflight:
+                        continue    # lost with its shard this pass
                     age_ms = (now - attempt["sent_at"]) * 1000.0
-                    slice_id = attempt["slice"]
-                    if age_ms >= cfg.hop_timeout_ms:
-                        fail_attempt(rid)
-                        continue
-                    if age_ms >= cfg.hedge_after_ms and \
-                            hedges_used[slice_id] < cfg.max_hedges and \
-                            len(slice_rids[slice_id]) == 1:
+                    unit = attempt["unit"]
+                    if age_ms >= hop_ms:
+                        if cfg is None:
+                            self._supervisor.declare_hung(
+                                attempt["shard"], step)
+                            lose_shard(attempt["shard"])
+                        else:
+                            fail_attempt(rid)
+                    elif age_ms >= hedge_ms and \
+                            unit.hedges < max_hedges and \
+                            len(unit.rids) == 1:
                         other = self._pick_shard({attempt["shard"]})
-                        if other is not None and \
-                                send_attempt(slice_id, other):
-                            hedges_used[slice_id] += 1
+                        if other is not None and send_attempt(unit, other):
+                            unit.hedges += 1
                             self._count("hedges")
-                            bevent("hedge_fire", CAT_HEDGE,
-                                   slice=slice_id, shard=other,
+                            bevent("hedge_fire", CAT_HEDGE, shard=other,
                                    age_ms=round(age_ms, 3))
-        except WorkerFailure:
-            all_lost = True
+        except WorkerFailure as failure:
+            if cfg is None:
+                for uid in list(unanswered):
+                    finalize(uid, outcome="error")
+                if isinstance(failure, FleetUnavailableError) or \
+                        self.live_shards:
+                    raise
+                raise FleetUnavailableError(
+                    step, self._supervisor.slot_states()) from failure
+            # Every shard is gone: answer from the fallback chain.
             for uid in list(unanswered):
                 finalize(uid)
         finally:
             for rid in list(inflight):
-                abandon(rid, track_stale=True)
+                abandon(rid)
+        return out, gens
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -13,6 +13,14 @@ Protocol (one pipe per shard, router is the only peer)::
                       or None (shutdown)
     shard  -> router  (request_id, result, meta)
 
+There is one scoring op, ``("topk", (user_indices, k, lo, hi,
+excludes))``: the engine ranks catalogue slice ``[lo, hi)`` for every
+user (:meth:`~repro.serving.engine.InferenceEngine.top_k_slice`) and
+the reply carries one ``(position, poi_id, score)`` list per user.  A
+whole-catalogue request is simply the slice ``[0, N)``; the router
+merges every user's partials with
+:func:`~repro.fleet.partition.merge_topk`.
+
 ``meta`` carries ``{"shard", "incarnation", "generation", "metrics"}``
 on every reply; the metrics snapshot is cumulative for this
 incarnation, so the router's telemetry harvest stays correct even when
@@ -21,12 +29,12 @@ the data-parallel worker loop), and ``generation`` names the parameter
 block that scored the reply — the hot-swap protocol's per-response
 provenance tag.
 
-One op is control plane rather than scoring: ``("swap",
-new_manifest)``.  Pipe FIFO ordering means every request enqueued
-before the swap message has already been answered against the old
-engine when the swap executes, so rebinding here *is* the drain — the
-shard closes its old attachment, attaches the new generation's block,
-and acks with the new generation number.
+The other op is control plane: ``("swap", new_manifest)``.  Pipe FIFO
+ordering means every request enqueued before the swap message has
+already been answered against the old engine when the swap executes,
+so rebinding here *is* the drain — the shard closes its old
+attachment, attaches the new generation's block, and acks with the new
+generation number.
 
 When the envelope carries a fourth element — a
 :meth:`~repro.obs.spans.TraceContext.to_wire` tuple — the shard times
@@ -48,9 +56,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.fleet.params import FleetManifest, attach_serving_engine
 from repro.obs.metrics import MetricsRegistry
@@ -61,93 +66,11 @@ from repro.obs.spans import (
     TraceContext,
 )
 from repro.obs.telemetry import Telemetry
-from repro.serving.engine import InferenceEngine
 
-__all__ = ["shard_serve_loop", "slice_topk", "slice_topk_batch"]
+__all__ = ["shard_serve_loop"]
 
 # Keep percentile windows modest: a snapshot rides every reply.
 _SHARD_HIST_WINDOW = 1024
-
-
-def slice_topk(engine: InferenceEngine, user_index: int, k: int,
-               lo: int, hi: int,
-               exclude_poi_ids: Optional[Set[int]] = None
-               ) -> List[Tuple[int, int, float]]:
-    """Partial top-K of catalogue slice ``[lo, hi)`` for one user.
-
-    Returns ``(global_position, poi_id, score)`` triples so the router
-    can merge partials from different shards under the engine's exact
-    tie-break (score desc, catalogue position asc) — the global
-    position, not the slice-local one, is what makes cross-shard ties
-    deterministic.
-    """
-    row = engine.score_catalogue([user_index], lo=lo, hi=hi)[0]
-    ids = engine.catalogue_poi_ids[lo:hi]
-    positions = np.arange(lo, hi, dtype=np.int64)
-    if exclude_poi_ids:
-        keep = ~np.isin(ids, np.fromiter(exclude_poi_ids, dtype=np.int64,
-                                         count=len(exclude_poi_ids)))
-        ids, row, positions = ids[keep], row[keep], positions[keep]
-    order = np.argsort(-row, kind="stable")[:k]
-    return [(int(positions[j]), int(ids[j]), float(row[j]))
-            for j in order]
-
-
-def slice_topk_batch(engine: InferenceEngine, user_indices: Sequence[int],
-                     k: int, lo: int, hi: int,
-                     exclude_poi_ids: Optional[Sequence[Optional[Set[int]]]]
-                     = None) -> List[List[Tuple[int, int, float]]]:
-    """Partial top-K of slice ``[lo, hi)`` for a *batch* of users.
-
-    The resilient router fans one admitted batch out as one slice per
-    shard, so the whole batch is scored per slice in a single
-    vectorised ``score_catalogue`` call instead of per-user loops.
-    Returns one ``(global_position, poi_id, score)`` triple list per
-    user, same contract as :func:`slice_topk`.
-    """
-    scores = engine.score_catalogue(user_indices, lo=lo, hi=hi)
-    ids = engine.catalogue_poi_ids[lo:hi]
-    positions = np.arange(lo, hi, dtype=np.int64)
-    out: List[List[Tuple[int, int, float]]] = []
-    for i in range(len(user_indices)):
-        row, row_ids, row_pos = scores[i], ids, positions
-        exclude = exclude_poi_ids[i] if exclude_poi_ids else None
-        if exclude:
-            keep = ~np.isin(row_ids,
-                            np.fromiter(exclude, dtype=np.int64,
-                                        count=len(exclude)))
-            row_ids, row, row_pos = row_ids[keep], row[keep], row_pos[keep]
-        order = np.argsort(-row, kind="stable")[:k]
-        out.append([(int(row_pos[j]), int(row_ids[j]), float(row[j]))
-                    for j in order])
-    return out
-
-
-def _execute(engine: InferenceEngine, op: str, payload):
-    if op == "topk_users":
-        user_indices, k, exclude = payload
-        return engine.top_k_catalogue(user_indices, k,
-                                      exclude_poi_ids=exclude)
-    if op == "topk_slices":
-        user_index, k, slices, exclude = payload
-        return [slice_topk(engine, user_index, k, lo, hi, exclude)
-                for lo, hi in slices]
-    if op == "topk_users_slice":
-        user_indices, k, lo, hi, exclude = payload
-        return slice_topk_batch(engine, user_indices, k, lo, hi, exclude)
-    if op == "stats":
-        return engine.stats()
-    if op == "ping":
-        return {"catalogue_size": engine.catalogue_size}
-    raise ValueError(f"unknown fleet op {op!r}")
-
-
-def _payload_users(op: str, payload) -> int:
-    if op in ("topk_users", "topk_users_slice"):
-        return len(payload[0])
-    if op == "topk_slices":
-        return 1
-    return 0
 
 
 def shard_serve_loop(pipe, manifest: FleetManifest, shard_id: int,
@@ -215,15 +138,18 @@ def shard_serve_loop(pipe, manifest: FleetManifest, shard_id: int,
                 except (BrokenPipeError, OSError):
                     return
                 continue
+            if op != "topk":
+                raise ValueError(f"unknown fleet op {op!r}")
             if fault_plan is not None:
                 fault_plan.execute_pre_step(shard_id, seq)
             seq += 1
             start = time.perf_counter()
-            result = _execute(engine, op, payload)
+            user_indices, k, lo, hi, excludes = payload
+            result = engine.top_k_slice(user_indices, k, lo, hi, excludes)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             batch_ms.observe(elapsed_ms)
             requests.inc()
-            users.inc(_payload_users(op, payload))
+            users.inc(len(user_indices))
             meta = {"shard": shard_id, "incarnation": incarnation,
                     "generation": manifest.generation,
                     "metrics": registry.to_dict()}
@@ -232,7 +158,7 @@ def shard_serve_loop(pipe, manifest: FleetManifest, shard_id: int,
                     ctx.child(), "shard_score", CAT_SCORE,
                     ts_ms=start * 1000.0, dur_ms=elapsed_ms, op=op,
                     shard=shard_id, incarnation=incarnation, seq=seq - 1,
-                    users=_payload_users(op, payload))
+                    users=len(user_indices))
                 if span is not None:
                     meta["spans"] = [span.to_dict()]
             try:

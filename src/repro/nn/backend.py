@@ -29,11 +29,8 @@ Two backends ship built in:
   losses re-associate float sums and agree within the documented
   tolerances (see ``docs/performance.md``).
 
-Optional accelerator backends register **only when importable** —
-``"numba"`` (JIT-compiled scatter-add/Adam kernels on top of the
-optimized namespace) and ``"cupy"`` (GPU namespace for pure-``xp``
-array programs).  A stock numpy-only environment simply never lists
-them; nothing in the tree requires them.
+Further backends (an accelerator namespace, a test double) plug in
+through :func:`register_backend`.
 
 Selection: the process default comes from the ``REPRO_BACKEND``
 environment variable (``"reference"`` if unset), and can be changed
@@ -518,110 +515,6 @@ class OptimizedBackend(ArrayBackend):
 
 
 # ----------------------------------------------------------------------
-# Optional accelerator backends (registered only when importable)
-# ----------------------------------------------------------------------
-class NumbaBackend(OptimizedBackend):
-    """Optimized backend with JIT-compiled scatter-add/Adam kernels.
-
-    Registered as ``"numba"`` only when :mod:`numba` imports.  Kernels
-    compile lazily on first use and fall back to the optimized numpy
-    paths for shapes they do not cover.  Loop order matches
-    ``np.add.at`` exactly, so the bit-identity contract is unchanged.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        super().__init__()
-        import numba
-        self._numba = numba
-        self._scatter_kernel = None
-
-    def _compiled_scatter(self):
-        if self._scatter_kernel is None:
-            numba = self._numba
-
-            @numba.njit(cache=False)
-            def scatter(target, ids, rows):      # pragma: no cover
-                for i in range(ids.shape[0]):
-                    row = ids[i]
-                    for j in range(rows.shape[1]):
-                        target[row, j] += rows[i, j]
-
-            self._scatter_kernel = scatter
-        return self._scatter_kernel
-
-    def add_at(self, target, index, values) -> None:
-        index_arr = np.asarray(index) if not isinstance(index, tuple) \
-            else None
-        values_arr = np.asarray(values)
-        if (index_arr is not None and target.ndim == 2
-                and np.issubdtype(index_arr.dtype, np.integer)
-                and index_arr.ndim >= 1 and index_arr.size
-                and values_arr.shape[:index_arr.ndim] == index_arr.shape
-                and values_arr.ndim == index_arr.ndim + 1):
-            flat = np.ascontiguousarray(index_arr.reshape(-1)
-                                        .astype(np.int64))
-            rows = np.ascontiguousarray(
-                values_arr.reshape(flat.size, values_arr.shape[-1]))
-            self._compiled_scatter()(target, flat, rows)
-            return
-        super().add_at(target, index, values)
-
-
-class CupyBackend(ArrayBackend):
-    """GPU namespace over :mod:`cupy` (registered only when importable
-    *and* a device is present).
-
-    Covers the ``xp`` surface for pure-array programs — elementwise,
-    reductions, matmul, sorting, ``add_at`` via
-    ``cupyx.scatter_add`` — with host RNG draws transferred to the
-    device so seeded streams match the CPU backends.  The autograd
-    trainer is validated on the CPU backends; treat this namespace as
-    the substrate for engine-style scoring workloads.
-    """
-
-    name = "cupy"
-    fused_losses = False
-
-    def __init__(self) -> None:
-        import cupy
-        import cupyx
-        cupy.cuda.runtime.getDeviceCount()   # raises without a device
-        self._cupy = cupy
-        self._cupyx = cupyx
-        for attr in ("zeros", "ones", "empty", "full", "zeros_like",
-                     "ones_like", "empty_like", "full_like", "arange",
-                     "add", "subtract", "multiply", "divide", "negative",
-                     "power", "exp", "log", "log1p", "sqrt", "tanh",
-                     "abs", "sign", "maximum", "minimum", "clip",
-                     "where", "isfinite", "isnan", "sum", "mean", "max",
-                     "min", "prod", "any", "all", "matmul",
-                     "concatenate", "stack", "broadcast_to",
-                     "expand_dims", "reshape", "transpose", "tile",
-                     "repeat", "argsort", "sort", "searchsorted",
-                     "unique", "flatnonzero", "take", "asarray",
-                     "ascontiguousarray"):
-            setattr(self, attr, getattr(cupy, attr))
-
-    def add_at(self, target, index, values) -> None:
-        self._cupyx.scatter_add(target, index, values)
-
-    def coerce(self, value, dtype=None):
-        return self._cupy.asarray(dtypes.coerce(
-            value if not hasattr(value, "get") else value.get(), dtype))
-
-    def random(self, rng, size=None):
-        return self._cupy.asarray(rng.random(size))
-
-    def normal(self, rng, loc=0.0, scale=1.0, size=None):
-        return self._cupy.asarray(rng.normal(loc, scale, size=size))
-
-    def uniform(self, rng, low=0.0, high=1.0, size=None):
-        return self._cupy.asarray(rng.uniform(low, high, size=size))
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {}
@@ -634,8 +527,8 @@ def register_backend(name: str, factory: Callable[[], ArrayBackend],
     """Register a backend factory under ``name``.
 
     The factory is called lazily on first :func:`get_backend` and the
-    instance is cached.  Registration is cheap and import-safe, which
-    is what lets optional accelerator backends register conditionally.
+    instance is cached.  Registration is cheap and import-safe, so a
+    backend whose dependency may be missing can register conditionally.
     """
     with _lock:
         if name in _FACTORIES and not overwrite:
@@ -670,29 +563,6 @@ def get_backend(name: Optional[str] = None) -> ArrayBackend:
 
 register_backend("reference", ArrayBackend)
 register_backend("optimized", OptimizedBackend)
-
-
-def _register_optional() -> None:
-    """Register accelerator backends that happen to be importable.
-
-    Never raises and never *requires* the dependency: a stock
-    numpy-only environment simply ends up with the two built-ins.
-    """
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        pass
-    else:
-        register_backend("numba", NumbaBackend, overwrite=True)
-    try:
-        import cupy  # noqa: F401
-    except Exception:
-        pass
-    else:
-        register_backend("cupy", CupyBackend, overwrite=True)
-
-
-_register_optional()
 
 
 def _initial_name() -> str:

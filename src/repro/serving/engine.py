@@ -392,11 +392,18 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Ranking
     # ------------------------------------------------------------------
-    def top_k_catalogue(
-        self, user_indices: Sequence[int], k: int,
+    def top_k_slice(
+        self, user_indices: Sequence[int], k: int, lo: int = 0,
+        hi: Optional[int] = None,
         exclude_poi_ids: Optional[Sequence[Optional[Set[int]]]] = None,
-    ) -> List[List[Tuple[int, float]]]:
-        """Top-k ``(poi_id, score)`` lists for a batch of users.
+    ) -> List[List[Tuple[int, int, float]]]:
+        """Top-k of catalogue slice ``[lo, hi)`` for a batch of users.
+
+        Returns one ``(position, poi_id, score)`` list per user, ordered
+        by descending score with ties broken by ascending catalogue
+        position (the stable argsort).  ``position`` is the global
+        catalogue position, so partial top-Ks of different slices merge
+        exactly (:func:`repro.fleet.partition.merge_topk`).
 
         Parameters
         ----------
@@ -410,23 +417,37 @@ class InferenceEngine:
         if exclude_poi_ids is not None and \
                 len(exclude_poi_ids) != len(user_indices):
             raise ValueError("exclude_poi_ids must align with user_indices")
-        scores = self.score_catalogue(user_indices)
-        out: List[List[Tuple[int, float]]] = []
+        scores = self.score_catalogue(user_indices, lo=lo, hi=hi)
+        hi = lo + scores.shape[1]
+        all_positions = np.arange(lo, hi, dtype=np.int64)
+        all_ids = self.catalogue_poi_ids[lo:hi]
+        out: List[List[Tuple[int, int, float]]] = []
         for i in range(len(user_indices)):
-            row = scores[i]
-            keep = None
+            row, positions, ids = scores[i], all_positions, all_ids
             if exclude_poi_ids is not None and exclude_poi_ids[i]:
-                positions = [self._catalogue_position[p]
-                             for p in exclude_poi_ids[i]
-                             if p in self._catalogue_position]
-                if positions:
-                    keep = np.ones(self.catalogue_size, dtype=bool)
-                    keep[positions] = False
-            ids, row = ((self.catalogue_poi_ids, row) if keep is None
-                        else (self.catalogue_poi_ids[keep], row[keep]))
+                masked = [pos - lo for pos in (
+                    self._catalogue_position.get(p)
+                    for p in exclude_poi_ids[i])
+                    if pos is not None and lo <= pos < hi]
+                if masked:
+                    keep = np.ones(hi - lo, dtype=bool)
+                    keep[masked] = False
+                    row, positions, ids = row[keep], positions[keep], \
+                        ids[keep]
             order = np.argsort(-row, kind="stable")[:k]
-            out.append([(int(ids[j]), float(row[j])) for j in order])
+            out.append([(int(positions[j]), int(ids[j]), float(row[j]))
+                        for j in order])
         return out
+
+    def top_k_catalogue(
+        self, user_indices: Sequence[int], k: int,
+        exclude_poi_ids: Optional[Sequence[Optional[Set[int]]]] = None,
+    ) -> List[List[Tuple[int, float]]]:
+        """Top-k ``(poi_id, score)`` lists for a batch of users: the
+        whole-catalogue :meth:`top_k_slice` with positions stripped."""
+        return [[(poi_id, score) for _pos, poi_id, score in row]
+                for row in self.top_k_slice(
+                    user_indices, k, exclude_poi_ids=exclude_poi_ids)]
 
     def stats(self) -> dict:
         """Cumulative scoring counters."""

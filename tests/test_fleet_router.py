@@ -8,7 +8,9 @@ import pytest
 
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
+from repro.core.recommend import visited_poi_ids
 from repro.fleet.params import ServingParameterBlock, attach_serving_engine
+from repro.fleet.partition import group_by_shard
 from repro.fleet.router import ShardRouter
 from repro.parallel.supervisor import SupervisionConfig
 from repro.reliability import Fault, FaultPlan
@@ -153,6 +155,34 @@ class TestRouterDegradation:
         assert stats["faults"]["respawns"] >= 1
         assert sorted(stats["live_shards"]) == [0, 1]
         assert stats["shard_requests"] > 0
+        assert not mp.active_children()
+
+    def test_shard_crash_respawn_keeps_answers_identical_f32(self, world):
+        # In f32 BLAS may round the last bit differently for another
+        # batch shape, so the oracle is the engine scoring exactly the
+        # group_by_shard batches the router sends: a unit lost with its
+        # shard must be re-sent unchanged, keeping its batch shape.
+        model, index, dataset = world
+        users = sorted(dataset.users)
+        engine = InferenceEngine.from_model(model, index, dataset, TARGET,
+                                            dtype=np.float32)
+        entries = [(u, index.users.index_of(u)) for u in users]
+        expected = {}
+        for group in group_by_shard(entries, 2, [0, 1]).values():
+            rows = engine.top_k_catalogue(
+                [i for _u, i in group], K,
+                exclude_poi_ids=[visited_poi_ids(dataset, u)
+                                 for u, _i in group])
+            expected.update({u: row for (u, _i), row in zip(group, rows)})
+        plan = FaultPlan([Fault.crash(worker=1, step=2)])
+        with ShardRouter(model, index, dataset, TARGET, num_shards=2,
+                         dtype=np.float32, fault_plan=plan,
+                         supervision=self._supervision()) as router:
+            for _wave in range(4):
+                assert router.recommend_many(users, k=K) == expected
+            stats = router.stats()
+        assert stats["faults"]["crashes"] >= 1
+        assert stats["faults"]["respawns"] >= 1
         assert not mp.active_children()
 
     def test_fanout_survives_shard_crash(self, world, reference):

@@ -1,13 +1,16 @@
 """Zero-downtime hot-swap: parity, generation provenance, validation."""
 
 import multiprocessing as mp
+import os
+import signal
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
 from repro.data.vocabulary import DatasetIndex
-from repro.fleet.router import ShardRouter
+from repro.fleet.router import FleetUnavailableError, ShardRouter
 from repro.parallel.supervisor import SupervisionConfig
 from repro.resilience import QUALITY_FULL, ResilienceConfig
 from repro.serving.service import RecommendationService
@@ -166,3 +169,29 @@ class TestSwapFromCheckpoint:
             with pytest.raises(ValueError, match="must advance"):
                 router.swap_from_checkpoint(tmp_path / "gen-0.npz")
             assert router.generation == 1
+
+
+class TestSwapOnFleetLoss:
+    def test_total_loss_raises_unavailable_and_releases_old_block(
+            self, world):
+        model_a, model_b, index, dataset = world
+        router = ShardRouter(model_a, index, dataset, TARGET, num_shards=1,
+                             supervision=SupervisionConfig(
+                                 step_timeout=60.0, max_respawns=0,
+                                 respawn_backoff=0.01))
+        old_segment = router._block.manifest.layout.params_name
+        try:
+            (shard,) = mp.active_children()
+            os.kill(shard.pid, signal.SIGKILL)
+            shard.join()
+            with pytest.raises(FleetUnavailableError) as excinfo:
+                router.swap(model_b)
+            assert "shard 0" in str(excinfo.value)
+        finally:
+            router.close()
+        # The replaced generation's segment is unlinked, not leaked.
+        with pytest.raises(FileNotFoundError):
+            leaked = shared_memory.SharedMemory(name=old_segment)
+            leaked.close()
+            leaked.unlink()
+        assert not mp.active_children()

@@ -187,6 +187,20 @@ class TestHealthyTracing:
         assert slo.evaluate() == []
         assert slo.alerts == []
 
+    def test_plain_requests_are_traced_and_counted(self, world):
+        model, index, dataset = world
+        users = sorted(dataset.users)
+        slo = SloTracker(default_serving_slos(10_000.0))
+        with ShardRouter(model, index, dataset, TARGET, num_shards=2,
+                         tracing=True, slo=slo) as router:
+            served = router.recommend_many(users + users[:3], k=K)
+            stats = router.trace_stats()
+        assert len(served) == len(users)
+        assert stats["flight"]["seen"] == len(served)
+        availability = slo.summary()["objectives"]["availability"]
+        assert availability["events"] == len(served)
+        assert availability["bad"] == 0
+
     def test_trace_stats_requires_tracing(self, world):
         model, index, dataset = world
         with ShardRouter(model, index, dataset, TARGET,

@@ -122,6 +122,31 @@ class TestRanking:
                                           exclude_poi_ids=[banned])[0]
         assert full[0][0] not in [p for p, _ in filtered]
 
+    def test_slices_merge_to_the_catalogue_ranking(self, world):
+        from repro.core.recommend import visited_poi_ids
+        from repro.fleet.partition import merge_topk, split_catalogue
+
+        dataset, index = world
+        engine = InferenceEngine.from_model(make_model(index), index,
+                                            dataset, "shelbyville")
+        user_ids = sorted(dataset.users)[:5]
+        user_indices = [index.users.index_of(u) for u in user_ids]
+        exclude = [visited_poi_ids(dataset, u) for u in user_ids]
+        expected = engine.top_k_catalogue(user_indices, 5,
+                                          exclude_poi_ids=exclude)
+        slices = split_catalogue(engine.catalogue_size, 3)
+        partials = [engine.top_k_slice(user_indices, 5, lo, hi, exclude)
+                    for lo, hi in slices]
+        for i, row in enumerate(expected):
+            merged = merge_topk(
+                [triple for part in partials for triple in part[i]], 5)
+            assert merged == row
+        for (lo, hi), part in zip(slices, partials):
+            for triples in part:
+                for position, poi_id, _score in triples:
+                    assert lo <= position < hi
+                    assert engine.catalogue_poi_ids[position] == poi_id
+
     def test_invalid_k(self, world):
         dataset, index = world
         engine = InferenceEngine.from_model(make_model(index), index,
