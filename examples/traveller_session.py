@@ -1,19 +1,18 @@
-"""A traveller's live session: recommend → check in → update → recommend.
+"""A traveller's live session: recommend → check in → fold in → recommend.
 
 Run:
     python examples/traveller_session.py
 
-Simulates serving: a crossing-city user receives recommendations,
-"checks in" at two of their actual ground-truth POIs, the model folds
-those events into the user's embedding online (no retraining), and the
-refreshed ranking is compared against the first one.
+Simulates serving: a crossing-city user receives recommendations from a
+:class:`RecommendationService`, "checks in" at two of their actual
+ground-truth POIs, the service folds those events into the user's
+embedding online (no retraining), and the refreshed ranking is compared
+against the first one.
 """
 
-import numpy as np
-
-from repro.core import Recommender, STTransRecConfig, STTransRecTrainer
-from repro.core.online import OnlineUserUpdater
+from repro.core import STTransRecConfig, STTransRecTrainer
 from repro.data import foursquare_like, generate_dataset, make_crossing_city_split
+from repro.serving import RecommendationService
 
 
 def show(label, ranked, truth):
@@ -34,8 +33,7 @@ def main() -> None:
         pretrain_epochs=15, seed=0,
     ))
     trainer.fit()
-    recommender = Recommender(trainer.model, trainer.index, split.train,
-                              split.target_city)
+    trainer.model.eval()
 
     # Pick a traveller with several ground-truth visits.
     user = max(split.test_users,
@@ -44,22 +42,24 @@ def main() -> None:
     print(f"\nTraveller #{user} (will actually visit "
           f"{len(truth)} POIs: {sorted(truth)})\n")
 
-    before = recommender.recommend(user, k=8)
-    show("Initial top-8", before, truth)
+    with RecommendationService(trainer.model, trainer.index, split.train,
+                               split.target_city,
+                               use_batcher=False) as service:
+        before = service.recommend(user, k=8)
+        show("Initial top-8", before, truth)
 
-    # The traveller checks in at two of their true POIs.
-    observed = sorted(truth)[:2]
-    print(f"\n>>> traveller checks in at POIs {observed}; folding in...\n")
-    catalogue = [p.poi_id
-                 for p in split.train.pois_in_city(split.target_city)]
-    updater = OnlineUserUpdater(trainer.model, trainer.index,
-                                learning_rate=0.05, steps=30, rng=0)
-    updater.update(user, observed, catalogue)
+        # The traveller checks in at two of their true POIs; the service
+        # now excludes them as visited.
+        observed = sorted(truth)[:2]
+        print(f"\n>>> traveller checks in at POIs {observed}; "
+              f"folding in...\n")
+        service.fold_in(user, observed)
 
-    after = recommender.recommend(user, k=8)
-    show("Refreshed top-8", after, truth)
+        after = service.recommend(user, k=8)
+        show("Refreshed top-8", after, truth)
 
     remaining = truth - set(observed)
+
     def hits(ranked):
         return sum(1 for poi_id, _ in ranked if poi_id in remaining)
     print(f"\nRemaining ground-truth POIs in top-8: "

@@ -284,7 +284,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_serve_bench(args) -> int:
-    """Benchmark the serving subsystem (engine vs naive recommender)."""
+    """Benchmark the serving subsystem (engine vs naive per-user loop)."""
     from repro.serving.bench import format_report, run_serving_benchmark
 
     if args.tiny:

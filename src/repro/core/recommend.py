@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.model import STTransRec
 from repro.data.dataset import CheckinDataset
 from repro.data.vocabulary import DatasetIndex
 
@@ -31,11 +32,19 @@ def visited_poi_ids(dataset: CheckinDataset, user_id: int) -> Set[int]:
 class Recommender:
     """Scores and ranks target-city POIs for users.
 
+    All scoring goes through one batched
+    :class:`~repro.serving.InferenceEngine`, built at construction from
+    the model *as it is then*: a recommender serves a snapshot.  After
+    the model changes (more training, a fold-in), build a new
+    ``Recommender`` — or serve through
+    :class:`repro.serving.RecommendationService`, whose ``fold_in``
+    keeps its engine in sync.
+
     Parameters
     ----------
     model:
-        A trained :class:`STTransRec` (or any object exposing
-        ``score_pois_for_user(user_index, poi_indices)``).
+        A trained :class:`STTransRec`.  The engine computes in the
+        model's parameter dtype, so f32 models are scored in f32.
     index:
         The entity index the model was trained under.
     dataset:
@@ -45,32 +54,34 @@ class Recommender:
         The city whose POIs are recommended.
     """
 
-    def __init__(self, model, index: DatasetIndex,
+    def __init__(self, model: STTransRec, index: DatasetIndex,
                  dataset: CheckinDataset, target_city: str) -> None:
+        from repro.serving.engine import InferenceEngine
+
         self.model = model
         self.index = index
         self.dataset = dataset
         self.target_city = target_city
-        pois = dataset.pois_in_city(target_city)
-        if not pois:
-            raise ValueError(f"no POIs in target city {target_city!r}")
-        self.target_poi_ids = np.array([p.poi_id for p in pois])
-        self.target_poi_indices = np.array(
-            [index.pois.index_of(p.poi_id) for p in pois]
-        )
-        self._engine = None  # lazily built by recommend_batch
+        self._engine = InferenceEngine.from_model(
+            model, index, dataset, target_city,
+            dtype=model.user_embeddings.weight.data.dtype)
+        self.target_poi_ids = self._engine.catalogue_poi_ids
 
     # ------------------------------------------------------------------
-    def score_candidates(self, user_id: int,
-                         candidate_poi_ids: Sequence[int]) -> np.ndarray:
-        """Model scores for explicit candidate POIs (dataset ids)."""
+    def _user_index(self, user_id: int) -> int:
         user_index = self.index.users.get(user_id)
         if user_index < 0:
             raise KeyError(f"user {user_id} unknown to the model")
+        return user_index
+
+    def score_candidates(self, user_id: int,
+                         candidate_poi_ids: Sequence[int]) -> np.ndarray:
+        """Model scores for explicit candidate POIs (dataset ids)."""
         candidate_indices = np.array(
-            [self.index.pois.index_of(int(p)) for p in candidate_poi_ids]
-        )
-        return self.model.score_pois_for_user(user_index, candidate_indices)
+            [self.index.pois.index_of(int(p)) for p in candidate_poi_ids],
+            dtype=np.int64)
+        return self._engine.score_pois_for_user(self._user_index(user_id),
+                                                candidate_indices)
 
     def recommend(self, user_id: int, k: int = 10,
                   exclude_visited: bool = True) -> List[Tuple[int, float]]:
@@ -83,18 +94,8 @@ class Recommender:
             true in the paper's protocol, where test users have no
             target-city training check-ins at all).
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        candidates = self.target_poi_ids
-        if exclude_visited:
-            visited = visited_poi_ids(self.dataset, user_id)
-            keep = np.array([p not in visited for p in candidates])
-            candidates = candidates[keep]
-        if len(candidates) == 0:
-            return []
-        scores = self.score_candidates(user_id, candidates)
-        order = np.argsort(-scores, kind="stable")[:k]
-        return [(int(candidates[i]), float(scores[i])) for i in order]
+        return self._rank([(user_id, self._user_index(user_id))], k,
+                          exclude_visited)[user_id]
 
     def describe_recommendations(
             self, user_id: int, k: int = 5,
@@ -107,25 +108,34 @@ class Recommender:
             out.append((poi_id, words))
         return out
 
-    def batch_recommend(self, user_ids: Sequence[int], k: int = 10,
+    def recommend_batch(self, user_ids: Sequence[int], k: int = 10,
                         exclude_visited: bool = True
                         ) -> Dict[int, List[Tuple[int, float]]]:
-        """Top-k lists for many users; unknown users are skipped.
+        """Top-k lists for many users in one engine pass.
 
-        Returns a dict so callers can detect skipped users by absence.
+        Unknown users are skipped; the dict lets callers detect them by
+        absence.
         """
-        out: Dict[int, List[Tuple[int, float]]] = {}
-        for user_id in user_ids:
-            try:
-                out[user_id] = self.recommend(user_id, k=k,
-                                              exclude_visited=exclude_visited)
-            except KeyError:
-                continue
-        return out
+        known = [(u, self.index.users.get(u)) for u in user_ids]
+        return self._rank([(u, idx) for u, idx in known if idx >= 0], k,
+                          exclude_visited)
 
-    # ------------------------------------------------------------------
-    # Batched inference via the serving engine
-    # ------------------------------------------------------------------
+    batch_recommend = recommend_batch
+
+    def _rank(self, users: Sequence[Tuple[int, int]], k: int,
+              exclude_visited: bool) -> Dict[int, List[Tuple[int, float]]]:
+        """Rank the catalogue for ``(user_id, user_index)`` pairs."""
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        if not users:
+            return {}
+        exclude: Optional[List[Set[int]]] = None
+        if exclude_visited:
+            exclude = [visited_poi_ids(self.dataset, u) for u, _ in users]
+        ranked = self._engine.top_k_catalogue(
+            [idx for _u, idx in users], k, exclude_poi_ids=exclude)
+        return {u: row for (u, _idx), row in zip(users, ranked)}
+
     def attach_engine(self, engine) -> None:
         """Use a prebuilt :class:`repro.serving.InferenceEngine`.
 
@@ -138,50 +148,6 @@ class Recommender:
                 "engine catalogue does not match the recommender's "
                 "target-city catalogue")
         self._engine = engine
-
-    def _ensure_engine(self):
-        """Build (once) a batched engine from the wrapped model.
-
-        Returns ``None`` when the model is not an ``STTransRec`` (e.g.
-        a baseline exposing only ``score_pois_for_user``): callers fall
-        back to the per-user loop.
-        """
-        if self._engine is None:
-            from repro.serving.engine import InferenceEngine
-            try:
-                self._engine = InferenceEngine.from_model(
-                    self.model, self.index, self.dataset, self.target_city)
-            except (AttributeError, TypeError):
-                self._engine = False  # remember the model is unsupported
-        return self._engine or None
-
-    def recommend_batch(self, user_ids: Sequence[int], k: int = 10,
-                        exclude_visited: bool = True
-                        ) -> Dict[int, List[Tuple[int, float]]]:
-        """Top-k lists for many users in one vectorized engine pass.
-
-        Semantically identical to :meth:`batch_recommend` (unknown
-        users are skipped, visited POIs are excluded through the same
-        :func:`visited_poi_ids` helper) but delegates scoring to the
-        serving :class:`~repro.serving.InferenceEngine` when the model
-        supports it, which is dramatically faster for large batches.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        engine = self._ensure_engine()
-        if engine is None:
-            return self.batch_recommend(user_ids, k=k,
-                                        exclude_visited=exclude_visited)
-        known = [(u, self.index.users.get(u)) for u in user_ids]
-        known = [(u, idx) for u, idx in known if idx >= 0]
-        if not known:
-            return {}
-        indices = [idx for _u, idx in known]
-        exclude: Optional[List[Optional[Set[int]]]] = None
-        if exclude_visited:
-            exclude = [visited_poi_ids(self.dataset, u) for u, _ in known]
-        ranked = engine.top_k_catalogue(indices, k, exclude_poi_ids=exclude)
-        return {u: ranked[i] for i, (u, _idx) in enumerate(known)}
 
     def export_recommendations(self, path, user_ids: Sequence[int],
                                k: int = 10) -> int:
@@ -196,7 +162,7 @@ class Recommender:
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        results = self.batch_recommend(user_ids, k=k)
+        results = self.recommend_batch(user_ids, k=k)
         with path.open("w", encoding="utf-8") as fh:
             for user_id in sorted(results):
                 fh.write(json.dumps({

@@ -4,9 +4,9 @@ Builds a synthetic world, freezes a model into a checkpoint, then
 measures three things on identical request streams:
 
 1. **Throughput** — a naive loop over
-   :meth:`Recommender.recommend` (the offline path: autograd forward
-   per user) against one batched
-   :meth:`InferenceEngine.top_k_catalogue` pass.
+   :meth:`STTransRec.score_pois_for_user` (the model's reference
+   scoring: autograd forward per user, then a stable argsort) against
+   one batched :meth:`InferenceEngine.top_k_catalogue` pass.
 2. **Cache behaviour** — cold (miss) vs warm (hit) request latency
    through the full :class:`RecommendationService`.
 3. **Micro-batching** — mean coalesced batch size under a burst of
@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.checkpoint import save_checkpoint
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
-from repro.core.recommend import Recommender
+from repro.core.recommend import visited_poi_ids
 from repro.data.synthetic import foursquare_like, generate_dataset
 from repro.serving.service import RecommendationService
 
@@ -98,7 +98,7 @@ def run_serving_benchmark(scale: float = 3.0, batch_size: int = 256,
                           embedding_dim: int = 64,
                           checkpoint_path=None,
                           registry=None) -> ServingBenchResult:
-    """Benchmark serving against the naive offline path.
+    """Benchmark serving against the naive per-user scoring loop.
 
     Parameters
     ----------
@@ -141,17 +141,24 @@ def run_serving_benchmark(scale: float = 3.0, batch_size: int = 256,
     request_users = [int(u) for u in
                      rng.choice(all_users, size=batch_size, replace=True)]
 
-    # --- naive path: per-user autograd scoring through Recommender ----
-    naive = Recommender(model, index, dataset, target_city)
+    # --- naive path: per-user autograd scoring through the model -----
+    catalogue = np.array([p.poi_id for p in
+                          dataset.pois_in_city(target_city)])
 
     def run_naive() -> None:
         for user_id in request_users:
-            naive.recommend(user_id, k=k)
+            visited = visited_poi_ids(dataset, user_id)
+            candidates = catalogue[[p not in visited for p in catalogue]]
+            scores = model.score_pois_for_user(
+                index.users.index_of(user_id),
+                np.array([index.pois.index_of(int(p)) for p in candidates]))
+            order = np.argsort(-scores, kind="stable")[:k]
+            # Build the (poi_id, score) list a caller would receive.
+            [(int(candidates[i]), float(scores[i])) for i in order]
 
     naive_seconds = _best_time(run_naive, repeats)
 
     # --- batched path: engines built from the saved checkpoint --------
-    from repro.core.recommend import visited_poi_ids
     from repro.serving.engine import InferenceEngine
 
     user_indices = [index.users.index_of(u) for u in request_users]
@@ -224,7 +231,7 @@ def run_serving_benchmark(scale: float = 3.0, batch_size: int = 256,
 def format_report(result: ServingBenchResult) -> str:
     """Human-readable report (the serve-bench CLI output)."""
     lines = [
-        "Serving benchmark: batched InferenceEngine vs naive Recommender",
+        "Serving benchmark: batched InferenceEngine vs naive per-user loop",
         "=" * 63,
         f"world: {result.num_users} users, "
         f"{result.catalogue_size} target-city POIs, "

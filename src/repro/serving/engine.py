@@ -1,10 +1,12 @@
-"""Frozen batched inference engine for serving.
+"""Frozen batched inference engine: the one scoring path.
 
-Training-time scoring (:meth:`STTransRec.score_pois_for_user`) walks the
-autograd graph one user at a time: every request re-gathers embedding
-rows into graph nodes, re-concatenates the ``[x_u, x_v, x_u ⊙ x_v]``
-feature block, and re-runs the full first tower layer — acceptable for
-offline evaluation, far too slow for request serving.
+The model's own scoring (:meth:`STTransRec.score_pois_for_user`) walks
+the autograd graph one user at a time: every request re-gathers
+embedding rows into graph nodes, re-concatenates the
+``[x_u, x_v, x_u ⊙ x_v]`` feature block, and re-runs the full first
+tower layer — kept as the parity reference, far too slow for serving.
+Serving, the offline :class:`~repro.core.recommend.Recommender` and
+evaluation all score through this engine instead.
 
 :class:`InferenceEngine` freezes a trained model into contiguous numpy
 buffers and restructures the computation around what serving actually
@@ -283,7 +285,8 @@ class InferenceEngine:
     def refresh_user(self, user_index: int) -> None:
         """Re-copy one user's embedding row from the source model.
 
-        The fold-in path (:class:`repro.core.online.OnlineUserUpdater`)
+        Fold-in (:meth:`repro.streaming.IncrementalUpdater.fold_in_user`,
+        behind :meth:`repro.serving.RecommendationService.fold_in`)
         mutates only the updated user's row, so this is the only buffer
         that must be resynchronized after an online update.
         """
@@ -371,9 +374,9 @@ class InferenceEngine:
                             poi_indices: Sequence[int]) -> np.ndarray:
         """Drop-in equivalent of :meth:`STTransRec.score_pois_for_user`.
 
-        Accepts arbitrary POI indices (not just the catalogue), so the
-        engine can stand in for the model anywhere the
-        :class:`~repro.core.recommend.Recommender` expects one.
+        Accepts arbitrary POI indices (not just the catalogue); this is
+        how :meth:`repro.core.recommend.Recommender.score_candidates`
+        scores evaluation candidates.
         """
         poi_indices = np.asarray(poi_indices, dtype=np.int64)
         with self._lock:

@@ -12,9 +12,10 @@ talks to.  A ``recommend`` call flows::
               InferenceEngine (batched vectorized scoring)
 
 and an online check-in (:meth:`fold_in`) flows the other way: the
-:class:`~repro.core.online.OnlineUserUpdater` refines the user's
-embedding, the engine resynchronizes that row, and the user's cache
-entries are invalidated so the very next request reflects the update.
+:class:`~repro.streaming.updater.IncrementalUpdater` refines the user's
+embedding as a batch of one, the engine resynchronizes that row, and
+the user's cache entries are invalidated so the very next request
+reflects the update.
 
 Visited-POI exclusion goes through the same
 :func:`repro.core.recommend.visited_poi_ids` helper the offline
@@ -30,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.online import OnlineUserUpdater
 from repro.core.recommend import visited_poi_ids
 from repro.data.dataset import CheckinDataset
 from repro.data.vocabulary import DatasetIndex
@@ -38,6 +38,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import TopKCache
 from repro.serving.engine import InferenceEngine
+from repro.streaming.updater import IncrementalUpdater
 
 __all__ = ["RecommendationService", "LatencyTracker"]
 
@@ -122,9 +123,6 @@ class RecommendationService:
         engine is still batched for :meth:`recommend_many`).
     max_batch_size / max_wait_ms:
         Micro-batching knobs (see :class:`MicroBatcher`).
-    updater:
-        The fold-in updater; defaults to a standard
-        :class:`OnlineUserUpdater` over ``model``.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When
         given, latency trackers are backed by shared
@@ -139,7 +137,6 @@ class RecommendationService:
                  cache_ttl_seconds: Optional[float] = None,
                  use_batcher: bool = True, max_batch_size: int = 64,
                  max_wait_ms: float = 2.0,
-                 updater: Optional[OnlineUserUpdater] = None,
                  registry: Optional[MetricsRegistry] = None,
                  dtype=np.float64) -> None:
         self.model = model
@@ -153,7 +150,9 @@ class RecommendationService:
             TopKCache(max_size=cache_size, ttl_seconds=cache_ttl_seconds,
                       registry=registry)
             if cache_size > 0 else None)
-        self.updater = updater or OnlineUserUpdater(model, index)
+        self.updater = IncrementalUpdater(
+            model, index, dataset, self.engine.catalogue_poi_ids,
+            fold_in_steps=20)
         self.batcher: Optional[MicroBatcher] = (
             MicroBatcher(self._handle_batch, max_batch_size=max_batch_size,
                          max_wait_ms=max_wait_ms, registry=registry)
@@ -282,17 +281,27 @@ class RecommendationService:
     def fold_in(self, user_id: int, new_poi_ids: Sequence[int]) -> np.ndarray:
         """Fold fresh check-ins into the served model for one user.
 
-        Runs the :class:`OnlineUserUpdater` (only this user's embedding
-        row moves), resynchronizes that row in the frozen engine, and
-        invalidates the user's cache entries so the next request is a
-        miss that reflects the update.  Other users' cache entries are
-        untouched.  Returns the updated embedding row.
+        Runs BPR fold-in as a batch of one
+        (:meth:`IncrementalUpdater.fold_in_user`: only this user's
+        embedding row moves, negatives are never visited POIs),
+        resynchronizes that row in the frozen engine, and invalidates
+        the user's cache entries so the next request is a miss that
+        reflects the update.  Other users' cache entries are untouched.
+        Returns the updated embedding row.
+
+        Raises ``KeyError`` for an unknown user or POI and
+        ``ValueError`` for an empty ``new_poi_ids`` or when no unvisited
+        catalogue POI would be left as a negative, before any row moves.
         """
         user_index = self._user_index(user_id)
+        poi_rows = np.array(
+            [self.index.pois.index_of(int(p)) for p in new_poi_ids],
+            dtype=np.int64)
+        if poi_rows.size == 0:
+            raise ValueError("need at least one new check-in")
         with self._fold_lock:
-            row = self.updater.update(
-                user_id, list(new_poi_ids),
-                negative_pool_ids=self.engine.catalogue_poi_ids.tolist())
+            self.updater.fold_in_user(user_index, poi_rows)
+            row = self.model.user_embeddings.weight.data[user_index].copy()
             self.engine.refresh_user(user_index)
             self._folded_in.setdefault(user_id, set()).update(
                 int(p) for p in new_poi_ids)

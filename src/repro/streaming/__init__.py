@@ -13,10 +13,10 @@ loop between training and serving:
   city-switch bursts of crossing users checking into the target city
   under the same drifted preference the offline generator models.
 * :mod:`repro.streaming.updater` — :class:`IncrementalUpdater` folds
-  new interactions into user embeddings online (generalizing the
-  serving tier's ``fold_in``) and periodically re-trains only the
-  touched rows (Adam ``sparse_mode`` + vectorized negative sampling
-  scoped to the touched set).
+  new interactions into user embeddings online (the one BPR fold-in,
+  also behind the serving tier's ``fold_in``) and periodically
+  re-trains only the touched rows (Adam ``sparse_mode`` + vectorized
+  negative sampling scoped to the touched set).
 * :mod:`repro.streaming.publisher` — versioned model publication:
   checkpoint-v3 files with recorded generation numbers behind an
   atomically-renamed ``LATEST.json`` pointer, torn publications

@@ -1,13 +1,14 @@
-"""Incremental model updates from the event stream.
+"""Incremental model updates: the project's one BPR fold-in.
 
-:class:`IncrementalUpdater` generalizes the serving tier's per-user
-fold-in (:class:`repro.core.online.OnlineUserUpdater`) to the streaming
-regime, in two tiers:
+:class:`IncrementalUpdater` folds fresh check-ins into user embeddings
+in two tiers:
 
-1. **Fold-in on ingest** — every :meth:`ingest` call runs a few BPR
-   gradient steps that move *only the touched users'* embedding rows,
-   vectorized across the whole batch of events (one forward per step,
-   not one per user).
+1. **Fold-in** — a few BPR gradient steps that move *only the touched
+   users'* embedding rows, vectorized across the whole batch (one
+   forward per step, not one per user).  :meth:`ingest` runs it on a
+   batch of stream events; :meth:`fold_in_user` on one user's
+   check-ins, as a batch of one — the serving path behind
+   :meth:`repro.serving.RecommendationService.fold_in`.
 2. **Periodic sparse retrain** — :meth:`retrain` replays the retained
    per-user history through :class:`repro.nn.optim.Adam` in
    ``sparse_mode="exact"``: the embedding table emits a
@@ -229,6 +230,22 @@ class IncrementalUpdater:
         self.stats.users_touched = len(self._history)
         self._publish_metrics()
         return self.stats
+
+    def fold_in_user(self, user_row: int, poi_rows: np.ndarray) -> None:
+        """Fold one user's fresh check-ins (model rows) in as a batch of one.
+
+        The check-ins are marked visited *before* the BPR steps, so they
+        are never drawn as negatives against themselves.  They are not
+        added to the retrain history.  Raises ``ValueError``, before any
+        state changes, when the user would have no unvisited pool POI
+        left to draw negatives from.
+        """
+        pool = self._pool[~np.isin(self._pool, poi_rows)]
+        if self._is_visited(user_row * self._poi_key + pool).all():
+            raise ValueError("no unvisited POI left in the negative pool")
+        users = np.full(len(poi_rows), user_row, dtype=np.int64)
+        self._mark_visited(users, poi_rows)
+        self._fold_in(users, poi_rows)
 
     def _fold_in(self, user_rows: np.ndarray,
                  poi_rows: np.ndarray) -> None:

@@ -1,24 +1,24 @@
-"""Online fold-in updater tests."""
+"""Online fold-in of one user's fresh check-ins (``service.fold_in``)."""
 
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineUserUpdater
-from repro.core.trainer import STTransRecTrainer
-
-from tests.test_core_trainer import fast_config
-
-
-@pytest.fixture(scope="module")
-def trained(tiny_split):
-    trainer = STTransRecTrainer(tiny_split, fast_config(epochs=4))
-    trainer.fit()
-    return trainer
+from repro.core.config import STTransRecConfig
+from repro.core.model import STTransRec
+from repro.serving.service import RecommendationService
 
 
 @pytest.fixture()
-def updater(trained):
-    return OnlineUserUpdater(trained.model, trained.index, rng=0)
+def service(tiny_split):
+    dataset = tiny_split.train
+    index = dataset.build_index()
+    model = STTransRec(index.num_users, index.num_pois, index.num_words,
+                       STTransRecConfig(embedding_dim=16, seed=0))
+    model.eval()
+    svc = RecommendationService(model, index, dataset, "shelbyville",
+                                use_batcher=False)
+    yield svc
+    svc.close()
 
 
 def target_pois(tiny_split):
@@ -26,75 +26,40 @@ def target_pois(tiny_split):
 
 
 class TestUpdate:
-    def test_only_target_user_row_changes(self, trained, updater,
-                                          tiny_split):
+    def test_only_target_user_row_changes(self, service, tiny_split):
         user = tiny_split.test_users[0]
         pois = target_pois(tiny_split)
-        before = trained.model.user_vectors()
-        poi_before = trained.model.poi_vectors()
-        updater.update(user, pois[:2], pois)
-        after = trained.model.user_vectors()
-        u = trained.index.users.index_of(user)
+        before = service.model.user_vectors()
+        poi_before = service.model.poi_vectors()
+        service.fold_in(user, pois[:2])
+        after = service.model.user_vectors()
+        u = service.index.users.index_of(user)
         assert not np.allclose(before[u], after[u])
         mask = np.ones(len(before), dtype=bool)
         mask[u] = False
         np.testing.assert_array_equal(before[mask], after[mask])
         np.testing.assert_array_equal(poi_before,
-                                      trained.model.poi_vectors())
+                                      service.model.poi_vectors())
 
-    def test_observed_pois_rank_higher_after_update(self, trained,
-                                                    tiny_split):
-        updater = OnlineUserUpdater(trained.model, trained.index,
-                                    learning_rate=0.1, steps=60, rng=0)
-        user = tiny_split.test_users[1]
+    def test_restores_training_mode(self, service, tiny_split):
+        service.model.train()
         pois = target_pois(tiny_split)
-        observed = pois[:2]
-        indices = [pois.index(p) for p in observed]
-        before = updater.score_after_update(user, pois)
-        updater.update(user, observed, pois)
-        after = updater.score_after_update(user, pois)
-        # BPR optimizes relative ordering: the observed POIs must gain
-        # against the candidate average.
-        gain = (after[indices].mean() - after.mean())
-        baseline = (before[indices].mean() - before.mean())
-        assert gain > baseline
-
-    def test_returns_updated_row(self, trained, updater, tiny_split):
-        user = tiny_split.test_users[0]
-        pois = target_pois(tiny_split)
-        row = updater.update(user, pois[:1], pois)
-        u = trained.index.users.index_of(user)
-        np.testing.assert_array_equal(
-            row, trained.model.user_vectors()[u]
-        )
-
-    def test_restores_training_mode(self, trained, updater, tiny_split):
-        trained.model.train()
-        pois = target_pois(tiny_split)
-        updater.update(tiny_split.test_users[0], pois[:1], pois)
-        assert trained.model.training
-        trained.model.eval()
+        service.fold_in(tiny_split.test_users[0], pois[:1])
+        assert service.model.training
+        service.model.eval()
 
 
 class TestValidation:
-    def test_unknown_user_rejected(self, updater, tiny_split):
+    def test_unknown_user_rejected(self, service, tiny_split):
         pois = target_pois(tiny_split)
         with pytest.raises(KeyError):
-            updater.update(10**9, pois[:1], pois)
+            service.fold_in(10**9, pois[:1])
 
-    def test_empty_checkins_rejected(self, updater, tiny_split):
+    def test_empty_pool_rejected(self, service, tiny_split):
+        # Folding in the whole catalogue leaves no unvisited negative.
         pois = target_pois(tiny_split)
+        before = service.model.user_vectors()
         with pytest.raises(ValueError):
-            updater.update(tiny_split.test_users[0], [], pois)
-
-    def test_empty_pool_rejected(self, updater, tiny_split):
-        pois = target_pois(tiny_split)
-        with pytest.raises(ValueError):
-            updater.update(tiny_split.test_users[0], pois[:1], pois[:1])
-
-    def test_invalid_hyperparams(self, trained):
-        with pytest.raises(ValueError):
-            OnlineUserUpdater(trained.model, trained.index,
-                              learning_rate=0)
-        with pytest.raises(ValueError):
-            OnlineUserUpdater(trained.model, trained.index, steps=0)
+            service.fold_in(tiny_split.test_users[0], pois)
+        np.testing.assert_array_equal(before, service.model.user_vectors())
+        assert service.fold_ins == 0

@@ -1,5 +1,7 @@
 """Recommender (top-k inference) tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -121,27 +123,6 @@ class TestRecommendBatch:
         with pytest.raises(ValueError):
             recommender.recommend_batch(tiny_split.test_users[:1], k=0)
 
-    def test_falls_back_without_engine_support(self, recommender,
-                                               tiny_split):
-        """A model exposing only score_pois_for_user still works."""
-
-        class OpaqueModel:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def score_pois_for_user(self, user_index, poi_indices):
-                return self._inner.score_pois_for_user(user_index,
-                                                       poi_indices)
-
-        plain = Recommender(OpaqueModel(recommender.model),
-                            recommender.index, tiny_split.train,
-                            "shelbyville")
-        users = tiny_split.test_users[:2]
-        batched = plain.recommend_batch(users, k=3)
-        assert plain._engine is False  # engine build failed, remembered
-        for user_id in users:
-            assert batched[user_id] == recommender.recommend(user_id, k=3)
-
     def test_attach_engine_catalogue_mismatch_rejected(self, recommender,
                                                        tiny_split):
         class FakeEngine:
@@ -149,6 +130,40 @@ class TestRecommendBatch:
 
         with pytest.raises(ValueError):
             recommender.attach_engine(FakeEngine())
+
+
+class TestSnapshot:
+    """One engine, built at construction: every entry point serves the
+    model as it was when the recommender was built."""
+
+    def test_entry_points_agree_after_the_model_changes(self, recommender,
+                                                        tiny_split):
+        model = copy.deepcopy(recommender.model)
+        snapshot = Recommender(model, recommender.index, tiny_split.train,
+                               "shelbyville")
+        user, other = tiny_split.test_users[:2]
+        before = snapshot.recommend_batch([user], k=5)[user]
+        moved = recommender.recommend(other, k=5)
+        assert moved != before
+
+        # Give ``user`` the embedding of ``other`` in the live model.
+        rows = model.user_embeddings.weight.data
+        rows[recommender.index.users.index_of(user)] = \
+            rows[recommender.index.users.index_of(other)]
+
+        assert snapshot.recommend_batch([user], k=5)[user] == before
+        assert snapshot.recommend(user, k=5) == before
+        assert snapshot.batch_recommend([user], k=5)[user] == before
+        catalogue = snapshot.target_poi_ids
+        scores = snapshot.score_candidates(user, catalogue)
+        top = {p: s for p, s in before}
+        for poi_id, score in zip(catalogue, scores):
+            if poi_id in top:
+                assert score == top[poi_id]
+
+        fresh = Recommender(model, recommender.index, tiny_split.train,
+                            "shelbyville")
+        assert fresh.recommend(user, k=5) == moved
 
 
 class TestCaseStudyHelpers:

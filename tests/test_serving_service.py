@@ -7,6 +7,8 @@ from repro.core.checkpoint import save_checkpoint
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
 from repro.core.recommend import Recommender
+from repro.data.dataset import CheckinDataset
+from repro.data.records import CheckinRecord
 from repro.serving.service import RecommendationService
 
 
@@ -152,6 +154,74 @@ class TestFoldIn:
     def test_fold_in_unknown_user_raises(self, service):
         with pytest.raises(KeyError):
             service.fold_in(10**9, [0])
+
+    def test_fold_in_rejects_bad_input_before_any_row_moves(self, world,
+                                                            service):
+        dataset, _index = world
+        user = sorted(dataset.users)[0]
+        poi = int(service.engine.catalogue_poi_ids[0])
+        before = service.model.user_vectors()
+        with pytest.raises(KeyError):
+            service.fold_in(user, [poi, 10**9])
+        with pytest.raises(ValueError):
+            service.fold_in(user, [])
+        np.testing.assert_array_equal(before, service.model.user_vectors())
+        assert service.fold_ins == 0
+
+    def test_fold_in_returns_the_updated_row(self, world, service):
+        dataset, index = world
+        user = sorted(dataset.users)[0]
+        row = service.fold_in(user, service.engine.catalogue_poi_ids[:1])
+        np.testing.assert_array_equal(
+            row, service.model.user_vectors()[index.users.index_of(user)])
+
+    def test_observed_pois_gain_against_the_candidate_mean(self, world,
+                                                           service):
+        dataset, index = world
+        user = sorted(dataset.users)[1]
+        u = index.users.index_of(user)
+        catalogue = service.engine.catalogue_poi_indices
+        observed = [0, 1]
+        before = service.model.score_pois_for_user(u, catalogue)
+        service.fold_in(user, service.engine.catalogue_poi_ids[observed])
+        after = service.model.score_pois_for_user(u, catalogue)
+        # BPR optimizes relative ordering: the observed POIs must gain
+        # against the candidate average.
+        assert after[observed].mean() - after.mean() > \
+            before[observed].mean() - before.mean()
+
+    def test_fold_in_never_draws_a_visited_negative(self, world,
+                                                    monkeypatch):
+        dataset, _index = world
+        catalogue = sorted(p.poi_id for p in
+                           dataset.pois_in_city("shelbyville"))
+        user = sorted(dataset.users)[0]
+        # The user's base-data visits cover three quarters of the
+        # catalogue; the fold-in positives are two of the rest.
+        cut = 3 * len(catalogue) // 4
+        extra = [CheckinRecord(user, poi_id, "shelbyville")
+                 for poi_id in catalogue[:cut]]
+        heavy = CheckinDataset(dataset.pois.values(),
+                               list(dataset.checkins) + extra)
+        index = heavy.build_index()
+        new_pois = catalogue[cut:cut + 2]
+        calls = []
+        with RecommendationService(make_model(index), index, heavy,
+                                   "shelbyville", use_batcher=False) as svc:
+            logits = svc.model.interaction_logits
+
+            def recording(user_idx, poi_idx):
+                calls.append(np.asarray(poi_idx).copy())
+                return logits(user_idx, poi_idx)
+
+            monkeypatch.setattr(svc.model, "interaction_logits", recording)
+            svc.fold_in(user, new_pois)
+        # Each BPR step scores the positives, then the negatives.
+        negatives = np.concatenate(calls[1::2])
+        assert negatives.size > 0
+        visited = {index.pois.index_of(p)
+                   for p in catalogue[:cut] + new_pois}
+        assert not set(negatives.tolist()) & visited
 
     def test_refresh_model_drops_whole_cache(self, world, service):
         dataset, _index = world

@@ -142,6 +142,15 @@ class TestNegativeSampling:
             IncrementalUpdater(model, index, dataset, [])
 
 
+class TestValidation:
+    def test_invalid_hyperparams_rejected(self, world):
+        dataset, index = world
+        for bad in ({"learning_rate": 0}, {"fold_in_steps": 0},
+                    {"num_negatives": 0}):
+            with pytest.raises(ValueError):
+                make_updater(dataset, index, **bad)
+
+
 class TestRetrain:
     def test_retrain_moves_only_touched_rows(self, world):
         dataset, index = world
