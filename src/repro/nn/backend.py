@@ -5,7 +5,8 @@ single namespace object — ``xp`` in Array-API parlance — obtained from
 :func:`active_backend`.  The namespace covers the standard surface the
 codebase uses (elementwise math, reductions, ``matmul``, shape
 manipulation, sorting/searching) plus the handful of non-standard ops a
-recommender hot path needs: scatter-add (``add_at``), row gather
+recommender hot path needs: scatter-add (``add_at``, and
+``scatter_rows`` into a fresh zero table), row gather
 (``take``), ``searchsorted``, and RNG draws.  The floating-point
 promotion policy of :mod:`repro.nn.dtypes` is folded in as
 :meth:`ArrayBackend.coerce`, so "which array library" and "which float
@@ -79,11 +80,11 @@ class ArrayBackend:
     """The reference backend: plain numpy, bit-for-bit the seed.
 
     Subclasses override the *hot-op* methods (``adam_update``,
-    ``add_at``, ``coalesce_rows``, ``stable_sigmoid``, ``softplus``,
-    ``dropout_mask``, the fused losses) while inheriting the plain
-    namespace surface.  Everything on this class either *is* a numpy
-    function or reproduces the pre-backend arithmetic exactly — the
-    golden tests depend on that.
+    ``add_at``, ``scatter_rows``, ``coalesce_rows``, ``stable_sigmoid``,
+    ``softplus``, ``dropout_mask``, the fused losses) while inheriting
+    the plain namespace surface.  Everything on this class either *is*
+    a numpy function or reproduces the pre-backend arithmetic exactly
+    — the golden tests depend on that.
     """
 
     name = "reference"
@@ -189,6 +190,42 @@ class ArrayBackend:
         duplicate indices accumulating (``np.add.at`` semantics)."""
         np.add.at(target, index, values)
 
+    def scatter_rows(self, index, rows, num_rows: int) -> np.ndarray:
+        """Scatter-add ``rows`` into a fresh zero table of ``num_rows``.
+
+        Returns an array of shape ``(num_rows,) + rows.shape[index.ndim:]``
+        in ``rows.dtype``, byte-identical to ``np.add.at`` into zeros.  In
+        f64 that runs as one ``np.bincount`` over flattened
+        ``(row, column)`` keys: bincount visits its input in order and
+        adds each weight to its cell, which starts at ``+0.0`` — the same
+        sequence of IEEE additions ``np.add.at`` performs, several times
+        faster.  Bincount accumulates in f64, so every other dtype keeps
+        ``np.add.at``.  So do rows holding a NaN: when two NaNs meet,
+        the payload that survives depends on the operand order of the
+        addition, which bincount and ``np.add.at`` do not share.
+        Without an input NaN the only NaN is the default one
+        ``inf - inf`` makes, and operand order cannot show.
+        """
+        index = np.asarray(index)
+        rows = np.asarray(rows)
+        tail = rows.shape[index.ndim:]
+        if rows.dtype != np.float64 or np.isnan(rows).any():
+            out = np.zeros((num_rows,) + tail, dtype=rows.dtype)
+            np.add.at(out, index, rows)
+            return out
+        ids = index.reshape(-1).astype(np.int64, copy=False)
+        if ids.size and (ids.min() < -num_rows or ids.max() >= num_rows):
+            raise IndexError(
+                f"row index out of range for {num_rows} rows: "
+                f"min={ids.min()}, max={ids.max()}")
+        ids = np.where(ids < 0, ids + num_rows, ids)
+        cols = int(np.prod(tail, dtype=np.int64))
+        keys = (ids[:, None] * cols + np.arange(cols)).reshape(-1)
+        out = np.bincount(keys, weights=rows.reshape(-1),
+                          minlength=num_rows * cols)
+        return out.astype(np.float64, copy=False).reshape(
+            (num_rows,) + tail)
+
     def coalesce_rows(self, ids: np.ndarray, rows: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Sum duplicate row ids; returns ``(sorted_unique_ids, sums)``.
@@ -198,9 +235,7 @@ class ArrayBackend:
         the result is bit-identical to a direct dense scatter.
         """
         unique, inverse = np.unique(ids, return_inverse=True)
-        sums = np.zeros((unique.size,) + rows.shape[1:], dtype=rows.dtype)
-        np.add.at(sums, inverse, rows)
-        return unique, sums
+        return unique, self.scatter_rows(inverse, rows, unique.size)
 
     def stable_sigmoid(self, x: np.ndarray) -> np.ndarray:
         """Logistic function computed without overflow for large |x|."""
@@ -329,9 +364,10 @@ class OptimizedBackend(ArrayBackend):
     * ``adam_update`` / ``stable_sigmoid`` / ``softplus`` /
       ``dropout_mask`` preserve the reference operation order and are
       bit-identical;
-    * ``add_at`` / ``coalesce_rows`` sum each duplicate group through
-      ``np.add.reduceat``, whose accumulation order differs from
-      ``np.ufunc.at`` — same math, re-associated float sums;
+    * ``add_at`` / ``scatter_rows`` / ``coalesce_rows`` sum each
+      duplicate group through ``np.add.reduceat``, whose accumulation
+      order differs from ``np.ufunc.at`` — same math, re-associated
+      float sums;
     * the fused losses likewise re-associate the loss algebra.
 
     End to end the optimized backend agrees with the reference within
@@ -400,11 +436,23 @@ class OptimizedBackend(ArrayBackend):
             np.add.at(target, index, values)
             return
         flat_ids = index_arr.reshape(-1)
+        if flat_ids.min() < 0:
+            # Wrap negative ids first, so ``-1`` and ``n - 1`` share a
+            # group instead of colliding in the buffered ``+=`` below.
+            flat_ids = np.where(flat_ids < 0, flat_ids + target.shape[0],
+                                flat_ids)
         rows = values_arr.reshape((flat_ids.size,)
                                   + values_arr.shape[index_arr.ndim:])
         order, starts, unique = self._sorted_groups(flat_ids)
         sums = np.add.reduceat(rows[order], starts, axis=0)
         target[unique] += sums
+
+    def scatter_rows(self, index, rows, num_rows: int) -> np.ndarray:
+        rows = np.asarray(rows)
+        out = np.zeros((num_rows,) + rows.shape[np.ndim(index):],
+                       dtype=rows.dtype)
+        self.add_at(out, index, rows)
+        return out
 
     def coalesce_rows(self, ids: np.ndarray, rows: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:

@@ -118,10 +118,7 @@ class SparseRowGrad:
 
     def to_dense(self) -> np.ndarray:
         """Materialize the dense gradient (the seed representation)."""
-        xp = _xp()
-        dense = xp.zeros(self.shape, dtype=self.rows.dtype)
-        xp.add_at(dense, self.ids, self.rows)
-        return dense
+        return _xp().scatter_rows(self.ids, self.rows, self.shape[0])
 
     # ------------------------------------------------------------------
     # Arithmetic used by the autograd accumulator

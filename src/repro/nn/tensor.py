@@ -18,6 +18,12 @@ Design notes
   that maps the output gradient to a tuple of gradients, one per parent,
   in parent order.  ``backward()`` owns all accumulation, so op closures
   stay pure functions of the upstream gradient.
+* A closure may return ``None`` for a parent that does not require grad.
+  The binary arithmetic ops and ``@`` do, so a frozen operand — a
+  constant, or a parameter switched off by
+  :meth:`repro.nn.module.Module.trainable_only` — costs no gradient
+  arithmetic.  The gradients that are computed are the same expressions
+  as before, so they keep their bits.
 * Gradients of broadcast operations are un-broadcast by summing over the
   broadcast axes, so shapes always round-trip correctly.
 * ``.grad`` is populated on leaf tensors only; interior nodes are
@@ -185,7 +191,8 @@ class Tensor:
         a, b = self, other
 
         def backward(grad: np.ndarray):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape))
+            return (_unbroadcast(grad, a.shape) if a.requires_grad else None,
+                    _unbroadcast(grad, b.shape) if b.requires_grad else None)
 
         return self._child(a.data + b.data, (a, b), backward)
 
@@ -200,7 +207,8 @@ class Tensor:
         a, b = self, other
 
         def backward(grad: np.ndarray):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(-grad, b.shape))
+            return (_unbroadcast(grad, a.shape) if a.requires_grad else None,
+                    _unbroadcast(-grad, b.shape) if b.requires_grad else None)
 
         return self._child(a.data - b.data, (a, b), backward)
 
@@ -213,8 +221,10 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad * b.data, a.shape),
-                _unbroadcast(grad * a.data, b.shape),
+                _unbroadcast(grad * b.data, a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(grad * a.data, b.shape)
+                if b.requires_grad else None,
             )
 
         return self._child(a.data * b.data, (a, b), backward)
@@ -228,8 +238,10 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad / b.data, a.shape),
-                _unbroadcast(-grad * a.data / (b.data**2), b.shape),
+                _unbroadcast(grad / b.data, a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(-grad * a.data / (b.data**2), b.shape)
+                if b.requires_grad else None,
             )
 
         return self._child(a.data / b.data, (a, b), backward)
@@ -262,9 +274,12 @@ class Tensor:
                 g = g[None, ...]
             if b_arr.ndim == 1:
                 g = g[..., None]
-            grad_a = (g @ b2.swapaxes(-1, -2)).reshape(a_arr.shape)
-            grad_b = (a2.swapaxes(-1, -2) @ g)
-            grad_b = _unbroadcast(grad_b, b2.shape).reshape(b_arr.shape)
+            grad_a = grad_b = None
+            if a.requires_grad:
+                grad_a = (g @ b2.swapaxes(-1, -2)).reshape(a_arr.shape)
+            if b.requires_grad:
+                grad_b = _unbroadcast(a2.swapaxes(-1, -2) @ g,
+                                      b2.shape).reshape(b_arr.shape)
             return (grad_a, grad_b)
 
         return self._child(out_data, (a, b), backward)
@@ -424,10 +439,7 @@ class Tensor:
             return self._child(out_data, (self,), backward_sparse)
 
         def backward(grad: np.ndarray):
-            xp = _xp()
-            full = xp.zeros_like(a.data)
-            xp.add_at(full, idx, grad)
-            return (full,)
+            return (_xp().scatter_rows(idx, grad, a.data.shape[0]),)
 
         return self._child(out_data, (self,), backward)
 

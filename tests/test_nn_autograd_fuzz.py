@@ -103,3 +103,65 @@ class TestRandomGraphs:
             expected = numerical_grad(lambda: forward().item(), leaf.data)
             np.testing.assert_allclose(leaf.grad, expected,
                                        atol=2e-4, rtol=2e-4)
+
+
+# Operand shapes per op: (left, right); one side becomes the constant.
+def _binary_shapes(op, m, k, n):
+    if op == "matmul":
+        return [((m, k), (k, n)), ((k,), (k, n)), ((m, k), (k,)),
+                ((2, m, k), (k, n))]
+    return [((m, n), (m, n)), ((m, n), (n,)), ((m, n), (m, 1)),
+            ((n,), (m, n)), ((1,), (m, n))]
+
+
+def _apply(op, left, right):
+    if op == "matmul":
+        return left @ right
+    if op == "mul":
+        return left * right
+    if op == "div":
+        return left / right
+    if op == "add":
+        return left + right
+    return left - right
+
+
+class TestConstantOperands:
+    """A constant operand gets no gradient, and the other keeps its bits.
+
+    The binary ops skip the gradient of a parent that does not require
+    grad.  The gradient they still compute must be byte-equal to the one
+    from the same graph with both operands trainable.
+    """
+
+    @given(st.sampled_from(("matmul", "mul", "div", "add", "sub")),
+           st.integers(0, 4), st.booleans(),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_constant_side_skipped_bitwise(self, op, shape_pick,
+                                           constant_left, m, k, n, seed):
+        rng = np.random.default_rng(seed)
+        shapes = _binary_shapes(op, m, k, n)
+        left_shape, right_shape = shapes[shape_pick % len(shapes)]
+        left_data = rng.normal(size=left_shape)
+        right_data = rng.normal(size=right_shape)
+        if op == "div":
+            right_data = np.abs(right_data) + 0.5
+
+        def run(constant_trainable):
+            left = Tensor(left_data, requires_grad=True)
+            right = Tensor(right_data, requires_grad=True)
+            const = left if constant_left else right
+            const.requires_grad = constant_trainable
+            out = _apply(op, left, right)
+            (out.tanh() * out).sum().backward()
+            var = right if constant_left else left
+            return var.grad, const.grad
+
+        grad_frozen, const_grad = run(False)
+        grad_full, const_grad_full = run(True)
+        assert const_grad is None
+        assert const_grad_full is not None
+        assert grad_frozen.shape == grad_full.shape
+        assert grad_frozen.tobytes() == grad_full.tobytes()

@@ -207,6 +207,68 @@ def test_optimized_add_at_fallback_paths(opt):
     assert not target.any()
 
 
+def _add_at_into_zeros(ids, rows, num_rows):
+    out = np.zeros((num_rows,) + rows.shape[ids.ndim:], dtype=rows.dtype)
+    with np.errstate(invalid="ignore"):
+        np.add.at(out, ids, rows)
+    return out
+
+
+def _scatter_cases():
+    """``(label, ids, rows, num_rows)`` covering the kernel's edge cases."""
+    rng = np.random.default_rng(21)
+    special = rng.normal(size=(9, 4))
+    special[0, :] = -0.0
+    special[1, 0], special[2, 0] = np.nan, -np.nan
+    special[3, 1], special[4, 1] = np.inf, -np.inf
+    special[5, 2] = np.inf              # meets +inf above: stays +inf
+    return [
+        ("duplicates", rng.integers(0, 5, size=200),
+         rng.normal(size=(200, 7)), 5),
+        ("negative_zero", np.array([1, 1, 3]), np.full((3, 2), -0.0), 4),
+        ("nan_inf", np.array([0, 0, 0, 1, 1, 1, 2, 2, 2]), special, 3),
+        ("negative_ids", np.array([-1, 0, -3, 2, -1]),
+         rng.normal(size=(5, 3)), 3),
+        ("empty", np.array([], dtype=np.int64), np.zeros((0, 6)), 4),
+        ("one_row", np.zeros(6, dtype=np.int64),
+         rng.normal(size=(6, 5)), 1),
+        ("2d_index", rng.integers(0, 8, size=(12, 3)),
+         rng.normal(size=(12, 3, 4)), 8),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", _scatter_cases(), ids=lambda c: c[0])
+def test_reference_scatter_rows_bytes_equal_add_at(ref, case, dtype):
+    _, ids, rows, num_rows = case
+    rows = rows.astype(dtype)
+    expected = _add_at_into_zeros(ids, rows, num_rows)
+    with np.errstate(invalid="ignore"):
+        actual = ref.scatter_rows(ids, rows, num_rows)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    itype = np.int64 if dtype == np.float64 else np.int32
+    assert np.array_equal(actual.view(itype), expected.view(itype))
+
+
+@pytest.mark.parametrize("case", _scatter_cases(), ids=lambda c: c[0])
+def test_optimized_scatter_rows_within_band(opt, case):
+    _, ids, rows, num_rows = case
+    expected = _add_at_into_zeros(ids, rows, num_rows)
+    with np.errstate(invalid="ignore"):
+        actual = opt.scatter_rows(ids, rows, num_rows)
+    assert actual.shape == expected.shape
+    np.testing.assert_allclose(actual, expected, equal_nan=True,
+                               **TOLERANCES["f64"])
+
+
+def test_reference_scatter_rows_rejects_out_of_range(ref):
+    rows = np.ones((2, 3))
+    for bad in (np.array([0, 4]), np.array([-5, 0])):
+        with pytest.raises(IndexError):
+            ref.scatter_rows(bad, rows, 4)
+
+
 def test_fused_losses_match_reference_graph(ref, opt):
     rng = np.random.default_rng(13)
     logits = rng.normal(scale=4.0, size=24)

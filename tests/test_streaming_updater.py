@@ -5,6 +5,10 @@ import pytest
 
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
+from repro.nn.dtypes import using_dtype
+from repro.nn.optim import Adam
+from repro.nn.tensor import Tensor
+from repro.obs.metrics import MetricsRegistry
 from repro.streaming import CheckinEvent, IncrementalUpdater
 
 TARGET = "shelbyville"
@@ -212,3 +216,124 @@ class TestTouchedTracking:
         assert updater.touched_users() == []
         # History survives the drain (retrain still has replay data).
         assert updater.retrain().retrain_rounds == 1
+
+
+# ----------------------------------------------------------------------
+# Frozen-leaf backward: bit-identical to a backward through everything
+# ----------------------------------------------------------------------
+def full_graph_loss(model, users, pos, neg):
+    model.zero_grad()
+    pos_logits = model.interaction_logits(users, pos)
+    neg_logits = model.interaction_logits(users, neg)
+    return -(pos_logits - neg_logits).log_sigmoid().mean()
+
+
+def full_graph_fold_in(updater, user_rows, poi_rows):
+    """The fold-in with every parameter trainable (no freeze)."""
+    model = updater.model
+    pos = np.repeat(poi_rows, updater.num_negatives)
+    users = np.repeat(user_rows, updater.num_negatives)
+    touched = np.unique(user_rows)
+    weight = model.user_embeddings.weight
+    for _ in range(updater.fold_in_steps):
+        neg = updater._sample_negatives(users)
+        full_graph_loss(model, users, pos, neg).backward()
+        weight.data[touched] -= updater.learning_rate * weight.grad[touched]
+    model.zero_grad()
+
+
+def full_graph_retrain(updater):
+    """The retrain round with every parameter trainable (no freeze)."""
+    model = updater.model
+    rows, positives = [], []
+    for u, pois in updater._history.items():
+        rows.extend([u] * len(pois))
+        positives.extend(pois)
+    users = np.repeat(np.array(rows, dtype=np.int64),
+                      updater.num_negatives)
+    pos = np.repeat(np.array(positives, dtype=np.int64),
+                    updater.num_negatives)
+    weight = model.user_embeddings.weight
+    model.user_embeddings.sparse_grad = True
+    optimizer = Adam([weight], lr=updater.retrain_lr, sparse_mode="exact")
+    for _ in range(updater.retrain_steps):
+        neg = updater._sample_negatives(users)
+        full_graph_loss(model, users, pos, neg).backward()
+        optimizer.step()
+    model.zero_grad()
+    model.user_embeddings.sparse_grad = False
+
+
+def run_updates(dataset, index, updater, retrain):
+    """ingest → fold_in_user → retrain → ingest → retrain."""
+    events = stream_events(dataset, index, num_users=4, per_user=3)
+    updater.ingest(events[:6])
+    user_row = index.users.index_of(events[0].user_id)
+    pois = dataset.pois_in_city(TARGET)
+    updater.fold_in_user(user_row, np.array(
+        [index.pois.index_of(pois[-1].poi_id),
+         index.pois.index_of(pois[-2].poi_id)], dtype=np.int64))
+    retrain(updater)
+    updater.ingest(events[6:])
+    retrain(updater)
+    return embedding_snapshot(updater.model)
+
+
+class TestFrozenBackward:
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_user_rows_bit_identical_to_full_graph(self, world, precision):
+        dataset, index = world
+        with using_dtype(precision):
+            model, updater = make_updater(dataset, index)
+            ref_model, reference = make_updater(dataset, index)
+        assert model.user_embeddings.weight.data.dtype == \
+            np.dtype(np.float64 if precision == "f64" else np.float32)
+        reference._fold_in = lambda users, pois: full_graph_fold_in(
+            reference, users, pois)
+
+        before = embedding_snapshot(model)
+        got = run_updates(dataset, index, updater,
+                          lambda u: u.retrain())
+        expected = run_updates(dataset, index, reference,
+                               full_graph_retrain)
+        assert not np.array_equal(got, before)
+        assert got.tobytes() == expected.tobytes()
+        for (name, p), (_, q) in zip(model.named_parameters(),
+                                     ref_model.named_parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+
+    def test_only_the_user_table_receives_a_grad(self, world, monkeypatch):
+        dataset, index = world
+        model, updater = make_updater(dataset, index)
+        weight = model.user_embeddings.weight
+        others = [(n, p) for n, p in model.named_parameters()
+                  if p is not weight]
+        seen = []
+        real_backward = Tensor.backward
+
+        def spy(self, grad=None):
+            real_backward(self, grad)
+            seen.append((weight.grad is not None,
+                         [n for n, p in others if p.grad is not None]))
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        events = stream_events(dataset, index)
+        updater.ingest(events)
+        updater.fold_in_user(index.users.index_of(events[0].user_id),
+                             np.array([0], dtype=np.int64))
+        updater.retrain()
+        expected_calls = 2 * updater.fold_in_steps + updater.retrain_steps
+        assert len(seen) == expected_calls
+        assert all(user_grad and not other for user_grad, other in seen)
+        assert {n.split(".")[0] for n, _ in others} >= {
+            "poi_embeddings", "poi_bias", "tower"}
+
+    def test_retrain_rows_gauge(self, world):
+        dataset, index = world
+        registry = MetricsRegistry()
+        model, updater = make_updater(dataset, index, registry=registry)
+        events = stream_events(dataset, index, num_users=2, per_user=3)
+        updater.ingest(events)
+        updater.retrain()
+        assert registry.gauge("streaming.retrain_rows").value == \
+            len(events) * updater.num_negatives
