@@ -66,6 +66,7 @@ from repro.obs.spans import (
     TraceContext,
 )
 from repro.obs.telemetry import Telemetry
+from repro.utils.blas import limit_blas_threads
 
 __all__ = ["shard_serve_loop"]
 
@@ -77,6 +78,7 @@ def shard_serve_loop(pipe, manifest: FleetManifest, shard_id: int,
                      incarnation: int = 0, fault_plan=None,
                      telemetry_dir=None) -> None:
     """Body of one shard process (the fleet's ``SpawnFn`` target)."""
+    limit_blas_threads()
     telemetry = None
     if telemetry_dir is not None:
         telemetry = Telemetry(Path(telemetry_dir) / f"shard-{shard_id}",

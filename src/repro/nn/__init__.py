@@ -35,7 +35,7 @@ from repro.nn.module import Module
 from repro.nn.ops import concat, pairwise_sq_dists, rowwise_dot, stack
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.profile import OpProfile, OpStat, profile_ops
-from repro.nn.sparse import SparseRowGrad, average_sparse_grads, grad_values
+from repro.nn.sparse import SparseRowGrad, grad_values
 from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "using_backend",
     "Tensor",
     "SparseRowGrad",
-    "average_sparse_grads",
     "grad_values",
     "OpProfile",
     "OpStat",

@@ -62,6 +62,22 @@ class Optimizer:
         return arrays
 
 
+def _flat_zeros(params: List[Tensor]):
+    """``(flat, views)``: one zero buffer and a per-parameter view of it.
+
+    Parameters of mixed dtypes get separate arrays and ``flat=None``.
+    """
+    dtypes = {p.data.dtype for p in params}
+    if len(dtypes) != 1:
+        return None, [np.zeros_like(p.data) for p in params]
+    flat = np.zeros(sum(p.data.size for p in params), dtype=dtypes.pop())
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start:start + p.data.size].reshape(p.data.shape))
+        start += p.data.size
+    return flat, views
+
+
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay."""
 
@@ -137,6 +153,17 @@ class Adam(Optimizer):
       once most rows have warm moments, but a documented approximation
       (untouched rows keep stale moments instead of decaying).
     * ``"dense"`` — always densify; the pre-sparse behavior.
+
+    Fused step
+    ----------
+    ``m`` and ``v`` are per-parameter views of one flat buffer each, in
+    parameter order.  When every gradient is a dense view of one flat
+    vector in that same order — the data-parallel master averages its
+    replicas into exactly that — :meth:`step` runs a single
+    ``adam_update`` over the whole vector instead of one per parameter.
+    Adam is elementwise, so the bits are those of the per-parameter
+    step; in the ``"exact"`` mode the dense recurrence leaves never-active
+    rows bit-identical too (their update is exactly ``0.0``).
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
@@ -160,8 +187,8 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self.sparse_mode = sparse_mode
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m_flat, self._m = _flat_zeros(self.params)
+        self._v_flat, self._v = _flat_zeros(self.params)
         # Per-parameter boolean mask over axis-0 rows whose moments may
         # be nonzero ("ever active"); built lazily from the moments the
         # first time a sparse gradient arrives, so it survives
@@ -174,6 +201,10 @@ class Adam(Optimizer):
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
+        flat = self._tiled_grad()
+        if flat is not None:
+            self._step_fused(flat, bias1, bias2)
+            return
         for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
             if p.grad is None:
                 continue
@@ -193,6 +224,45 @@ class Adam(Optimizer):
             p.data -= _xp().adam_update(
                 m, v, grad, self.lr, self.beta1, self.beta2, self.eps,
                 bias1, bias2, weight_decay=self.weight_decay, param=p.data)
+
+    def _tiled_grad(self) -> Optional[np.ndarray]:
+        """The flat vector the gradients are views of, if they tile one.
+
+        Each ``p.grad`` must be a contiguous view of the same 1-D array,
+        in parameter order, laid out exactly like the moment buffers.
+        """
+        flat = getattr(self.params[0].grad, "base", None)
+        if self._m_flat is None or not isinstance(flat, np.ndarray) \
+                or flat.shape != self._m_flat.shape \
+                or flat.dtype != self._m_flat.dtype:
+            return None
+        address = flat.__array_interface__["data"][0]
+        for p in self.params:
+            g = p.grad
+            if not isinstance(g, np.ndarray) or g.base is not flat \
+                    or g.shape != p.data.shape \
+                    or not g.flags.c_contiguous \
+                    or g.__array_interface__["data"][0] != address:
+                return None
+            address += g.nbytes
+        return flat
+
+    def _step_fused(self, flat: np.ndarray, bias1: float,
+                    bias2: float) -> None:
+        """One ``adam_update`` over the whole tiled gradient vector."""
+        param = None
+        if self.weight_decay:
+            param = np.concatenate([p.data.reshape(-1)
+                                    for p in self.params])
+        update = _xp().adam_update(
+            self._m_flat, self._v_flat, flat, self.lr, self.beta1,
+            self.beta2, self.eps, bias1, bias2,
+            weight_decay=self.weight_decay, param=param)
+        start = 0
+        for p in self.params:
+            p.data -= update[start:start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
+        self._active_rows = [None] * len(self.params)
 
     def _step_sparse_exact(self, i: int, p: Tensor, m: np.ndarray,
                            v: np.ndarray, grad: SparseRowGrad,

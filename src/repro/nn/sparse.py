@@ -20,9 +20,10 @@ The sparse representation is an *encoding*, not an approximation:
   order, which is exactly the accumulation order of
   ``np.add.at(dense, ids, rows)`` — so ``coalesce().to_dense()`` is
   bit-identical to the dense scatter-add the seed performed;
-* :func:`average_sparse_grads` reproduces the master's
-  ``np.stack(grads).mean(axis=0)`` arithmetic on the union of touched
-  rows (absent rows contribute exact ``0.0``, as in the dense stack);
+* :meth:`SparseRowGrad.to_dense` runs the backend's ``scatter_rows``,
+  the kernel the dense ``gather_rows`` backward runs, so the
+  data-parallel worker writes the same bytes into its flat gradient
+  slot whichever encoding its backward produced;
 * the optimizers' sparse paths apply the same elementwise expressions
   the dense paths use, restricted to rows whose update can be nonzero.
 
@@ -33,13 +34,13 @@ switchable with no numeric consequence — verified bitwise in
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.nn.backend import active_backend as _xp
 
-__all__ = ["SparseRowGrad", "average_sparse_grads", "grad_values"]
+__all__ = ["SparseRowGrad", "grad_values"]
 
 
 class SparseRowGrad:
@@ -104,10 +105,10 @@ class SparseRowGrad:
 
         Per output row the contributions are added in first-occurrence
         order — the accumulation order of ``np.add.at`` — through the
-        active backend's ``coalesce_rows`` kernel.  The reference
-        backend's dense image is bit-identical to a direct dense
-        scatter; the optimized kernel re-associates the per-group sums
-        (same order, ``reduceat`` association).
+        active backend's ``coalesce_rows`` kernel.  Its dense image is
+        bit-identical to a direct dense scatter, except in the optimized
+        backend outside f64, whose ``reduceat`` ``add_at`` re-associates
+        the per-group sums (same order).
         """
         if self.ids.size == 0:
             return self
@@ -150,31 +151,6 @@ class SparseRowGrad:
         return SparseRowGrad(self.shape, self.ids, self.rows * factor)
 
     __rmul__ = __mul__
-
-
-def average_sparse_grads(grads: List[SparseRowGrad]) -> SparseRowGrad:
-    """Mean of sparse gradients, bit-identical to the dense stack-mean.
-
-    The dense reference computes ``np.stack(dense_grads).mean(axis=0)``.
-    Restricted to the union of touched rows that is a mean over one
-    value per contributor, where a contributor that did not touch a row
-    supplies exact ``0.0`` — the same value its dense image holds there.
-    Rows outside the union average to ``0.0`` in the dense reference and
-    are simply absent here (a zero gradient row updates nothing).
-    """
-    if not grads:
-        raise ValueError("average_sparse_grads needs at least one gradient")
-    shape = grads[0].shape
-    for g in grads:
-        if g.shape != shape:
-            raise ValueError(f"shape mismatch: {shape} vs {g.shape}")
-    coalesced = [g.coalesce() for g in grads]
-    union = np.unique(np.concatenate([c.ids for c in coalesced]))
-    stacked = np.zeros((len(coalesced), union.size) + shape[1:],
-                       dtype=coalesced[0].rows.dtype)
-    for k, c in enumerate(coalesced):
-        stacked[k, np.searchsorted(union, c.ids)] = c.rows
-    return SparseRowGrad(shape, union, stacked.mean(axis=0))
 
 
 def grad_values(grad) -> np.ndarray:

@@ -17,6 +17,23 @@ steps, so wall time drops roughly linearly while the update rule stays
 mathematically identical to large-batch single-process training —
 exactly the property Table 2 demonstrates.
 
+One flat vector
+---------------
+A step moves and applies the gradient as one contiguous vector in
+parameter order, the layout of :class:`~repro.perf.transport.
+GradientLayout` (TensorFlow's all-reduce exchanges such a fused
+buffer).  Each worker packs its gradients into that vector — sparse
+embedding rows scattered with ``to_dense``, untouched parameters as
+zeros — in its shared-memory slot or through its pipe.  The master
+then does per step what it used to do per parameter: one ``isfinite``
+guards a contribution, one ``np.stack(usable).mean(axis=0)`` averages
+the usable ones (elementwise, hence bit-identical to averaging each
+parameter), each ``param.grad`` becomes a view of the mean, and
+:class:`~repro.nn.optim.Adam` steps the whole vector with one
+``adam_update``.  With shared memory, workers are woken for a step
+through a :class:`~repro.parallel.supervisor.StepWake` instead of a
+pipe message (see that module for why).
+
 Fault tolerance
 ---------------
 Worker replicas are owned by a :class:`~repro.parallel.supervisor.
@@ -54,19 +71,25 @@ from repro.nn.backend import set_default_backend, using_backend
 from repro.nn.dtypes import set_default_dtype, using_dtype
 from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam
-from repro.nn.sparse import SparseRowGrad, average_sparse_grads
+from repro.nn.sparse import SparseRowGrad
 from repro.obs.metrics import MetricsRegistry, exponential_buckets
 from repro.obs.telemetry import Telemetry, span as _span
 from repro.parallel.supervisor import (
     FaultStats,
+    StepWake,
     SupervisionConfig,
     WorkerFailure,
     WorkerSupervisor,
 )
 from repro.perf.config import PerfConfig, enable_sparse_embedding_grads
-from repro.perf.transport import ShmTransport, WorkerTransportClient
+from repro.perf.transport import (
+    GradientLayout,
+    ShmTransport,
+    WorkerTransportClient,
+)
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guards import GradientGuard, TrainingDiverged
+from repro.utils.blas import limit_blas_threads
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive
 
@@ -107,21 +130,6 @@ def _reseed_dropout(model, stream_id: int, step: int) -> None:
     model.training_rng.bit_generator.state = fresh.bit_generator.state
 
 
-def _average_contributions(contributions: list):
-    """Average one parameter's per-replica gradients.
-
-    All-sparse contributions average sparsely (bit-identical to the
-    dense stack-mean, see :func:`repro.nn.sparse.average_sparse_grads`);
-    anything else densifies first and runs the seed's stack-mean
-    verbatim.
-    """
-    if all(isinstance(g, SparseRowGrad) for g in contributions):
-        return average_sparse_grads(contributions)
-    dense = [g.to_dense() if isinstance(g, SparseRowGrad) else g
-             for g in contributions]
-    return np.stack(dense).mean(axis=0)
-
-
 def _interaction_batch_stream(trainer: STTransRecTrainer):
     """Endless stream of (users, pois, labels) batches.
 
@@ -142,21 +150,6 @@ def _nan_like(grad):
     return np.full_like(grad, np.nan)
 
 
-def _zero_grad_like(param, sparse: bool):
-    """Stand-in gradient for a parameter the step's graph never touched.
-
-    The seed shipped a dense zero array (so dense Adam still decays the
-    moments).  With sparse gradients enabled an *empty*
-    :class:`SparseRowGrad` carries the same information in 0 bytes:
-    Adam's ``"exact"`` mode decays exactly the rows whose moments are
-    nonzero — bit-identical to the dense zero update.
-    """
-    if sparse:
-        empty = np.empty((0,) + param.data.shape[1:], dtype=param.data.dtype)
-        return SparseRowGrad(param.data.shape, np.empty(0, np.int64), empty)
-    return np.zeros_like(param.data)
-
-
 def _worker_loop(pipe, split, config, worker_seed: int,
                  worker_id: int = 0,
                  fault_plan: Optional[FaultPlan] = None,
@@ -164,30 +157,34 @@ def _worker_loop(pipe, split, config, worker_seed: int,
                  sparse_grads: bool = False,
                  transport_layout=None,
                  precision: str = "f64",
-                 backend: Optional[str] = None) -> None:
+                 backend: Optional[str] = None,
+                 wake: Optional[StepWake] = None) -> None:
     """Worker process: recompute gradients for each parameter broadcast.
 
     Protocol: the master sends ``(step, state_dict)`` per training step
     and ``None`` to shut down; the worker replies ``(grads, loss,
-    telemetry)`` where ``telemetry`` names the worker/incarnation and
-    carries a cumulative :class:`~repro.obs.metrics.MetricsRegistry`
-    snapshot (per-step compute-time histogram and step counter).
-    Because snapshots are cumulative and ride on every reply, the
-    master always holds the *final* registry a replica produced before
-    it crashed, hung, or was removed — degradation loses no telemetry.
-    The worker advances its batch stream to exactly ``step`` before
-    drawing, so batch selection depends only on the master's counter —
-    a replacement worker spawned mid-run replays the skipped prefix and
-    lands on the same batch its predecessor would have used.
+    telemetry)`` where ``grads`` is one flat vector in parameter order
+    (see :class:`~repro.perf.transport.GradientLayout`) and
+    ``telemetry`` names the worker/incarnation and carries a cumulative
+    :class:`~repro.obs.metrics.MetricsRegistry` snapshot (per-step
+    compute-time histogram and step counter).  Because snapshots are
+    cumulative and ride on every reply, the master always holds the
+    *final* registry a replica produced before it crashed, hung, or was
+    removed — degradation loses no telemetry.  The worker advances its
+    batch stream to exactly ``step`` before drawing, so batch selection
+    depends only on the master's counter — a replacement worker spawned
+    mid-run replays the skipped prefix and lands on the same batch its
+    predecessor would have used.
 
     With ``transport_layout`` set, the bulk payloads move through the
-    shared-memory blocks it names instead of the pipe: the broadcast
-    arrives as ``(step, None)`` (parameters read from the params block)
-    and the reply is sent as ``(None, loss, telemetry)`` after the
-    gradients are written to this worker's slot.  The pipe ordering
-    makes the slot handoff race-free (see
-    :mod:`repro.perf.transport`).
+    shared-memory blocks it names instead of the pipe, and the step
+    arrives through ``wake`` (a :class:`~repro.parallel.supervisor.
+    StepWake`) rather than the pipe: parameters are read from the params
+    block and the reply is sent as ``(None, loss, telemetry)`` after the
+    gradient is written to this worker's slot.  The pipe ordering makes
+    the slot handoff race-free (see :mod:`repro.perf.transport`).
     """
+    limit_blas_threads()
     # The worker owns its process, so setting the process-global policy
     # (rather than a scoped override) keeps every array the replica ever
     # creates — batches, masks, intermediates — in the run's dtype and
@@ -203,10 +200,15 @@ def _worker_loop(pipe, split, config, worker_seed: int,
     model.train()
     if sparse_grads:
         enable_sparse_embedding_grads(model)
+    params = dict(model.named_parameters())
     transport = None
+    layout = transport_layout
     if transport_layout is not None:
         transport = WorkerTransportClient(transport_layout, worker_id)
-    params = dict(model.named_parameters())
+    else:
+        layout = GradientLayout.build(
+            [(name, p.data.shape, str(p.data.dtype))
+             for name, p in params.items()])
     stream = _interaction_batch_stream(trainer)
     registry = MetricsRegistry()
     step_hist = registry.histogram("worker.step_time_ms",
@@ -216,7 +218,7 @@ def _worker_loop(pipe, split, config, worker_seed: int,
     consumed = 0
     while True:
         try:
-            message = pipe.recv()
+            message = pipe.recv() if wake is None else wake.wait(pipe)
         except (EOFError, OSError):
             return                      # master went away
         if message is None:
@@ -224,10 +226,12 @@ def _worker_loop(pipe, split, config, worker_seed: int,
             return
         step, state = message
         started = time.perf_counter()
-        if state is None and transport is not None:
-            state = transport.read_params()
-        for name, value in state.items():
-            params[name].data[...] = value
+        if state is None:
+            # Copied straight out of the block: the master rewrites it
+            # only after this step's reply.
+            state = transport.read_params(copy=False)
+        for name in state:
+            params[name].data[...] = state[name]
         while consumed < step:          # fast-forward after respawn/resume
             next(stream)
             consumed += 1
@@ -239,23 +243,21 @@ def _worker_loop(pipe, split, config, worker_seed: int,
         model.zero_grad()
         loss = bce_with_logits(model.interaction_logits(users, pois), labels)
         loss.backward()
-        grads = {
-            name: (p.grad if p.grad is not None
-                   else _zero_grad_like(p, sparse_grads))
-            for name, p in params.items()
-        }
+        grads = {name: p.grad for name, p in params.items()}
+        flat = transport.write_grads(grads) if transport is not None \
+            else layout.pack_grads(grads)
         if fault_plan is not None and \
                 fault_plan.wants_nan_gradients(worker_id, step):
-            grads = {name: _nan_like(g) for name, g in grads.items()}
+            flat.fill(np.nan)
         step_hist.observe((time.perf_counter() - started) * 1000.0)
         step_counter.inc()
         telemetry = {"worker": worker_id, "incarnation": incarnation,
                      "metrics": registry.to_dict()}
-        if transport is not None:
-            transport.write_grads(grads)
-            reply = (None, loss.item(), telemetry)
-        else:
-            reply = (grads, loss.item(), telemetry)
+        reply = (None if transport is not None else flat, loss.item(),
+                 telemetry)
+        # Views of the shared blocks must not outlive the client that
+        # maps them, or its close at exit fails.
+        state = flat = None
         try:
             pipe.send(reply)
         except (BrokenPipeError, OSError):
@@ -335,6 +337,9 @@ class DataParallelTrainer:
         self._supervisor: Optional[WorkerSupervisor] = None
         self._local_stream = None
         self._transport: Optional[ShmTransport] = None
+        self._layout = GradientLayout.build(
+            [(name, p.data.shape, str(p.data.dtype))
+             for name, p in self._params.items()])
         if num_workers > 1:
             self._transport = self._create_transport()
             self._supervisor = WorkerSupervisor(
@@ -354,8 +359,8 @@ class DataParallelTrainer:
         """
         if self.perf.transport == "pipe":
             return None
-        specs = [(name, p.data.shape, str(p.data.dtype))
-                 for name, p in self._params.items()]
+        specs = [(slot.name, slot.shape, slot.dtype)
+                 for slot in self._layout.slots]
         try:
             return ShmTransport(specs, self.num_workers)
         except Exception as exc:
@@ -373,25 +378,31 @@ class DataParallelTrainer:
         return total * (1 + self.config.num_negatives)
 
     def _spawn_worker(self, worker_id: int, incarnation: int):
-        """Start one replica; respawns (incarnation > 0) carry no faults."""
+        """Start one replica; respawns (incarnation > 0) carry no faults.
+
+        With shared memory the step's payload is in the params block, so
+        the worker is woken through a :class:`~repro.parallel.supervisor.
+        StepWake` rather than a pipe message.
+        """
         ctx = mp.get_context("fork")
         parent, child = ctx.Pipe()
         plan = self.fault_plan if incarnation == 0 else None
-        layout = self._transport.layout if self._transport is not None \
-            else None
+        layout, wake = None, None
+        if self._transport is not None:
+            layout, wake = self._transport.layout, StepWake.create()
         process = ctx.Process(
             target=_worker_loop,
             args=(child, self.split, self.config,
                   _WORKER_SEED_BASE + worker_id, worker_id, plan,
                   incarnation, self.perf.sparse_grads, layout,
-                  self.perf.precision, self.perf.backend_name),
+                  self.perf.precision, self.perf.backend_name, wake),
             daemon=True,
         )
         process.start()
         # The master must not hold the child end open, or a dead worker
         # never produces EOF and liveness detection degrades to timeouts.
         child.close()
-        return parent, process
+        return parent, process, wake
 
     # ------------------------------------------------------------------
     def _parallel_step(self, faults: FaultStats) -> Optional[float]:
@@ -401,6 +412,12 @@ class DataParallelTrainer:
         this step was lost (dead/hung/NaN) and the step was skipped.
         The average runs over however many finite contributions arrived,
         so a degraded replica set still yields an unbiased update.
+
+        Every contribution is one flat vector in parameter order: one
+        ``isfinite`` pass guards it, one stack-mean averages the usable
+        ones (elementwise, so bit-identical to averaging parameter by
+        parameter), and each ``param.grad`` becomes a view of the mean,
+        which lets Adam step the whole vector at once.
         """
         step = self._global_step
         tel = self.telemetry
@@ -426,7 +443,7 @@ class DataParallelTrainer:
                     and telemetry is not None:
                 grads = transport.read_grads(telemetry["worker"])
             if grads is not None and np.isfinite(loss) \
-                    and self._guard.check(grads, loss):
+                    and self._guard.check(grads, loss, self._layout):
                 usable.append(grads)
                 losses.append(loss)
             else:
@@ -439,9 +456,10 @@ class DataParallelTrainer:
             faults.record(f"step {step} skipped: no usable gradients")
             return None
         with _span(tel, "apply"):
-            for name, param in self._params.items():
-                param.grad = _average_contributions(
-                    [g[name] for g in usable])
+            mean = np.stack(usable).mean(axis=0)
+            for slot, param in zip(self._layout.slots,
+                                   self._params.values()):
+                param.grad = slot.view(mean)
             self.optimizer.step()
             self.optimizer.zero_grad()
         return float(np.mean(losses))

@@ -110,7 +110,8 @@ def bench_transport(num_embeddings: int = 20000, dim: int = 64,
 
     The pipe cost is ``pickle.dumps`` + ``pickle.loads`` of the dense
     dict (the copy through the pipe itself is at least that expensive);
-    the shm cost is a worker-side slot write plus the master-side parse.
+    the shm cost is a worker-side slot write (the sparse rows scattered
+    into the flat slot) plus the master-side view.
     ``dtype`` sizes the payloads — an f32 run moves half the bytes.
     """
     rng = np.random.default_rng(seed)

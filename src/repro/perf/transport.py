@@ -8,20 +8,32 @@ replica.  This module replaces the *bulk* payloads with preallocated
 :class:`GradientLayout` manifest:
 
 * one **params block** — the master writes current parameter values
-  before each broadcast; workers copy them out after receiving the
-  step message;
+  before each broadcast; workers copy them out when woken for a step;
 * one **gradient block per worker slot** — each worker writes its
-  step's gradients (dense, or coalesced sparse rows for embedding
-  tables) into its own slot; the master reads a slot only after that
-  worker's pipe reply arrives.
+  step's gradient into its own slot; the master reads a slot only
+  after that worker's pipe reply arrives.
 
-The existing pipe stays as the control channel: the master broadcasts
-``(step, None)`` and workers reply ``(None, loss, telemetry)``, so all
-supervision semantics (deadlines, crash/hang detection, respawn) are
-untouched.  The pipe round-trip also provides the ordering that makes
-the shared blocks race-free — a slot is written strictly before its
-reply is sent, and the master rewrites the params block strictly after
-the previous step's gather finished.
+Both kinds of block share one layout: every parameter, in parameter
+order, densely packed.  A gradient slot is therefore **one flat vector**
+— the fused buffer TensorFlow's all-reduce exchanges — and the master
+guards, averages and Adam-steps it as a single array instead of one
+small tensor at a time.  Sparse embedding gradients are scattered into
+the slot by the backend's ``scatter_rows`` (the same kernel the dense
+``gather_rows`` backward uses, so both encodings write the same bytes);
+a parameter the step never touched is written as zeros, which is what
+the dense reference path sends.  The broadcast already moves every
+parameter every step, so the gradient bytes per step are the same order
+as the broadcast's.
+
+The existing pipe stays as the control channel: workers reply ``(None,
+loss, telemetry)``, so all supervision semantics (deadlines, crash/hang
+detection, respawn) are untouched.  The pipe round-trip also provides
+the ordering that makes the shared blocks race-free — a slot is written
+strictly before its reply is sent, and the master rewrites the params
+block strictly after the previous step's gather finished.  That is also
+why :meth:`ShmTransport.read_grads` may hand out a zero-copy view: a
+slot is not rewritten before the next broadcast.  The pipe transport
+sends the same flat vector through the pipe.
 
 Fallback: :class:`ShmTransport` creation is attempted once at trainer
 construction; any failure (platform without ``/dev/shm``, exhausted
@@ -40,25 +52,17 @@ every other shard serves from — and :meth:`~WorkerTransportClient.
 write_grads` raises :class:`ReadOnlyTransportError` outright.
 ``read_params(copy=False)`` returns zero-copy views, which is what
 lets N shard processes share a single physical copy of the
-user/POI embedding tables.
-
-Layout
-------
-Every parameter gets a fixed-size slot in each gradient block::
-
-    [kind: int64][count: int64][ids: shape[0] × int64][payload: dense bytes]
-
-``kind`` selects dense (payload = the full array) or sparse (payload's
-first ``count`` rows are the coalesced gradient rows for ``ids[:count]``).
-Sparse gradients are coalesced before writing, so ``count ≤ shape[0]``
-always fits the preallocated region.
+user/POI embedding tables.  A params-only block may mix dtypes (the
+serving state carries int64 catalogue ids); gradient slots need one
+dtype, since a slot is a single vector.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,40 +76,33 @@ class ReadOnlyTransportError(RuntimeError):
     """A write was attempted through a read-only transport attachment."""
 
 
-GRAD_KIND_DENSE = 0
-GRAD_KIND_SPARSE = 1
-
-_HEADER_DTYPE = np.int64
-_HEADER_WORDS = 2                       # kind, count
-_IDS_DTYPE = np.int64
-
-
 @dataclass(frozen=True)
 class ParamSlot:
-    """Byte offsets of one parameter inside a gradient block."""
+    """Where one parameter sits in the params block and each grad slot."""
 
     name: str
     shape: Tuple[int, ...]
     dtype: str
-    header_offset: int
-    ids_offset: int
-    payload_offset: int
-    end_offset: int
+    offset: int                 # bytes from the start of the block
+    size: int                   # elements
 
     @property
-    def row_capacity(self) -> int:
-        return self.shape[0] if self.shape else 1
+    def nbytes(self) -> int:
+        return self.size * np.dtype(self.dtype).itemsize
 
     @property
-    def dense_nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)
-                   * np.dtype(self.dtype).itemsize) if self.shape \
-            else np.dtype(self.dtype).itemsize
+    def start(self) -> int:
+        """First element of this parameter in a flat vector."""
+        return self.offset // np.dtype(self.dtype).itemsize
+
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """This parameter's part of a flat vector, in its own shape."""
+        return flat[self.start:self.start + self.size].reshape(self.shape)
 
 
 @dataclass(frozen=True)
 class GradientLayout:
-    """One-time manifest describing both shared blocks.
+    """One-time manifest describing both kinds of shared block.
 
     Pickled to every worker at spawn; contains byte offsets only (plus
     the segment names), so attaching is a pure ``numpy.frombuffer``
@@ -113,9 +110,7 @@ class GradientLayout:
     """
 
     slots: Tuple[ParamSlot, ...]
-    params_offsets: Tuple[Tuple[str, int], ...]
-    params_nbytes: int
-    grad_nbytes: int
+    nbytes: int
     params_name: str = ""
     grad_names: Tuple[str, ...] = ()
 
@@ -124,77 +119,58 @@ class GradientLayout:
               ) -> "GradientLayout":
         slots: List[ParamSlot] = []
         offset = 0
-        params_offsets: List[Tuple[str, int]] = []
-        params_offset = 0
         for name, shape, dtype in param_specs:
-            header = offset
-            ids = header + _HEADER_WORDS * np.dtype(_HEADER_DTYPE).itemsize
-            row_capacity = shape[0] if shape else 1
-            payload = ids + row_capacity * np.dtype(_IDS_DTYPE).itemsize
-            dense_nbytes = int(np.prod(shape, dtype=np.int64)
-                               * np.dtype(dtype).itemsize) if shape \
-                else np.dtype(dtype).itemsize
-            end = payload + dense_nbytes
-            slots.append(ParamSlot(name, tuple(shape), dtype, header, ids,
-                                   payload, end))
-            offset = end
-            params_offsets.append((name, params_offset))
-            params_offset += dense_nbytes
-        return GradientLayout(
-            slots=tuple(slots),
-            params_offsets=tuple(params_offsets),
-            params_nbytes=params_offset,
-            grad_nbytes=offset,
-        )
+            size = int(np.prod(shape, dtype=np.int64))
+            slots.append(ParamSlot(name, tuple(shape), str(np.dtype(dtype)),
+                                   offset, size))
+            offset += slots[-1].nbytes
+        return GradientLayout(slots=tuple(slots), nbytes=offset)
 
     def with_names(self, params_name: str,
                    grad_names: Sequence[str]) -> "GradientLayout":
-        return GradientLayout(self.slots, self.params_offsets,
-                              self.params_nbytes, self.grad_nbytes,
+        return GradientLayout(self.slots, self.nbytes,
                               params_name, tuple(grad_names))
 
+    @functools.cached_property
+    def dtype(self) -> np.dtype:
+        """The one dtype of a flat gradient vector."""
+        dtypes = {slot.dtype for slot in self.slots}
+        if len(dtypes) != 1:
+            raise ValueError(
+                f"a flat gradient vector needs one dtype, got "
+                f"{sorted(dtypes)}")
+        return np.dtype(dtypes.pop())
 
-def _write_grad_slot(buf: memoryview, slot: ParamSlot, grad) -> None:
-    header = np.frombuffer(buf, dtype=_HEADER_DTYPE,
-                           count=_HEADER_WORDS, offset=slot.header_offset)
-    if isinstance(grad, SparseRowGrad):
-        g = grad.coalesce()             # guarantees count <= row_capacity
-        count = g.ids.size
-        ids = np.frombuffer(buf, dtype=_IDS_DTYPE, count=slot.row_capacity,
-                            offset=slot.ids_offset)
-        ids[:count] = g.ids
-        payload = np.frombuffer(buf, dtype=slot.dtype,
-                                count=count * int(np.prod(slot.shape[1:],
-                                                          dtype=np.int64)),
-                                offset=slot.payload_offset)
-        payload[...] = g.rows.reshape(-1)
-        header[0] = GRAD_KIND_SPARSE
-        header[1] = count
-    else:
-        arr = np.asarray(grad, dtype=slot.dtype)
-        payload = np.frombuffer(buf, dtype=slot.dtype, count=arr.size,
-                                offset=slot.payload_offset)
-        payload[...] = arr.reshape(-1)
-        header[0] = GRAD_KIND_DENSE
-        header[1] = 0
+    @functools.cached_property
+    def size(self) -> int:
+        """Elements of a flat gradient vector."""
+        return sum(slot.size for slot in self.slots)
 
+    def pack_grads(self, grads: Mapping[str, object],
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Write ``{name: grad}`` into one flat vector in parameter order.
 
-def _read_grad_slot(buf: memoryview, slot: ParamSlot):
-    header = np.frombuffer(buf, dtype=_HEADER_DTYPE,
-                           count=_HEADER_WORDS, offset=slot.header_offset)
-    kind, count = int(header[0]), int(header[1])
-    if kind == GRAD_KIND_SPARSE:
-        ids = np.frombuffer(buf, dtype=_IDS_DTYPE, count=slot.row_capacity,
-                            offset=slot.ids_offset)[:count].copy()
-        row_size = int(np.prod(slot.shape[1:], dtype=np.int64))
-        rows = np.frombuffer(buf, dtype=slot.dtype, count=count * row_size,
-                             offset=slot.payload_offset).copy()
-        return SparseRowGrad(slot.shape, ids,
-                             rows.reshape((count,) + slot.shape[1:]))
-    dense = np.frombuffer(buf, dtype=slot.dtype,
-                          count=int(np.prod(slot.shape, dtype=np.int64)),
-                          offset=slot.payload_offset)
-    return dense.reshape(slot.shape).copy()
+        Sparse gradients are densified with ``to_dense`` (the backend's
+        ``scatter_rows``); a missing or ``None`` gradient is written as
+        zeros.  ``out`` is filled in place when given.
+        """
+        if out is None:
+            out = np.empty(self.size, dtype=self.dtype)
+        for slot in self.slots:
+            grad = grads.get(slot.name)
+            dst = slot.view(out)
+            if grad is None:
+                dst[...] = 0.0
+            elif isinstance(grad, SparseRowGrad):
+                dst[...] = grad.to_dense()
+            else:
+                dst[...] = grad
+        return out
+
+    def nonfinite_names(self, flat: np.ndarray) -> List[str]:
+        """Names of the parameters whose part of ``flat`` is not finite."""
+        return [slot.name for slot in self.slots
+                if not np.isfinite(slot.view(flat)).all()]
 
 
 class ShmTransport:
@@ -211,13 +187,15 @@ class ShmTransport:
         if num_slots < 0:
             raise ValueError(f"num_slots must be >= 0, got {num_slots}")
         layout = GradientLayout.build(param_specs)
+        if num_slots:
+            layout.dtype                # grad slots need one dtype
         self._params_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, layout.params_nbytes))
+            create=True, size=max(1, layout.nbytes))
         self._grad_shms: List[shared_memory.SharedMemory] = []
         try:
             for _ in range(num_slots):
                 self._grad_shms.append(shared_memory.SharedMemory(
-                    create=True, size=max(1, layout.grad_nbytes)))
+                    create=True, size=max(1, layout.nbytes)))
         except Exception:
             self.close()
             raise
@@ -229,17 +207,19 @@ class ShmTransport:
     # -- master side ----------------------------------------------------
     def write_params(self, state: Dict[str, np.ndarray]) -> None:
         buf = self._params_shm.buf
-        for name, offset in self.layout.params_offsets:
-            arr = state[name]
-            view = np.frombuffer(buf, dtype=arr.dtype, count=arr.size,
-                                 offset=offset)
-            view[...] = arr.reshape(-1)
+        for slot in self.layout.slots:
+            view = np.frombuffer(buf, dtype=slot.dtype, count=slot.size,
+                                 offset=slot.offset)
+            view[...] = state[slot.name].reshape(-1)
 
-    def read_grads(self, slot_index: int):
-        """Parse one worker slot into a ``{name: grad}`` dict (copies)."""
-        buf = self._grad_shms[slot_index].buf
-        return {slot.name: _read_grad_slot(buf, slot)
-                for slot in self.layout.slots}
+    def read_grads(self, slot_index: int) -> np.ndarray:
+        """One worker's flat gradient vector, as a zero-copy view.
+
+        Valid until the next broadcast: the worker rewrites its slot
+        only after it is woken for the following step.
+        """
+        return np.frombuffer(self._grad_shms[slot_index].buf,
+                             dtype=self.layout.dtype, count=self.layout.size)
 
     def close(self) -> None:
         """Release and unlink both blocks (idempotent; master only)."""
@@ -250,10 +230,15 @@ class ShmTransport:
                 list(getattr(self, "_grad_shms", [])):
             if shm is None:
                 continue
+            # BufferError: a read_grads view still aliases the mapping;
+            # unlinking the name is what must not be skipped.
             try:
                 shm.close()
+            except (OSError, BufferError):
+                pass
+            try:
                 shm.unlink()
-            except (FileNotFoundError, OSError):
+            except OSError:
                 pass
 
     def __enter__(self) -> "ShmTransport":
@@ -331,24 +316,22 @@ class WorkerTransportClient:
         """
         buf = self._params_buf()
         out: Dict[str, np.ndarray] = {}
-        shapes = {s.name: (s.shape, s.dtype) for s in self.layout.slots}
-        for name, offset in self.layout.params_offsets:
-            shape, dtype = shapes[name]
-            view = np.frombuffer(buf, dtype=dtype,
-                                 count=int(np.prod(shape, dtype=np.int64)),
-                                 offset=offset)
-            view = view.reshape(shape)
-            out[name] = view.copy() if copy else view
+        for slot in self.layout.slots:
+            view = np.frombuffer(buf, dtype=slot.dtype, count=slot.size,
+                                 offset=slot.offset).reshape(slot.shape)
+            out[slot.name] = view.copy() if copy else view
         return out
 
-    def write_grads(self, grads: Dict[str, np.ndarray]) -> None:
+    def write_grads(self, grads: Mapping[str, object]) -> np.ndarray:
+        """Pack ``{name: grad}`` into this worker's slot; returns the slot
+        vector (see :meth:`GradientLayout.pack_grads`)."""
         if self._grad_shm is None:
             raise ReadOnlyTransportError(
                 "cannot write gradients through a read-only "
                 "(params-only) transport attachment")
-        buf = self._grad_shm.buf
-        for slot in self.layout.slots:
-            _write_grad_slot(buf, slot, grads[slot.name])
+        slot = np.frombuffer(self._grad_shm.buf, dtype=self.layout.dtype,
+                             count=self.layout.size)
+        return self.layout.pack_grads(grads, out=slot)
 
     def close(self) -> None:
         # BufferError: zero-copy views (read_params(copy=False)) may

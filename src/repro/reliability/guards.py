@@ -48,10 +48,20 @@ class GradientGuard:
         self.steps_skipped = 0
         self.last_bad_names: List[str] = []
 
-    def check(self, grads: Mapping[str, np.ndarray],
-              loss: Optional[float] = None) -> bool:
+    def check(self, grads, loss: Optional[float] = None,
+              layout=None) -> bool:
+        """``grads`` is a ``{name: gradient}`` mapping, or one flat vector
+        laid out by ``layout`` (a :class:`~repro.perf.transport.
+        GradientLayout`): that is checked with a single ``isfinite``
+        pass, and the offending names are worked out from the layout
+        only when it fails."""
         self.steps_checked += 1
-        bad = nonfinite_gradients(grads)
+        if layout is None:
+            bad = nonfinite_gradients(grads)
+        elif np.isfinite(grads).all():
+            bad = []
+        else:
+            bad = layout.nonfinite_names(grads)
         if loss is not None and not np.isfinite(loss):
             bad = ["<loss>"] + bad
         if bad:

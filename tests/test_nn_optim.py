@@ -164,3 +164,116 @@ class TestStateDict:
         opt2.load_state_dict(saved_state)
         quadratic_step(opt2, p2)
         np.testing.assert_array_equal(p2.data, expected)
+
+
+SHAPES = [(6, 4), (4, 3), (3,), (5, 1)]
+
+
+def _params(seed=0, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.standard_normal(shape).astype(dtype),
+                   requires_grad=True) for shape in SHAPES]
+
+
+def _grad_vectors(steps, dtype=np.float64, seed=1):
+    size = sum(int(np.prod(shape)) for shape in SHAPES)
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((steps, size)).astype(dtype)
+    vectors[:, :8] = 0.0            # rows that never see a gradient
+    return [row.copy() for row in vectors]
+
+
+def _set_grads(params, flat, tiled: bool):
+    """Point every ``p.grad`` at its part of ``flat`` (views when tiled,
+    private copies otherwise)."""
+    start = 0
+    for p in params:
+        part = flat[start:start + p.data.size].reshape(p.data.shape)
+        p.grad = part if tiled else part.copy()
+        start += p.data.size
+
+
+def _bytes(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestFusedAdam:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
+    @pytest.mark.parametrize("backend", ["reference", "optimized"])
+    def test_fused_step_byte_equal_to_per_parameter(self, dtype,
+                                                    weight_decay, backend):
+        from repro.nn.backend import using_backend
+
+        runs = {}
+        for tiled in (True, False):
+            params = _params(dtype=dtype)
+            opt = Adam(params, lr=1e-2, weight_decay=weight_decay)
+            fused = []
+            original = opt._step_fused
+            opt._step_fused = lambda *a: (fused.append(1), original(*a))
+            with using_backend(backend):
+                for flat in _grad_vectors(5, dtype):
+                    _set_grads(params, flat, tiled)
+                    opt.step()
+            assert len(fused) == (5 if tiled else 0)
+            state = opt.state_dict()
+            runs[tiled] = (_bytes(p.data for p in params),
+                           _bytes(state["m"]), _bytes(state["v"]))
+        assert runs[True] == runs[False]
+
+    def test_moments_are_views_of_one_buffer(self):
+        params = _params()
+        opt = Adam(params)
+        for m, v, p in zip(opt._m, opt._v, params):
+            assert m.base is opt._m_flat and v.base is opt._v_flat
+            assert m.shape == p.data.shape
+
+    def test_out_of_order_views_take_the_per_parameter_path(self):
+        params = _params()
+        opt = Adam(params)
+        flat = _grad_vectors(1)[0]
+        _set_grads(params, flat, tiled=True)
+        params[0].grad, params[1].grad = \
+            params[0].grad.copy(), params[1].grad.copy()
+        assert opt._tiled_grad() is None
+        _set_grads(params, flat, tiled=True)
+        assert opt._tiled_grad() is flat
+
+    def test_state_dict_round_trip_keeps_fused_resume_bit_exact(self):
+        vectors = _grad_vectors(6)
+        params = _params()
+        opt = Adam(params, lr=1e-2, weight_decay=1e-3)
+        for flat in vectors[:3]:
+            _set_grads(params, flat, tiled=True)
+            opt.step()
+        saved = opt.state_dict()
+        saved_params = [p.data.copy() for p in params]
+        for flat in vectors[3:]:
+            _set_grads(params, flat, tiled=True)
+            opt.step()
+
+        resumed = [Tensor(d.copy(), requires_grad=True)
+                   for d in saved_params]
+        opt2 = Adam(resumed, lr=1e-2, weight_decay=1e-3)
+        opt2.load_state_dict(saved)
+        for m in opt2._m:
+            assert m.base is opt2._m_flat     # loaded into the buffer
+        for flat in vectors[3:]:
+            _set_grads(resumed, flat, tiled=True)
+            opt2.step()
+        assert _bytes(p.data for p in resumed) == \
+            _bytes(p.data for p in params)
+        assert _bytes(opt2.state_dict()["m"]) == \
+            _bytes(opt.state_dict()["m"])
+
+    def test_mixed_dtypes_keep_separate_moments(self):
+        params = [Tensor(np.ones(3), requires_grad=True),
+                  Tensor(np.ones(2, dtype=np.float32), requires_grad=True)]
+        opt = Adam(params)
+        assert opt._m_flat is None
+        assert opt._m[1].dtype == np.float32
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        assert np.all(params[0].data < 1.0)

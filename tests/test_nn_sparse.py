@@ -9,7 +9,7 @@ import pytest
 
 from repro.nn.layers import Embedding
 from repro.nn.optim import SGD, Adam
-from repro.nn.sparse import SparseRowGrad, average_sparse_grads, grad_values
+from repro.nn.sparse import SparseRowGrad, grad_values
 from repro.nn.tensor import Tensor
 
 
@@ -102,27 +102,6 @@ class TestSparseRowGrad:
         assert grad_values(g) is g.rows
         arr = np.ones((5, 2))
         assert grad_values(arr) is arr
-
-
-class TestAverageSparseGrads:
-    def test_bit_identical_to_dense_stack_mean(self):
-        rng = np.random.default_rng(3)
-        grads = []
-        for k in range(3):
-            ids = rng.integers(0, 20, size=30)
-            grads.append(SparseRowGrad((20, 4), ids,
-                                       rng.standard_normal((30, 4))))
-        avg = average_sparse_grads(grads)
-        reference = np.stack([g.to_dense() for g in grads]).mean(axis=0)
-        np.testing.assert_array_equal(avg.to_dense(), reference)
-
-    def test_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            average_sparse_grads([])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            average_sparse_grads([_grad((5, 2), [1]), _grad((6, 2), [1])])
 
 
 def _twin_tables(num=40, dim=6, seed=0):
