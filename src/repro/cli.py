@@ -633,6 +633,7 @@ def cmd_stream_smoke(args) -> int:
     from repro.data.dataset import CheckinDataset
     from repro.fleet import ShardRouter
     from repro.fleet.loadgen import run_open_loop
+    from repro.obs.metrics import MetricsRegistry
     from repro.parallel import SupervisionConfig
     from repro.serving.engine import InferenceEngine
     from repro.streaming import (
@@ -717,10 +718,13 @@ def cmd_stream_smoke(args) -> int:
         publisher = ModelPublisher(pub_dir)
         publisher.publish(model, index)       # generation 0: the baseline
         pool = [p.poi_id for p in dataset.pois_in_city(target)]
+        registry = MetricsRegistry()
         updater = IncrementalUpdater(
             model, index, split.train, pool,
             learning_rate=0.3, fold_in_steps=20, retrain_lr=0.1,
-            retrain_steps=150, num_negatives=8, rng=args.seed)
+            retrain_steps=150, num_negatives=8, rng=args.seed,
+            registry=registry)
+        replayed_pairs = []
 
         # Base fleet serves generation 0 (parameters were frozen into
         # the shared block at construction; later in-place updates to
@@ -742,6 +746,8 @@ def cmd_stream_smoke(args) -> int:
             for burst in ingest_bursts:
                 updater.ingest(burst)
                 updater.retrain()
+                replayed_pairs.append(int(
+                    registry.gauge("streaming.retrain_rows").value))
                 generation = publisher.publish(model, index)
                 loaded_model, _idx, loaded_gen = load_latest(pub_dir)
                 if loaded_gen != generation:
@@ -823,6 +829,9 @@ def cmd_stream_smoke(args) -> int:
             f"swaps={stats['swaps']} "
             f"events={updater.stats.events_ingested} "
             f"retrains={updater.stats.retrain_rounds}")
+    _report(f"retrain: pairs replayed per step, by round: "
+            f"{replayed_pairs} (new rows plus an equal-size sample of "
+            f"older ones, x num_negatives)")
 
     failed = False
     if steady.served != steady.offered or \

@@ -9,8 +9,10 @@ in two tiers:
    batch of stream events; :meth:`fold_in_user` on one user's
    check-ins, as a batch of one — the serving path behind
    :meth:`repro.serving.RecommendationService.fold_in`.
-2. **Periodic sparse retrain** — :meth:`retrain` replays the retained
-   per-user history through :class:`repro.nn.optim.Adam` in
+2. **Periodic sparse retrain** — :meth:`retrain` replays the rows
+   ingested since the last round plus an equal-size uniform sample of
+   the older retained history, so a round costs O(burst), not
+   O(history).  It runs :class:`repro.nn.optim.Adam` in
    ``sparse_mode="exact"``: the embedding table emits a
    ``SparseRowGrad`` restricted to the touched rows, so the optimizer
    carries real Adam moments for exactly those rows and never writes
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,8 +108,9 @@ class IncrementalUpdater:
     num_negatives:
         Negatives sampled per positive.
     max_history_per_user:
-        Retained positives per user replayed by :meth:`retrain`; the
-        oldest are dropped beyond this (recency is the point).
+        Retained positives per user that :meth:`retrain` replays from or
+        samples; the oldest are dropped beyond this (recency is the
+        point).
     registry:
         Optional :class:`MetricsRegistry` for ``streaming.*`` metrics.
     """
@@ -160,6 +163,9 @@ class IncrementalUpdater:
 
         # Per-user-row retained stream positives (rows), newest last.
         self._history: Dict[int, List[int]] = {}
+        # Per-user-row count of history rows ingested since the last
+        # retrain round: the newest entries of that user's history.
+        self._fresh: Dict[int, int] = {}
         # Touched since last drain (dataset user ids) — cache
         # invalidation consumes this via drain_touched().
         self._touched_ids: set = set()
@@ -222,6 +228,7 @@ class IncrementalUpdater:
             history = self._history.setdefault(u, [])
             history.append(p)
             del history[:-self.max_history_per_user]
+            self._fresh[u] = self._fresh.get(u, 0) + 1
             self._touched_ids.add(event.user_id)
             self.stats.events_ingested += 1
             self.stats.last_seq = max(self.stats.last_seq, event.seq)
@@ -231,11 +238,10 @@ class IncrementalUpdater:
 
         users = np.array(user_rows, dtype=np.int64)
         pois = np.array(poi_rows, dtype=np.int64)
-        self._fold_in(users, pois)
-        # Mark visited only *after* fold-in so the just-ingested POIs
-        # stay eligible as fold-in positives but never as negatives for
-        # any later batch.
+        # Mark visited *before* fold-in, as fold_in_user does, so a
+        # just-ingested POI is never drawn as a negative against itself.
         self._mark_visited(users, pois)
+        self._fold_in(users, pois)
         self.stats.users_touched = len(self._history)
         self._publish_metrics()
         return self.stats
@@ -303,34 +309,58 @@ class IncrementalUpdater:
         loss.backward()
 
     # ------------------------------------------------------------------
-    # Periodic retrain: Adam sparse_mode over touched rows
+    # Periodic retrain: Adam sparse_mode over a bounded replay set
     # ------------------------------------------------------------------
-    def retrain(self, steps: Optional[int] = None) -> UpdateStats:
-        """Replay retained history through sparse Adam.
+    def _replay_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(user rows, POI rows) one retrain round replays.
 
-        Only the user-embedding parameter is given to the optimizer and
-        ``sparse_grad`` is enabled for the duration, so each backward
-        produces a :class:`SparseRowGrad` over exactly the touched rows
-        and ``sparse_mode="exact"`` updates nothing else — bit-identical
-        to a dense pass restricted to those rows, at touched-set cost.
-        Every other parameter is frozen for the round (see the module
-        docstring).  The ``streaming.retrain_rows`` gauge records the
-        pairs replayed per step: retained positives × ``num_negatives``.
+        The rows ingested since the last round that are still retained,
+        plus a uniform sample without replacement of the older retained
+        rows, as many as the new ones (all of them when there are
+        fewer).  Rows keep their history order.  Consumes the new set.
         """
-        if not self._history:
+        users: List[int] = []
+        pois: List[int] = []
+        fresh: List[bool] = []
+        for u, history in self._history.items():
+            new = min(self._fresh.get(u, 0), len(history))
+            users.extend([u] * len(history))
+            pois.extend(history)
+            fresh.extend([False] * (len(history) - new) + [True] * new)
+        self._fresh.clear()
+        keep = np.array(fresh, dtype=bool)
+        older = np.flatnonzero(~keep)
+        num_new = len(fresh) - older.size
+        if older.size > num_new:
+            older = self._rng.choice(older, size=num_new, replace=False)
+        keep[older] = True
+        return (np.array(users, dtype=np.int64)[keep],
+                np.array(pois, dtype=np.int64)[keep])
+
+    def retrain(self, steps: Optional[int] = None) -> UpdateStats:
+        """Replay the new rows and a sample of older ones through sparse Adam.
+
+        The replay set is :meth:`_replay_rows`: at most twice the rows
+        ingested since the last round, whatever the retained history
+        holds.  A call with nothing new does nothing and counts no
+        round.  Only the user-embedding parameter is given to the
+        optimizer and ``sparse_grad`` is enabled for the duration, so
+        each backward produces a :class:`SparseRowGrad` over exactly the
+        touched rows and ``sparse_mode="exact"`` updates nothing else —
+        bit-identical to a dense pass restricted to those rows, at
+        touched-set cost.  Every other parameter is frozen for the round
+        (see the module docstring).  The ``streaming.retrain_rows``
+        gauge records the pairs replayed per step: replayed rows ×
+        ``num_negatives``.
+        """
+        if not self._fresh:
             return self.stats
         steps = self.retrain_steps if steps is None else steps
         check_positive("steps", steps)
 
-        rows = []
-        positives = []
-        for u, pois in self._history.items():
-            rows.extend([u] * len(pois))
-            positives.extend(pois)
-        user_rows = np.repeat(np.array(rows, dtype=np.int64),
-                              self.num_negatives)
-        pos = np.repeat(np.array(positives, dtype=np.int64),
-                        self.num_negatives)
+        rows, positives = self._replay_rows()
+        user_rows = np.repeat(rows, self.num_negatives)
+        pos = np.repeat(positives, self.num_negatives)
 
         weight = self.model.user_embeddings.weight
         was_training = self.model.training

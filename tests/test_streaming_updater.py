@@ -47,6 +47,41 @@ def stream_events(dataset, index, num_users=3, per_user=2):
     return events
 
 
+def equal_bursts(dataset, index, num_bursts, num_users=2, per_burst=2):
+    """``num_bursts`` bursts of ``per_burst`` events for each of the
+    first users; no (user, POI) pair repeats across the bursts."""
+    per_user = num_bursts * per_burst
+    events = stream_events(dataset, index, num_users, per_user)
+    return [[events[i * per_user + j] for i in range(num_users)
+             for j in range(b * per_burst, (b + 1) * per_burst)]
+            for b in range(num_bursts)]
+
+
+def pairs_of(index, events):
+    return [(index.users.index_of(e.user_id), index.pois.index_of(e.poi_id))
+            for e in events]
+
+
+def replayed(updater):
+    """Run one retrain round; return the (user, POI) rows it replayed,
+    or ``None`` when it ran no step."""
+    seen = []
+    real = updater._bpr_backward
+    k = updater.num_negatives
+
+    def spy(weight, users, pos, neg):
+        seen.append(list(zip(users[::k].tolist(), pos[::k].tolist())))
+        real(weight, users, pos, neg)
+
+    updater._bpr_backward = spy
+    try:
+        updater.retrain()
+    finally:
+        del updater._bpr_backward
+    assert all(rows == seen[0] for rows in seen)
+    return seen[0] if seen else None
+
+
 def embedding_snapshot(model):
     return model.user_embeddings.weight.data.copy()
 
@@ -137,6 +172,24 @@ class TestNegativeSampling:
         updater.ingest([event])
         assert updater._is_visited(key)[0]
 
+    def test_ingest_never_draws_its_own_positives(self, world):
+        dataset, index = world
+        model, updater = make_updater(dataset, index, fold_in_steps=5)
+        events = stream_events(dataset, index, num_users=3, per_user=4)
+        batch = set(pairs_of(index, events))
+        drawn = []
+        real = updater._sample_negatives
+
+        def spy(user_rows):
+            negatives = real(user_rows)
+            drawn.extend(zip(user_rows.tolist(), negatives.tolist()))
+            return negatives
+
+        updater._sample_negatives = spy
+        updater.ingest(events)
+        assert len(drawn) == len(events) * updater.num_negatives * 5
+        assert not batch & set(drawn)
+
     def test_empty_pool_raises(self, world):
         dataset, index = world
         model = STTransRec(index.num_users, index.num_pois,
@@ -191,6 +244,68 @@ class TestRetrain:
         updater.retrain()
         assert model.user_embeddings.sparse_grad
 
+    def test_replay_is_new_rows_plus_equal_older_sample(self, world):
+        dataset, index = world
+        model, updater = make_updater(dataset, index, retrain_steps=1)
+        first, second, third = equal_bursts(dataset, index, 3)
+        history = []
+        for burst, older_sampled in ((first, 0), (second, 4),
+                                     (third[:3], 3)):
+            updater.ingest(burst)
+            new = pairs_of(index, burst)
+            rows = replayed(updater)
+            assert len(rows) == len(set(rows))
+            assert set(new) <= set(rows)
+            assert set(rows) - set(new) <= set(history)
+            assert len(rows) == len(new) + older_sampled
+            history.extend(new)
+
+    def test_retrain_rows_bounded_over_equal_bursts(self, world):
+        dataset, index = world
+        registry = MetricsRegistry()
+        model, updater = make_updater(dataset, index, retrain_steps=1,
+                                      registry=registry)
+        gauge = registry.gauge("streaming.retrain_rows")
+        bursts = equal_bursts(dataset, index, 6)
+        burst_pairs = len(bursts[0]) * updater.num_negatives
+        seen = []
+        for burst in bursts:
+            updater.ingest(burst)
+            updater.retrain()
+            seen.append(gauge.value)
+        assert seen == [burst_pairs] + [2 * burst_pairs] * 5
+        assert sum(len(h) for h in updater._history.values()) == \
+            len(bursts) * len(bursts[0])
+
+    def test_retrain_with_nothing_new_is_noop(self, world):
+        dataset, index = world
+        model, updater = make_updater(dataset, index)
+        updater.ingest(stream_events(dataset, index))
+        assert updater.retrain().retrain_rounds == 1
+        before = embedding_snapshot(model)
+        state = updater._rng.bit_generator.state
+        assert replayed(updater) is None
+        assert updater.stats.retrain_rounds == 1
+        np.testing.assert_array_equal(embedding_snapshot(model), before)
+        assert updater._rng.bit_generator.state == state
+
+    def test_evicted_rows_never_replayed(self, world):
+        dataset, index = world
+        model, updater = make_updater(dataset, index,
+                                      max_history_per_user=3)
+        events = stream_events(dataset, index, num_users=1, per_user=8)
+        pairs = pairs_of(index, events)
+        updater.ingest(events[:5])
+        assert replayed(updater) == pairs[2:5]
+        updater.ingest(events[5:7])
+        # One older row is retained, fewer than the two new ones: all
+        # of it is replayed, and nothing evicted is.
+        assert replayed(updater) == pairs[4:7]
+        updater.ingest(events[7:])
+        rows = replayed(updater)
+        assert rows[-1] == pairs[7] and len(rows) == 2
+        assert set(rows[:1]) <= set(pairs[5:7])
+
     def test_history_is_bounded(self, world):
         dataset, index = world
         model, updater = make_updater(dataset, index,
@@ -243,16 +358,12 @@ def full_graph_fold_in(updater, user_rows, poi_rows):
 
 
 def full_graph_retrain(updater):
-    """The retrain round with every parameter trainable (no freeze)."""
+    """The retrain round with every parameter trainable (no freeze),
+    over the same replay rows."""
     model = updater.model
-    rows, positives = [], []
-    for u, pois in updater._history.items():
-        rows.extend([u] * len(pois))
-        positives.extend(pois)
-    users = np.repeat(np.array(rows, dtype=np.int64),
-                      updater.num_negatives)
-    pos = np.repeat(np.array(positives, dtype=np.int64),
-                    updater.num_negatives)
+    rows, positives = updater._replay_rows()
+    users = np.repeat(rows, updater.num_negatives)
+    pos = np.repeat(positives, updater.num_negatives)
     weight = model.user_embeddings.weight
     model.user_embeddings.sparse_grad = True
     optimizer = Adam([weight], lr=updater.retrain_lr, sparse_mode="exact")
@@ -265,7 +376,11 @@ def full_graph_retrain(updater):
 
 
 def run_updates(dataset, index, updater, retrain):
-    """ingest → fold_in_user → retrain → ingest → retrain."""
+    """ingest → fold_in_user → retrain, then ingest → retrain twice.
+
+    The second and third rounds have fewer new rows (4, then 2) than
+    older ones (6, then 10), so they replay a sample of the history.
+    """
     events = stream_events(dataset, index, num_users=4, per_user=3)
     updater.ingest(events[:6])
     user_row = index.users.index_of(events[0].user_id)
@@ -274,7 +389,9 @@ def run_updates(dataset, index, updater, retrain):
         [index.pois.index_of(pois[-1].poi_id),
          index.pois.index_of(pois[-2].poi_id)], dtype=np.int64))
     retrain(updater)
-    updater.ingest(events[6:])
+    updater.ingest(events[6:10])
+    retrain(updater)
+    updater.ingest(events[10:])
     retrain(updater)
     return embedding_snapshot(updater.model)
 
@@ -283,8 +400,10 @@ class TestFrozenBackward:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_user_rows_bit_identical_to_full_graph(self, world, precision):
         dataset, index = world
+        registry = MetricsRegistry()
         with using_dtype(precision):
-            model, updater = make_updater(dataset, index)
+            model, updater = make_updater(dataset, index,
+                                          registry=registry)
             ref_model, reference = make_updater(dataset, index)
         assert model.user_embeddings.weight.data.dtype == \
             np.dtype(np.float64 if precision == "f64" else np.float32)
@@ -297,6 +416,9 @@ class TestFrozenBackward:
         expected = run_updates(dataset, index, reference,
                                full_graph_retrain)
         assert not np.array_equal(got, before)
+        # The last round replayed its 2 new rows and 2 of the 10 older.
+        assert registry.gauge("streaming.retrain_rows").value == \
+            4 * updater.num_negatives
         assert got.tobytes() == expected.tobytes()
         for (name, p), (_, q) in zip(model.named_parameters(),
                                      ref_model.named_parameters()):
