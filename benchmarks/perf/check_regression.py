@@ -30,7 +30,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.fleet.chaos import check_chaos_against_baseline  # noqa: E402
 from repro.perf.bench import (  # noqa: E402
     check_against_baseline,
-    check_backend_against_baseline,
     check_fleet_against_baseline,
 )
 
@@ -65,21 +64,17 @@ def main(argv=None) -> int:
                         for msg in check_against_baseline(payload, spec)]
         gated += len(spec.get("metrics", {}))
 
-    # Backend, fleet scaling, and chaos resilience metrics gate
-    # separately: each can be skipped (not failed) — their bars need
-    # enough CPUs to be physically measurable, and chaos rows only
-    # exist after `repro chaos-bench` has run.  The backend section
-    # reads the train payload; fleet/chaos read the serving payload.
-    train_payload = json.loads(Path(args.train).read_text())
+    # Fleet scaling and chaos resilience metrics gate separately: each
+    # can be skipped (not failed) — their bars need enough CPUs to be
+    # physically measurable, and chaos rows only exist after
+    # `repro chaos-bench` has run.  Both read the serving payload.
     serving_payload = json.loads(Path(args.serving).read_text())
-    for name, payload, checker in (
-            ("backend", train_payload, check_backend_against_baseline),
-            ("fleet", serving_payload, check_fleet_against_baseline),
-            ("chaos", serving_payload, check_chaos_against_baseline)):
+    for name, checker in (("fleet", check_fleet_against_baseline),
+                          ("chaos", check_chaos_against_baseline)):
         spec = profile.get(name)
         if spec is None:
             continue
-        section_regressions, skip_reason = checker(payload, spec)
+        section_regressions, skip_reason = checker(serving_payload, spec)
         if skip_reason:
             skipped.append(skip_reason)
         else:

@@ -114,8 +114,7 @@ def _train_resumable(args, split, config, telemetry=None) -> int:
                                     args.resume_from):
         checkpoint_path = (str(args.model_out) + ".ckpt"
                            if args.model_out else "checkpoint.npz")
-    perf = PerfConfig(precision=getattr(args, "precision", "f64"),
-                      backend=getattr(args, "backend", None))
+    perf = PerfConfig(precision=getattr(args, "precision", "f64"))
     with DataParallelTrainer(split, config, num_workers=args.workers,
                              telemetry=telemetry, perf=perf) as trainer:
         history = trainer.train(
@@ -156,8 +155,7 @@ def cmd_train(args) -> int:
     )
     telemetry = _make_telemetry(args, "train")
     if args.workers > 1 or args.checkpoint_every or args.resume_from \
-            or getattr(args, "precision", "f64") != "f64" \
-            or getattr(args, "backend", None) is not None:
+            or getattr(args, "precision", "f64") != "f64":
         if args.profile_ops:
             _progress("--profile-ops instruments in-process tensor ops "
                       "only; worker replicas run unprofiled")
@@ -316,7 +314,6 @@ def cmd_perf_bench(args) -> int:
     import json
 
     from repro.perf.bench import (check_against_baseline,
-                                  check_backend_against_baseline,
                                   check_fleet_against_baseline,
                                   run_serving_bench, run_train_bench)
 
@@ -339,9 +336,6 @@ def cmd_perf_bench(args) -> int:
     _report(f"transport hop  : {train['transport']['speedup']:.2f}x")
     _report(f"neg sampling   : "
             f"{train['negative_sampling']['speedup']:.2f}x vs python loop")
-    _report(f"array backend  : "
-            f"{train['backend_train_step']['speedup']:.2f}x optimized vs "
-            f"reference (1 worker, f64)")
     _report(f"serving batch  : "
             f"{serving['serving_batch']['speedup']:.2f}x vs naive")
     fleet = serving.get("fleet")
@@ -361,14 +355,6 @@ def cmd_perf_bench(args) -> int:
             if spec:
                 regressions += [f"[{name}] {msg}" for msg in
                                 check_against_baseline(payload, spec)]
-        backend_spec = baseline.get("backend")
-        if backend_spec:
-            backend_regressions, skip = check_backend_against_baseline(
-                train, backend_spec)
-            if skip:
-                _report(f"SKIPPED {skip}")
-            regressions += [f"[backend] {msg}"
-                            for msg in backend_regressions]
         fleet_spec = baseline.get("fleet")
         if fleet_spec:
             fleet_regressions, skip = check_fleet_against_baseline(
@@ -1160,12 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="floating-point policy: f64 reference "
                                 "or the f32 fast path (routes through "
                                 "the fault-tolerant trainer)")
-            p.add_argument("--backend", default=None,
-                           metavar="NAME",
-                           help="array backend for master and workers "
-                                "(reference, optimized, or a registered "
-                                "accelerator; default: the REPRO_BACKEND "
-                                "environment variable, else reference)")
         _add_common(p)
         p.set_defaults(func=func)
 

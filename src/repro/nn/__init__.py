@@ -5,17 +5,7 @@ implementation with a numpy-only reverse-mode autodiff engine and the
 layer/optimizer/loss set the paper's architecture requires.
 """
 
-from repro.nn.backend import (
-    ArrayBackend,
-    OptimizedBackend,
-    active_backend,
-    available_backends,
-    backend_name,
-    get_backend,
-    register_backend,
-    set_default_backend,
-    using_backend,
-)
+from repro.nn.backend import ArrayBackend, active_backend
 from repro.nn.layers import (
     MLP,
     Dropout,
@@ -40,14 +30,7 @@ from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 
 __all__ = [
     "ArrayBackend",
-    "OptimizedBackend",
     "active_backend",
-    "available_backends",
-    "backend_name",
-    "get_backend",
-    "register_backend",
-    "set_default_backend",
-    "using_backend",
     "Tensor",
     "SparseRowGrad",
     "grad_values",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import active_backend as _xp
 from repro.nn.dtypes import coerce
 from repro.nn.tensor import Tensor
 
@@ -34,14 +33,6 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray,
     y = coerce(labels, dtype=logits.data.dtype)
     if y.shape != logits.shape:
         raise ValueError(f"labels shape {y.shape} != logits shape {logits.shape}")
-    xp = _xp()
-    if xp.fused_losses:
-        # Single fused node: values max(z,0) - z*y + log1p(exp(-|z|)),
-        # gradient sigmoid(z) - y — the same math as the graph below
-        # with the temporaries and four backward closures collapsed.
-        vals, dz = xp.bce_terms(logits.data, y)
-        losses = Tensor._child(vals, (logits,), lambda grad: (grad * dz,))
-        return _reduce(losses, reduction)
     pos = logits.log_sigmoid() * Tensor(y)
     neg = (-logits).log_sigmoid() * Tensor(1.0 - y)
     losses = -(pos + neg)
@@ -57,19 +48,8 @@ def negative_sampling_loss(pos_scores: Tensor, neg_scores: Tensor,
     ``neg_scores`` may be shape ``(batch, k)`` for k negatives per
     positive, or flat ``(batch*k,)``.
     """
-    xp = _xp()
-    if xp.fused_losses:
-        # -log sigma(s+) == softplus(-s+), gradient sigmoid(s+) - 1;
-        # -log sigma(-s-) == softplus(s-), gradient sigmoid(s-).
-        pos_vals, pos_d = xp.softplus_terms(pos_scores.data, negate=True)
-        neg_vals, neg_d = xp.softplus_terms(neg_scores.data, negate=False)
-        pos_term = Tensor._child(pos_vals, (pos_scores,),
-                                 lambda grad: (grad * pos_d,))
-        neg_term = Tensor._child(neg_vals, (neg_scores,),
-                                 lambda grad: (grad * neg_d,))
-    else:
-        pos_term = -pos_scores.log_sigmoid()
-        neg_term = -(-neg_scores).log_sigmoid()
+    pos_term = -pos_scores.log_sigmoid()
+    neg_term = -(-neg_scores).log_sigmoid()
     if neg_term.ndim == 2:
         neg_term = neg_term.sum(axis=1)
         loss = pos_term + neg_term

@@ -13,10 +13,7 @@ double counting.  Backward time is captured by wrapping each produced
 node's ``_backward`` closure; allocations count the true bytes of
 every forward output array *and* every gradient array the backward
 closures produce — an f32 run therefore reports half the footprint of
-the f64 reference, not a dtype-blind element count.  Byte counts are
-read through :meth:`repro.nn.backend.ArrayBackend.array_bytes`, so a
-buffer-reusing backend reports a reused scratch buffer as 0 new bytes
-(its creation is counted exactly once).
+the f64 reference, not a dtype-blind element count.
 
 The profiler is designed for the single-threaded training hot path; do
 not arm it while another thread is running tensor ops.
@@ -35,7 +32,6 @@ import functools
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.nn.backend import active_backend as _xp
 from repro.nn.tensor import Tensor
 
 __all__ = ["OpStat", "OpProfile", "profile_ops", "PROFILED_OPS"]
@@ -159,7 +155,7 @@ def _wrap_forward(orig: Callable, op: str, profile: OpProfile) -> Callable:
         stat.calls += 1
         stat.forward_seconds += elapsed - child_time
         if isinstance(out, Tensor):
-            stat.bytes_allocated += _xp().array_bytes(out.data)
+            stat.bytes_allocated += out.data.nbytes
             if out._backward is not None:
                 out._backward = _wrap_backward(out._backward, op, profile)
         return out
@@ -175,12 +171,10 @@ def _wrap_backward(orig: Callable, op: str, profile: OpProfile) -> Callable:
         stat = profile._stat(op)
         stat.backward_calls += 1
         stat.backward_seconds += elapsed
-        xp = _xp()
         for g in result:
             if g is not None:
-                # ndarray and SparseRowGrad both expose true byte size;
-                # the backend reports pooled scratch reuse as 0 bytes.
-                stat.bytes_allocated += xp.array_bytes(g)
+                # ndarray and SparseRowGrad both expose true byte size.
+                stat.bytes_allocated += g.nbytes
         return result
 
     return timed_backward

@@ -105,10 +105,8 @@ class SparseRowGrad:
 
         Per output row the contributions are added in first-occurrence
         order — the accumulation order of ``np.add.at`` — through the
-        active backend's ``coalesce_rows`` kernel.  Its dense image is
-        bit-identical to a direct dense scatter, except in the optimized
-        backend outside f64, whose ``reduceat`` ``add_at`` re-associates
-        the per-group sums (same order).
+        backend's ``coalesce_rows`` kernel.  Its dense image is
+        bit-identical to a direct dense scatter.
         """
         if self.ids.size == 0:
             return self

@@ -532,8 +532,8 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function computed without overflow for large ``|x|``.
 
-    Delegates to the active backend's kernel; the reference backend is
-    the seed's masked two-branch computation, bit for bit.
+    Delegates to the backend's kernel, the seed's masked two-branch
+    computation, bit for bit.
     """
     return _xp().stable_sigmoid(x)
 
@@ -541,6 +541,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def softplus(x: np.ndarray) -> np.ndarray:
     """``log(1 + exp(x))`` computed without overflow.
 
-    Delegates to the active backend's kernel.
+    Delegates to the backend's kernel.
     """
     return _xp().softplus(x)

@@ -67,7 +67,6 @@ from repro.core.checkpoint import (
 from repro.core.config import STTransRecConfig
 from repro.core.trainer import _EPOCH_SECONDS_BUCKETS, STTransRecTrainer
 from repro.data.split import CrossingCitySplit
-from repro.nn.backend import set_default_backend, using_backend
 from repro.nn.dtypes import set_default_dtype, using_dtype
 from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam
@@ -157,7 +156,6 @@ def _worker_loop(pipe, split, config, worker_seed: int,
                  sparse_grads: bool = False,
                  transport_layout=None,
                  precision: str = "f64",
-                 backend: Optional[str] = None,
                  wake: Optional[StepWake] = None) -> None:
     """Worker process: recompute gradients for each parameter broadcast.
 
@@ -187,11 +185,8 @@ def _worker_loop(pipe, split, config, worker_seed: int,
     limit_blas_threads()
     # The worker owns its process, so setting the process-global policy
     # (rather than a scoped override) keeps every array the replica ever
-    # creates — batches, masks, intermediates — in the run's dtype and
-    # array backend.
+    # creates — batches, masks, intermediates — in the run's dtype.
     set_default_dtype(precision)
-    if backend is not None:
-        set_default_backend(backend)
     worker_config = STTransRecConfig(**{
         **config.__dict__, "seed": worker_seed,
     })
@@ -318,8 +313,7 @@ class DataParallelTrainer:
         # each incarnation's newest snapshot keeps a removed replica's
         # final metrics in the aggregate.
         self._worker_snapshots: dict = {}
-        with using_dtype(self.perf.precision), \
-                using_backend(self.perf.backend_name):
+        with using_dtype(self.perf.precision):
             self._master = STTransRecTrainer(split, config)
             self.model = self._master.model
             if self.perf.sparse_grads:
@@ -395,7 +389,7 @@ class DataParallelTrainer:
             args=(child, self.split, self.config,
                   _WORKER_SEED_BASE + worker_id, worker_id, plan,
                   incarnation, self.perf.sparse_grads, layout,
-                  self.perf.precision, self.perf.backend_name, wake),
+                  self.perf.precision, wake),
             daemon=True,
         )
         process.start()
@@ -515,15 +509,14 @@ class DataParallelTrainer:
         if self._supervisor is not None:
             self._supervisor.stats = faults
         losses: List[float] = []
-        with using_backend(self.perf.backend_name):
-            for _ in range(num_steps):
-                if self._supervisor is None:
-                    loss = self._single_step(faults)
-                else:
-                    loss = self._parallel_step(faults)
-                self._global_step += 1
-                if loss is not None:
-                    losses.append(loss)
+        for _ in range(num_steps):
+            if self._supervisor is None:
+                loss = self._single_step(faults)
+            else:
+                loss = self._parallel_step(faults)
+            self._global_step += 1
+            if loss is not None:
+                losses.append(loss)
         return losses
 
     def train_epoch(self) -> ParallelEpochStats:
@@ -548,8 +541,7 @@ class DataParallelTrainer:
         tel = self.telemetry
         started = time.perf_counter()
         try:
-            with _span(tel, "epoch"), \
-                    using_backend(self.perf.backend_name):
+            with _span(tel, "epoch"):
                 for _ in range(steps):
                     with _span(tel, "step"):
                         if self._supervisor is None:

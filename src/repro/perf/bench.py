@@ -1,6 +1,6 @@
 """Microbenchmarks for the hot path, emitting machine-readable JSON.
 
-Six benchmarks, one per layer of the optimization stack:
+Five benchmarks, one per layer of the optimization stack:
 
 * **train_step** — end-to-end data-parallel step time, three legs:
   reference path (dense f64 gradients over pickled pipes), optimized
@@ -8,11 +8,6 @@ Six benchmarks, one per layer of the optimization stack:
   (the precision policy of :mod:`repro.nn.dtypes` on top).  Same data,
   same seeds.  Headline bars: optimized-f64 ≥ 1.5× the reference and
   f32 ≥ 1.25× the optimized-f64 leg, both with 2 workers.
-* **backend_train_step** — the same train step with everything held
-  fixed except the array backend (:mod:`repro.nn.backend`):
-  ``"reference"`` (plain numpy) vs ``"optimized"`` (fused Adam chain,
-  reduceat scatter, fused losses over scratch buffers).  Single
-  worker, f64, so the ratio isolates the backend kernels.
 * **embedding_backward** — ``gather_rows`` backward, dense scatter-add
   vs :class:`~repro.nn.sparse.SparseRowGrad` construction.
 * **transport** — one gradient dict round-trip: ``pickle`` bytes (the
@@ -42,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.backend import backend_name
 from repro.nn.layers import Embedding
 from repro.nn.profile import profile_ops
 from repro.nn.sparse import SparseRowGrad
@@ -52,7 +46,7 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("perf.bench")
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _best_seconds(fn, repeats: int, warmup: int = 1) -> float:
@@ -90,7 +84,6 @@ def bench_embedding_backward(num_embeddings: int = 20000, dim: int = 64,
     dense_s = run(False)
     sparse_s = run(True)
     return {
-        "backend": backend_name(),
         "num_embeddings": num_embeddings,
         "embedding_dim": dim,
         "batch": batch,
@@ -151,7 +144,6 @@ def bench_transport(num_embeddings: int = 20000, dim: int = 64,
         g.nbytes if isinstance(g, SparseRowGrad) else np.asarray(g).nbytes
         for g in sparse_grads.values())
     return {
-        "backend": backend_name(),
         "num_embeddings": num_embeddings,
         "embedding_dim": dim,
         "touched_rows": int(ids.size),
@@ -212,12 +204,9 @@ def bench_train_step(workers: int = 2, steps: int = 15, scale: float = 4.0,
         finally:
             trainer.close()
 
-    ref_perf = PerfConfig.reference()
-    opt_perf = PerfConfig()
-    f32_perf = PerfConfig(precision="f32")
-    baseline = run(ref_perf)
-    optimized = run(opt_perf)
-    fast32 = run(f32_perf)
+    baseline = run(PerfConfig.reference())
+    optimized = run(PerfConfig())
+    fast32 = run(PerfConfig(precision="f32"))
     return {
         "workers": workers,
         "steps": steps,
@@ -228,79 +217,16 @@ def bench_train_step(workers: int = 2, steps: int = 15, scale: float = 4.0,
         "batch_size": batch_size,
         "baseline": {"transport": "pipe", "sparse_grads": False,
                      "dtype": "float64",
-                     "backend": ref_perf.backend_name,
                      "seconds_per_step": baseline},
         "optimized": {"transport": "shm", "sparse_grads": True,
                       "dtype": "float64",
-                      "backend": opt_perf.backend_name,
                       "seconds_per_step": optimized},
         "optimized_f32": {"transport": "shm", "sparse_grads": True,
                           "dtype": "float32",
-                          "backend": f32_perf.backend_name,
                           "seconds_per_step": fast32},
         "speedup": baseline / optimized,
         "f32": {"speedup": baseline / fast32},
         "f32_vs_f64": {"speedup": optimized / fast32},
-    }
-
-
-def bench_backend_train_step(steps: int = 15, scale: float = 2.0,
-                             embedding_dim: int = 64,
-                             batch_size: int = 256,
-                             warmup_steps: int = 3, rounds: int = 3,
-                             seed: int = 7) -> Dict:
-    """Steady-state seconds/step, reference vs optimized array backend.
-
-    Both legs run the *same* PerfConfig (sparse f64 grads, one worker)
-    and differ only in ``backend=``, so the ratio isolates what the
-    optimized backend buys: the fused ``out=`` Adam chain, the
-    stable-sort + ``reduceat`` scatter kernels, and the fused logistic
-    losses over reusable scratch.  The two legs agree within the
-    documented tolerances (gated in ``tests/test_nn_backend.py``), so
-    this is a pure speed comparison of equal math.
-
-    Records ``cpu_count`` (the affinity mask) so the regression gate
-    can skip honestly on starved runners — at smoke scale the arrays
-    are too small for the fused kernels to beat their own dispatch
-    overhead, which is why only the full profile carries a bar.
-    """
-    import os
-
-    from repro.parallel.data_parallel import DataParallelTrainer
-
-    split, config = _bench_world(scale, embedding_dim, batch_size, seed)
-
-    def run(backend: str) -> float:
-        trainer = DataParallelTrainer(
-            split, config, num_workers=1,
-            perf=PerfConfig(backend=backend))
-        try:
-            trainer.run_steps(warmup_steps)
-            best = float("inf")
-            for _ in range(rounds):
-                start = time.perf_counter()
-                trainer.run_steps(steps)
-                best = min(best, (time.perf_counter() - start) / steps)
-            return best
-        finally:
-            trainer.close()
-
-    reference = run("reference")
-    optimized = run("optimized")
-    return {
-        "workers": 1,
-        "steps": steps,
-        "rounds": rounds,
-        "warmup_steps": warmup_steps,
-        "scale": scale,
-        "embedding_dim": embedding_dim,
-        "batch_size": batch_size,
-        "cpu_count": len(os.sched_getaffinity(0)),
-        "reference": {"backend": "reference", "dtype": "float64",
-                      "seconds_per_step": reference},
-        "optimized": {"backend": "optimized", "dtype": "float64",
-                      "seconds_per_step": optimized},
-        "speedup": reference / optimized,
     }
 
 
@@ -358,7 +284,6 @@ def bench_negative_sampling(scale: float = 0.5, num_negatives: int = 4,
     vector_s = _best_seconds(vector_epoch, repeats)
     probe = make_sampler()
     return {
-        "backend": backend_name(),
         "positives": len(probe),
         "num_negatives": num_negatives,
         "batch_size": batch_size,
@@ -408,8 +333,7 @@ def profile_train_attribution(scale: float = 0.5, embedding_dim: int = 64,
 # JSON emission
 # ----------------------------------------------------------------------
 def _payload_header(benchmark: str) -> Dict:
-    return {"benchmark": benchmark, "schema_version": SCHEMA_VERSION,
-            "backend": backend_name()}
+    return {"benchmark": benchmark, "schema_version": SCHEMA_VERSION}
 
 
 def run_train_bench(out_path: str = "BENCH_train.json",
@@ -425,15 +349,12 @@ def run_train_bench(out_path: str = "BENCH_train.json",
         tr_kwargs = dict(num_embeddings=2000, dim=32, touched_rows=512,
                          repeats=5)
         ns_kwargs = dict(scale=0.5, batch_size=128, repeats=2)
-        bk_kwargs = dict(scale=0.5, embedding_dim=32, batch_size=128,
-                         rounds=1, steps=8)
         steps = steps or 8
     else:
         kwargs = dict(scale=4.0, embedding_dim=128, batch_size=64)
         emb_kwargs = dict()
         tr_kwargs = dict()
         ns_kwargs = dict(scale=2.0)
-        bk_kwargs = dict()
         steps = steps or 15
     payload = _payload_header("train")
     payload["tiny"] = tiny
@@ -447,8 +368,6 @@ def run_train_bench(out_path: str = "BENCH_train.json",
                     workers, steps)
     payload["train_step"] = bench_train_step(workers=workers, steps=steps,
                                              **kwargs)
-    logger.info("benchmarking array backends (reference vs optimized)...")
-    payload["backend_train_step"] = bench_backend_train_step(**bk_kwargs)
     logger.info("profiling per-op attribution...")
     payload["op_profile"] = profile_train_attribution(
         scale=kwargs["scale"] if tiny else 0.5,
@@ -545,28 +464,6 @@ def check_against_baseline(current: Dict, baseline: Dict) -> List[str]:
                 f"(baseline {float(expected):.3f}, "
                 f"tolerance {tolerance:.0%})")
     return regressions
-
-
-def check_backend_against_baseline(payload: Dict, spec: Dict
-                                   ) -> Tuple[List[str], Optional[str]]:
-    """Gate the backend speedup, honestly.
-
-    The optimized backend's win is per-process compute (no parallel
-    scaling involved), but the bench still runs a master + one worker:
-    on a runner whose affinity mask has fewer than ``spec["min_cpus"]``
-    cores the two processes time-share a core and the ratio gets noisy
-    enough to flake.  Below that floor the gate *skips* (returning the
-    reason) instead of failing on scheduler jitter; everything else
-    delegates to :func:`check_against_baseline` (which ignores the
-    ``min_cpus`` key).
-    """
-    section = payload.get("backend_train_step") or {}
-    min_cpus = int(spec.get("min_cpus", 0))
-    cpus = int(section.get("cpu_count", 0))
-    if cpus < min_cpus:
-        return [], (f"backend speedup gate skipped: {cpus} CPU(s) in "
-                    f"the affinity mask, bar needs >= {min_cpus}")
-    return check_against_baseline(payload, spec), None
 
 
 def check_fleet_against_baseline(payload: Dict, spec: Dict

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 _TRANSPORTS = ("auto", "shm", "pipe")
 
@@ -36,14 +35,6 @@ class PerfConfig:
         bytes through every dense op.  f32 is *not* bit-identical to
         f64; it is guarded by the eval-metric parity harness in
         :mod:`repro.perf.parity` instead.
-    backend:
-        Array backend name for master and workers (see
-        :mod:`repro.nn.backend`): ``"reference"`` is plain numpy, bit
-        for bit the pre-backend behavior; ``"optimized"`` fuses the
-        Adam/loss/scatter hot ops over reusable scratch buffers (same
-        math within documented tolerances).  ``None`` (default) keeps
-        the process default — the ``REPRO_BACKEND`` environment
-        variable, or ``"reference"``.
 
     The structural optimizations (sparse grads, shm transport) are
     proven bit-identical to the reference path
@@ -55,7 +46,6 @@ class PerfConfig:
     transport: str = "auto"
     adam_sparse_mode: str = "exact"
     precision: str = "f64"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.transport not in _TRANSPORTS:
@@ -70,13 +60,6 @@ class PerfConfig:
             raise ValueError(
                 f"precision must be 'f64' or 'f32', "
                 f"got {self.precision!r}")
-        if self.backend is not None:
-            from repro.nn.backend import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"backend must be one of {available_backends()}, "
-                    f"got {self.backend!r}")
 
     @property
     def dtype(self):
@@ -85,21 +68,11 @@ class PerfConfig:
 
         return resolve(self.precision)
 
-    @property
-    def backend_name(self) -> str:
-        """The resolved backend name (``None`` ⇒ the process default)."""
-        if self.backend is not None:
-            return self.backend
-        from repro.nn.backend import backend_name
-
-        return backend_name()
-
     @staticmethod
     def reference() -> "PerfConfig":
         """The pre-optimization path: dense f64 grads over pickled pipes."""
         return PerfConfig(sparse_grads=False, transport="pipe",
-                          adam_sparse_mode="dense", precision="f64",
-                          backend="reference")
+                          adam_sparse_mode="dense", precision="f64")
 
 
 def enable_sparse_embedding_grads(model) -> int:

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.model import STTransRec
 from repro.data.dataset import CheckinDataset
 from repro.data.vocabulary import DatasetIndex
-from repro.nn.backend import ArrayBackend, active_backend, get_backend
+from repro.nn.backend import active_backend
 from repro.nn.dtypes import coerce
 from repro.nn.layers import Linear
 
@@ -48,15 +48,6 @@ __all__ = ["InferenceEngine"]
 # Target row count for flattened (user·POI, hidden) intermediates; keeps
 # per-chunk scratch memory around tens of megabytes at typical widths.
 _CHUNK_ROWS = 262_144
-
-
-def _resolve_backend(backend) -> ArrayBackend:
-    """Name / instance / None (⇒ the currently active backend)."""
-    if backend is None:
-        return active_backend()
-    if isinstance(backend, str):
-        return get_backend(backend)
-    return backend
 
 
 class InferenceEngine:
@@ -78,16 +69,11 @@ class InferenceEngine:
         (default) is bit-for-bit faithful to the model; ``float32``
         roughly triples throughput at ~1e-7 score error — the usual
         serving trade.
-    backend:
-        Array backend (name or :class:`~repro.nn.backend.ArrayBackend`
-        instance) used for the scoring kernels — the stable sigmoid on
-        every request rides the backend's fused implementation.  ``None``
-        captures the backend active at construction time.
     """
 
     def __init__(self, model: STTransRec, index: DatasetIndex,
                  catalogue_poi_ids: Sequence[int],
-                 dtype=np.float64, backend=None) -> None:
+                 dtype=np.float64) -> None:
         if len(catalogue_poi_ids) == 0:
             raise ValueError("catalogue must contain at least one POI")
         self.dtype = np.dtype(dtype)
@@ -95,7 +81,6 @@ class InferenceEngine:
             raise ValueError(f"dtype must be float32/float64, got {dtype}")
         self._model = model
         self.index = index
-        self._backend = _resolve_backend(backend)
         self.catalogue_poi_ids = np.asarray(list(catalogue_poi_ids),
                                             dtype=np.int64)
         self.catalogue_poi_indices = np.array(
@@ -174,8 +159,7 @@ class InferenceEngine:
 
     @classmethod
     def from_serving_state(cls, state: Dict[str, np.ndarray],
-                           dtype=np.float64,
-                           backend=None) -> "InferenceEngine":
+                           dtype=np.float64) -> "InferenceEngine":
         """Build an engine directly over externally-owned buffers.
 
         The inverse of :meth:`serving_state`: no model, no
@@ -189,7 +173,6 @@ class InferenceEngine:
         engine.dtype = np.dtype(dtype)
         engine._model = None
         engine.index = None
-        engine._backend = _resolve_backend(backend)
         engine.catalogue_poi_ids = np.asarray(state["catalogue_poi_ids"],
                                               dtype=np.int64)
         engine.catalogue_poi_indices = np.asarray(
@@ -368,7 +351,7 @@ class InferenceEngine:
             self.batches_scored += 1
             self.users_scored += batch
             self.pairs_scored += logits.size
-        return self._backend.stable_sigmoid(logits)
+        return active_backend().stable_sigmoid(logits)
 
     def score_pois_for_user(self, user_index: int,
                             poi_indices: Sequence[int]) -> np.ndarray:
@@ -390,7 +373,7 @@ class InferenceEngine:
             self.batches_scored += 1
             self.users_scored += 1
             self.pairs_scored += logits.size
-        return self._backend.stable_sigmoid(logits)
+        return active_backend().stable_sigmoid(logits)
 
     # ------------------------------------------------------------------
     # Ranking

@@ -6,9 +6,8 @@ data-parallel train-step run with its checkpoint arrays, in both
 precision policies.  ``python -m tests.golden_backend`` (run against
 the *pre-refactor* tree) froze their outputs into
 ``tests/data/backend_golden.npz``; ``tests/test_nn_backend.py`` re-runs
-the same functions under the reference backend and asserts every array
-is bit-identical to that frozen capture, then re-runs them under the
-optimized backend and asserts agreement within documented tolerances.
+the same functions and asserts every array is bit-identical to that
+frozen capture.
 
 Nothing in this module may depend on wall clock, machine, or dict
 ordering — every RNG is explicitly seeded and every batch is fixed.

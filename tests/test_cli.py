@@ -131,9 +131,7 @@ class TestCommands:
                                       "f32_vs_f64": {"speedup": 1.3}},
                        "embedding_backward": {"speedup": 5.0},
                        "transport": {"speedup": 3.0},
-                       "negative_sampling": {"speedup": 4.0},
-                       "backend_train_step": {"speedup": 1.2,
-                                              "cpu_count": 1}}
+                       "negative_sampling": {"speedup": 4.0}}
             with open(out_path, "w") as fh:
                 json.dump(payload, fh)
             return payload

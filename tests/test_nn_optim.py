@@ -200,11 +200,8 @@ def _bytes(arrays):
 class TestFusedAdam:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
-    @pytest.mark.parametrize("backend", ["reference", "optimized"])
     def test_fused_step_byte_equal_to_per_parameter(self, dtype,
-                                                    weight_decay, backend):
-        from repro.nn.backend import using_backend
-
+                                                    weight_decay):
         runs = {}
         for tiled in (True, False):
             params = _params(dtype=dtype)
@@ -212,10 +209,9 @@ class TestFusedAdam:
             fused = []
             original = opt._step_fused
             opt._step_fused = lambda *a: (fused.append(1), original(*a))
-            with using_backend(backend):
-                for flat in _grad_vectors(5, dtype):
-                    _set_grads(params, flat, tiled)
-                    opt.step()
+            for flat in _grad_vectors(5, dtype):
+                _set_grads(params, flat, tiled)
+                opt.step()
             assert len(fused) == (5 if tiled else 0)
             state = opt.state_dict()
             runs[tiled] = (_bytes(p.data for p in params),

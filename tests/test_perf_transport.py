@@ -445,10 +445,8 @@ class TestFlatExchangeMatrix:
     """Every transport × gradient encoding × precision × replica count ×
     weight decay is byte-equal to the reference path, faults included.
 
-    The reference runs on the process-default backend, like the
-    candidate: the optimized backend's f32 scatter re-associates sums,
-    so across backends only f64 is bit-exact (that is
-    :class:`TestTrainerBitIdentity`'s contract).
+    The reference path runs at the candidate's precision, so the
+    comparison is byte-exact in f32 as well as in f64.
     """
 
     @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
@@ -468,7 +466,7 @@ class TestFlatExchangeMatrix:
             _REFERENCE_RUNS[key] = _run_with_moments(
                 tiny_split,
                 dataclasses.replace(PerfConfig.reference(),
-                                    precision=precision, backend=None),
+                                    precision=precision),
                 workers, weight_decay)
         reference = _REFERENCE_RUNS[key]
         # The averaged gradient must tile Adam's flat moments: a layout
