@@ -10,13 +10,10 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli compare --preset yelp --methods ItemPop CTLM \
         ST-TransRec
     python -m repro.cli case-study --preset foursquare
-    python -m repro.cli serve-bench --tiny
-    python -m repro.cli fleet-bench --shards 1 2 4
     python -m repro.cli fleet-smoke
     python -m repro.cli train --data data.jsonl --target los_angeles \
         --workers 2 --telemetry-dir telemetry/
     python -m repro.cli metrics-report --telemetry-dir telemetry/
-    python -m repro.cli chaos-bench --tiny --telemetry-dir telemetry/
     python -m repro.cli trace-report --telemetry-dir telemetry/
 
 Every command accepts ``--scale`` and ``--seed`` so results are
@@ -281,95 +278,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
-    """Benchmark the serving subsystem (engine vs naive per-user loop)."""
-    from repro.serving.bench import format_report, run_serving_benchmark
-
-    if args.tiny:
-        # The CI smoke workload is pinned (baselines gate its numbers).
-        scale, batch_size, repeats, embedding_dim = 0.15, 64, 2, 32
-    else:
-        scale, batch_size, repeats, embedding_dim = (
-            args.scale, args.batch_size, args.repeats, args.embedding_dim)
-    telemetry = _make_telemetry(args, "serve-bench")
-    result = run_serving_benchmark(
-        scale=scale, batch_size=batch_size, k=args.k, repeats=repeats,
-        seed=args.seed, embedding_dim=embedding_dim,
-        registry=telemetry.registry if telemetry is not None else None)
-    report = format_report(result)
-    _report(report)
-    if args.out and args.out != "-":
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n", encoding="utf-8")
-        _progress(f"wrote {out}")
-    if telemetry is not None:
-        telemetry.save()
-        _progress(f"telemetry written to {telemetry.dir}")
-    return 0
-
-
-def cmd_perf_bench(args) -> int:
-    """Run the hot-path microbenchmarks and emit ``BENCH_*.json``."""
-    import json
-
-    from repro.perf.bench import (check_against_baseline,
-                                  check_fleet_against_baseline,
-                                  run_serving_bench, run_train_bench)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train = run_train_bench(out_path=str(out_dir / "BENCH_train.json"),
-                            tiny=args.tiny, workers=args.workers,
-                            steps=args.steps)
-    serving = run_serving_bench(
-        out_path=str(out_dir / "BENCH_serving.json"), tiny=args.tiny)
-    _report(f"train step     : {train['train_step']['speedup']:.2f}x "
-            f"({train['train_step']['workers']} workers, shm+sparse "
-            f"vs pipe+dense)")
-    _report(f"train step f32 : "
-            f"{train['train_step']['f32']['speedup']:.2f}x vs pipe+dense "
-            f"({train['train_step']['f32_vs_f64']['speedup']:.2f}x vs "
-            f"optimized f64)")
-    _report(f"emb backward   : "
-            f"{train['embedding_backward']['speedup']:.2f}x")
-    _report(f"transport hop  : {train['transport']['speedup']:.2f}x")
-    _report(f"neg sampling   : "
-            f"{train['negative_sampling']['speedup']:.2f}x vs python loop")
-    _report(f"serving batch  : "
-            f"{serving['serving_batch']['speedup']:.2f}x vs naive")
-    fleet = serving.get("fleet")
-    if fleet:
-        for key in sorted(fleet["shards"], key=int):
-            row = fleet["shards"][key]
-            _report(f"fleet {key} shard{'s' if key != '1' else ' '} : "
-                    f"{row['speedup_vs_single']:.2f}x vs single process "
-                    f"({row['saturation_users_per_s']:.0f} users/s)")
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        if "tiny" in baseline or "full" in baseline:
-            baseline = baseline.get("tiny" if args.tiny else "full", {})
-        regressions = []
-        for name, payload in (("train", train), ("serving", serving)):
-            spec = baseline.get(name)
-            if spec:
-                regressions += [f"[{name}] {msg}" for msg in
-                                check_against_baseline(payload, spec)]
-        fleet_spec = baseline.get("fleet")
-        if fleet_spec:
-            fleet_regressions, skip = check_fleet_against_baseline(
-                serving, fleet_spec)
-            if skip:
-                _report(f"SKIPPED {skip}")
-            regressions += [f"[fleet] {msg}" for msg in fleet_regressions]
-        if regressions:
-            for msg in regressions:
-                _report(f"REGRESSION {msg}")
-            return 1
-        _report("regression gate: all metrics within tolerance")
-    return 0
-
-
 def cmd_precision_parity(args) -> int:
     """Train f64 vs f32 on the same task; compare final eval metrics."""
     from repro.perf.parity import run_precision_parity
@@ -478,57 +386,6 @@ def cmd_trace_report(args) -> int:
     _report(format_trace_report(traces, spans + shard_spans,
                                 num_logs=num_dumps,
                                 timelines=args.timelines))
-    return 0
-
-
-def cmd_fleet_bench(args) -> int:
-    """Benchmark the sharded serving fleet against a single process."""
-    from repro.fleet.bench import format_fleet_report, run_fleet_benchmark
-
-    telemetry = _make_telemetry(args, "fleet-bench")
-    kwargs = dict(
-        k=args.k, seed=args.seed, rate=args.rate,
-        telemetry_dir=getattr(args, "telemetry_dir", None),
-        registry=telemetry.registry if telemetry is not None else None)
-    if args.shards:
-        kwargs["shard_counts"] = tuple(args.shards)
-    if args.tiny:
-        kwargs.setdefault("shard_counts", (1, 2))
-        payload = run_fleet_benchmark(
-            scale=0.1, embedding_dim=8, batch_size=32,
-            saturation_seconds=0.5, load_seconds=1.0, **kwargs)
-    else:
-        payload = run_fleet_benchmark(scale=args.scale,
-                                      dtype=args.dtype, **kwargs)
-    _report(format_fleet_report(payload))
-    if args.out and args.out != "-":
-        out = Path(args.out)
-        doc = json.loads(out.read_text()) if out.exists() else {}
-        doc["fleet"] = payload
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        _progress(f"merged fleet rows into {out}")
-    if telemetry is not None:
-        telemetry.save()
-        _progress(f"telemetry written to {telemetry.dir}")
-    if args.baseline:
-        from repro.perf.bench import check_fleet_against_baseline
-
-        baseline = json.loads(Path(args.baseline).read_text())
-        if "tiny" in baseline or "full" in baseline:
-            baseline = baseline.get("tiny" if args.tiny else "full", {})
-        spec = baseline.get("fleet")
-        if spec:
-            regressions, skip = check_fleet_against_baseline(
-                {"fleet": payload}, spec)
-            if skip:
-                _report(f"SKIPPED {skip}")
-            elif regressions:
-                for msg in regressions:
-                    _report(f"REGRESSION [fleet] {msg}")
-                return 1
-            else:
-                _report("fleet gate: all metrics within tolerance")
     return 0
 
 
@@ -865,128 +722,6 @@ def cmd_stream_smoke(args) -> int:
     return 0
 
 
-def cmd_chaos_bench(args) -> int:
-    """Chaos benchmark: serving availability under injected faults.
-
-    ``--tiny`` is the CI smoke shape: a 2-shard fleet under the
-    standard slow-shard + crash-under-load plan must keep availability
-    at >= 99% with every response truthfully quality-tagged, and leak
-    no child processes.  The full run measures 1/2/4 shards and merges
-    the rows under ``"chaos"`` in ``BENCH_serving.json``.
-    """
-    import multiprocessing as mp
-
-    from repro.fleet.chaos import (
-        check_chaos_against_baseline,
-        format_chaos_report,
-        run_chaos_benchmark,
-    )
-
-    telemetry = _make_telemetry(args, "chaos-bench")
-    kwargs = dict(
-        k=args.k, seed=args.seed, rate=args.rate,
-        deadline_ms=args.deadline_ms, tracing=args.trace,
-        all_slow=args.all_slow,
-        telemetry_dir=getattr(args, "telemetry_dir", None),
-        registry=telemetry.registry if telemetry is not None else None)
-    if args.shards:
-        kwargs["shard_counts"] = tuple(args.shards)
-    if args.tiny:
-        kwargs.setdefault("shard_counts", (2,))
-        payload = run_chaos_benchmark(
-            scale=0.1, embedding_dim=8, load_seconds=1.5, **kwargs)
-    else:
-        payload = run_chaos_benchmark(scale=args.scale, dtype=args.dtype,
-                                      load_seconds=args.load_seconds,
-                                      extended_faults=True, **kwargs)
-    _report(format_chaos_report(payload))
-    if telemetry is not None:
-        telemetry.save()
-        _progress(f"telemetry written to {telemetry.dir}")
-    failed = False
-    if args.tiny:
-        for key, row in payload["shards"].items():
-            if row["availability"] < 0.99:
-                _report(f"FAIL: {key}-shard availability "
-                        f"{row['availability']:.1%} < 99%")
-                failed = True
-            tagged = sum(row["quality_counts"].values())
-            if tagged != row["answered"]:
-                _report(f"FAIL: {key}-shard has {row['answered']} answers "
-                        f"but {tagged} quality tags")
-                failed = True
-            # Under --all-slow the breakers open on the stall before the
-            # crash step is ever reached, so breaker-triggered restarts
-            # are the evidence that the injected fault landed.
-            landed = row["faults"]["crashes"] + row["faults"]["hangs"]
-            if args.all_slow:
-                landed += row["breaker_opens"]
-            if landed < 1:
-                _report(f"FAIL: {key}-shard saw no injected fault land")
-                failed = True
-            if args.trace:
-                flight = row.get("traces")
-                if not flight or flight["kept"] < 1:
-                    _report(f"FAIL: {key}-shard flight recorder kept "
-                            f"no traces under injected faults")
-                    failed = True
-                else:
-                    interesting = sum(
-                        count for reason, count
-                        in flight["kept_by_reason"].items()
-                        if reason != "slow")
-                    non_full = row["answered"] - \
-                        row["quality_counts"].get("full", 0)
-                    if (non_full > 0 or row["shed"] > 0) and \
-                            interesting < 1:
-                        _report(f"FAIL: {key}-shard answered "
-                                f"{non_full} below full quality but "
-                                f"kept no degraded/shed trace")
-                        failed = True
-                slo_row = row.get("slo")
-                if not slo_row or len(slo_row["objectives"]) < 3:
-                    _report(f"FAIL: {key}-shard missing SLO summary")
-                    failed = True
-                else:
-                    deadline_slo = slo_row["objectives"]["deadline_hit"]
-                    miss = 1.0 - deadline_slo["compliance"]
-                    if miss > 0.10 and deadline_slo["alerts"] < 1:
-                        _report(f"FAIL: {key}-shard missed "
-                                f"{miss:.1%} of deadlines but no "
-                                f"burn-rate alert fired")
-                        failed = True
-        leaked = mp.active_children()
-        if leaked:
-            _report(f"FAIL: {len(leaked)} child process(es) leaked")
-            failed = True
-        if not failed:
-            _report("chaos smoke OK")
-    if args.out and args.out != "-" and not args.tiny:
-        out = Path(args.out)
-        doc = json.loads(out.read_text()) if out.exists() else {}
-        doc["chaos"] = payload
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        _progress(f"merged chaos rows into {out}")
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        if "tiny" in baseline or "full" in baseline:
-            baseline = baseline.get("tiny" if args.tiny else "full", {})
-        spec = baseline.get("chaos")
-        if spec:
-            regressions, skip = check_chaos_against_baseline(
-                {"chaos": payload}, spec)
-            if skip:
-                _report(f"SKIPPED {skip}")
-            elif regressions:
-                for msg in regressions:
-                    _report(f"REGRESSION [chaos] {msg}")
-                return 1
-            else:
-                _report("chaos gate: all metrics within tolerance")
-    return 1 if failed else 0
-
-
 def cmd_fault_smoke(args) -> int:
     """Fault-injection smoke test: crash + NaN survival, then a
     loss-neutral resume proof (run in CI)."""
@@ -1168,60 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("serve-bench",
-                       help="benchmark batched serving vs the naive "
-                            "per-user recommender")
-    p.add_argument("--tiny", action="store_true",
-                   help="CI smoke configuration (small world, 2 repeats)")
-    p.add_argument("--batch-size", type=int, default=256,
-                   help="users per measured request batch (default 256)")
-    p.add_argument("--k", type=int, default=10,
-                   help="top-k list length (default 10)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="best-of-N timing repeats (default 3)")
-    p.add_argument("--embedding-dim", type=int, default=64)
-    p.add_argument("--out",
-                   default="benchmarks/results/serving_throughput.txt",
-                   help="report path ('-' to skip writing)")
-    p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                   help="export serving.* metrics under DIR (merges "
-                        "with telemetry from other runs in the same "
-                        "directory)")
-    _add_common(p)
-    p.set_defaults(func=cmd_serve_bench, scale=3.0)
-
-    p = sub.add_parser("fleet-bench",
-                       help="benchmark the sharded serving fleet "
-                            "(saturation + open-loop Poisson/Zipf "
-                            "latency per shard count) vs a single "
-                            "process; merges rows into "
-                            "BENCH_serving.json")
-    p.add_argument("--tiny", action="store_true",
-                   help="CI smoke configuration (small world, short "
-                        "load, 1+2 shards)")
-    p.add_argument("--shards", type=int, nargs="+", default=None,
-                   metavar="N",
-                   help="fleet sizes to measure (default: 1 2 4)")
-    p.add_argument("--k", type=int, default=10,
-                   help="top-k list length (default 10)")
-    p.add_argument("--dtype", choices=["float32", "float64"],
-                   default="float32",
-                   help="serving parameter dtype (default float32)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in users/s (default: half the "
-                        "measured single-process saturation)")
-    p.add_argument("--out", default="BENCH_serving.json",
-                   help="JSON file to merge the fleet rows into "
-                        "('-' to skip writing)")
-    p.add_argument("--baseline", default=None, metavar="JSON",
-                   help="gate the fleet scaling bars against committed "
-                        "baselines (skipped below their min_cpus floor)")
-    p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                   help="export fleet.* metrics under DIR; shards "
-                        "write per-process logs to DIR/shard-<id>/")
-    _add_common(p)
-    p.set_defaults(func=cmd_fleet_bench, scale=3.0)
-
     p = sub.add_parser("fleet-smoke",
                        help="fleet fault smoke test: 2 shards, "
                             "injected shard crash, answers stay "
@@ -1250,75 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds per load phase (default 1.5)")
     _add_common(p)
     p.set_defaults(func=cmd_stream_smoke)
-
-    p = sub.add_parser("chaos-bench",
-                       help="serving-tier chaos benchmark: availability, "
-                            "deadline-hit rate, and per-quality latency "
-                            "under injected slow/crash/flap faults; "
-                            "--tiny is the CI chaos-smoke gate")
-    p.add_argument("--tiny", action="store_true",
-                   help="CI smoke configuration (small world, 2 shards, "
-                        "asserts availability >= 99%% and no leaked "
-                        "processes)")
-    p.add_argument("--shards", type=int, nargs="+", default=None,
-                   metavar="N",
-                   help="fleet sizes to measure (default: 1 2 4; "
-                        "tiny: 2)")
-    p.add_argument("--k", type=int, default=10,
-                   help="top-k list length (default 10)")
-    p.add_argument("--dtype", choices=["float32", "float64"],
-                   default="float32",
-                   help="serving parameter dtype (default float32)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="offered load in users/s (default: half the "
-                        "measured single-process saturation)")
-    p.add_argument("--deadline-ms", type=float, default=250.0,
-                   help="per-request deadline budget (default 250)")
-    p.add_argument("--load-seconds", type=float, default=4.0,
-                   help="open-loop duration per shard count (default 4)")
-    p.add_argument("--out", default="BENCH_serving.json",
-                   help="JSON file to merge the chaos rows into "
-                        "('-' to skip writing; tiny mode never writes)")
-    p.add_argument("--baseline", default=None, metavar="JSON",
-                   help="gate availability/deadline metrics against "
-                        "committed baselines (skipped below min_cpus)")
-    p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                   help="export fleet.chaos.* metrics under DIR; shards "
-                        "write per-process logs to DIR/shard-<id>/, the "
-                        "flight recorder dumps traces.jsonl, and per-row "
-                        "SLO summaries land in slo.json")
-    p.add_argument("--no-trace", dest="trace", action="store_false",
-                   help="disable per-request tracing, the flight "
-                        "recorder, and SLO tracking (on by default)")
-    p.add_argument("--all-slow", action="store_true",
-                   help="stall every shard (not just shard 0) so "
-                        "hedging cannot dodge the fault: forces the "
-                        "degraded path, guaranteeing degraded-quality "
-                        "traces (the CI trace-smoke scenario)")
-    _add_common(p)
-    p.set_defaults(func=cmd_chaos_bench, scale=1.0, trace=True)
-
-    p = sub.add_parser("perf-bench",
-                       help="hot-path microbenchmarks: train step "
-                            "(f64 + f32), embedding backward, gradient "
-                            "transport, negative sampling, serving "
-                            "batch (emits BENCH_*.json)")
-    p.add_argument("--tiny", action="store_true",
-                   help="CI smoke configuration (small world, few steps)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="data-parallel workers for the train-step "
-                        "benchmark (default 2)")
-    p.add_argument("--steps", type=int, default=None,
-                   help="measured steps per timing window "
-                        "(default: benchmark-specific)")
-    p.add_argument("--out-dir", default=".",
-                   help="directory for BENCH_train.json / "
-                        "BENCH_serving.json (default: current dir)")
-    p.add_argument("--baseline", default=None, metavar="JSON",
-                   help="compare against committed baselines "
-                        "(benchmarks/perf/baselines.json); exit 1 on "
-                        "regression")
-    p.set_defaults(func=cmd_perf_bench)
 
     p = sub.add_parser("precision-parity",
                        help="train f64 vs f32 on the same synthetic "

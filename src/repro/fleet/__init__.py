@@ -6,21 +6,16 @@ buffers (:mod:`repro.fleet.params`), a :class:`ShardRouter` hash-
 partitions users across them with supervised failover and
 deterministic partial top-K merge (:mod:`repro.fleet.router`,
 :mod:`repro.fleet.partition`), and an open-loop Poisson/Zipf load
-generator measures the result (:mod:`repro.fleet.loadgen`,
-:mod:`repro.fleet.bench`).
+generator drives it (:mod:`repro.fleet.loadgen`).  The fleet's
+capacity and latency are measured by the end-to-end benchmark in
+``benchmarks/e2e``.
 """
 
-from repro.fleet.chaos import (
-    default_chaos_plan,
-    format_chaos_report,
-    run_chaos_benchmark,
-)
 from repro.fleet.loadgen import (
     ChaosResult,
     LoadPhase,
     LoadResult,
     ZipfUserSampler,
-    measure_saturation,
     run_chaos_loop,
     run_open_loop,
 )
@@ -47,12 +42,8 @@ __all__ = [
     "ShardRouter",
     "ZipfUserSampler",
     "attach_serving_engine",
-    "default_chaos_plan",
-    "format_chaos_report",
-    "measure_saturation",
     "merge_topk",
     "route_user",
-    "run_chaos_benchmark",
     "run_chaos_loop",
     "run_open_loop",
     "shard_for_user",

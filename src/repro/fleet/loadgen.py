@@ -6,8 +6,7 @@ latency looks flat right up to collapse.  This generator is
 **open-loop**: arrival times are drawn up front from a (piecewise)
 Poisson process and a request's latency is measured from its
 *scheduled arrival* to its completion — queueing delay included — so
-p99 degrades visibly as the offered rate approaches capacity, which is
-the behaviour a capacity bench needs to expose.
+p99 degrades visibly as the offered rate approaches capacity.
 
 Three workload knobs model real traffic:
 
@@ -50,7 +49,6 @@ __all__ = [
     "poisson_schedule",
     "run_open_loop",
     "run_chaos_loop",
-    "measure_saturation",
 ]
 
 
@@ -259,26 +257,6 @@ class ChaosResult:
     def deadline_hit_rate(self) -> float:
         return self.deadline_hits / self.offered if self.offered else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "offered": self.offered,
-            "answered": self.answered,
-            "availability": self.availability,
-            "deadline_hits": self.deadline_hits,
-            "deadline_hit_rate": self.deadline_hit_rate,
-            "shed": self.shed,
-            "duration_s": self.duration_s,
-            "offered_rate": self.offered_rate,
-            "deadline_ms": self.deadline_ms,
-            "quality_counts": dict(self.quality_counts),
-            "latency_by_quality": {
-                tier: dict(stats)
-                for tier, stats in self.latency_by_quality.items()},
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "batches": self.batches,
-        }
-
 
 def run_chaos_loop(backend, user_ids: Sequence[int], *, rate: float,
                    duration_s: Optional[float] = None, k: int = 10,
@@ -394,29 +372,3 @@ def run_chaos_loop(backend, user_ids: Sequence[int], *, rate: float,
         batches=batches,
         phases=phases,
     )
-
-
-def measure_saturation(backend, user_ids: Sequence[int], *, k: int = 10,
-                       batch_size: int = 256, min_seconds: float = 2.0,
-                       exclude_visited: bool = True,
-                       seed: int = 0) -> float:
-    """Saturation throughput (users/s): closed-loop, back-to-back batches.
-
-    The complement of :func:`run_open_loop` — instead of a fixed
-    offered rate, the backend is kept maximally busy with uniform
-    random batches; the resulting rate is its capacity ceiling and the
-    number the fleet's scaling bar is measured against.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if min_seconds <= 0:
-        raise ValueError(f"min_seconds must be positive, got {min_seconds}")
-    rng = np.random.default_rng(seed)
-    ids = np.asarray(list(user_ids), dtype=np.int64)
-    served = 0
-    t0 = time.perf_counter()
-    while time.perf_counter() - t0 < min_seconds:
-        batch = ids[rng.integers(0, len(ids), size=batch_size)]
-        backend.recommend_many([int(u) for u in batch], k, exclude_visited)
-        served += batch_size
-    return served / (time.perf_counter() - t0)

@@ -51,6 +51,7 @@ request on every entry point is traced and counted.
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing as mp
 import time
@@ -73,7 +74,7 @@ from repro.fleet.partition import (
 from repro.fleet.shard import shard_serve_loop
 from repro.obs.flight import TRACES_FILENAME, FlightRecorder, TraceRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloTracker
+from repro.obs.slo import SLO_FILENAME, SloTracker
 from repro.obs.spans import (
     CAT_ADMISSION,
     CAT_BREAKER,
@@ -202,8 +203,9 @@ class ShardRouter:
     slo:
         Optional :class:`~repro.obs.slo.SloTracker`; every request on
         every entry point is fed to it (availability, deadline, latency
-        objectives).  The caller owns evaluation cadence and
-        persistence.
+        objectives).  The caller owns evaluation cadence; with a
+        ``telemetry_dir`` the tracker's summary is written to
+        ``telemetry_dir/slo.json`` at close.
     """
 
     def __init__(self, model, index: DatasetIndex, dataset: CheckinDataset,
@@ -1227,6 +1229,17 @@ class ShardRouter:
             Path(self._telemetry_dir) / TRACES_FILENAME,
             extra_events=extra)
 
+    def _dump_slo(self) -> None:
+        """Write the SLO tracker's summary to ``telemetry_dir/slo.json``
+        (the file ``repro metrics-report`` reads)."""
+        if getattr(self, "_slo", None) is None or \
+                self._telemetry_dir is None:
+            return
+        path = Path(self._telemetry_dir) / SLO_FILENAME
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self._slo.summary(), indent=2),
+                        encoding="utf-8")
+
     def close(self) -> None:
         """Stop every shard and release the parameter block.
 
@@ -1242,8 +1255,9 @@ class ShardRouter:
         self._closed = True
         try:
             self.dump_traces()
+            self._dump_slo()
         except OSError:
-            logger.warning("flight-recorder dump failed", exc_info=True)
+            logger.warning("telemetry dump failed", exc_info=True)
         try:
             supervisor = getattr(self, "_supervisor", None)
             if supervisor is not None:

@@ -8,7 +8,7 @@ MetricsRegistry` + :class:`~repro.obs.tracing.Tracer` state:
   cumulative registry and span tree plus a ``run_id``/``seq`` pair;
   :func:`load_run_state` keeps only the newest snapshot per run and
   merges across runs, so a directory accumulating several runs (a
-  training run followed by a serving benchmark, say) reads back as one
+  training run followed by a serving session, say) reads back as one
   coherent aggregate.
 * **Prometheus** — standard text exposition (``metrics.prom``):
   counters and gauges as samples, histograms as cumulative
@@ -93,7 +93,7 @@ def _json_safe(value):
 def load_jsonl_tolerant(path) -> Tuple[List[dict], int]:
     """All JSON-object lines of a JSONL file, skipping corrupt ones.
 
-    A process killed mid-write (a chaos-bench shard, say) leaves a
+    A process killed mid-write (a crashed fleet shard, say) leaves a
     truncated final line — and must not poison every report over the
     directory.  Undecodable or non-object lines are skipped and
     *counted*; the count is returned and logged as one warning per

@@ -240,8 +240,8 @@ class FlightRecorder:
 
         Each kept trace is one ``{"kind": "trace", "keep_reason": ...}``
         line; loose events are ``{"kind": "span", ...}`` lines.  Append
-        mode, so several routers sharing one telemetry directory (the
-        chaos bench's shard-count sweep) accumulate.
+        mode, so several routers sharing one telemetry directory
+        accumulate.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

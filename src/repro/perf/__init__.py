@@ -1,6 +1,6 @@
-"""``repro.perf`` — hot-path optimizations and the benchmark harness.
+"""``repro.perf`` — hot-path optimizations for data-parallel training.
 
-Four pieces:
+Three pieces:
 
 * :class:`PerfConfig` / :func:`enable_sparse_embedding_grads` — switch
   sparse embedding gradients, the shared-memory gradient transport,
@@ -14,26 +14,11 @@ Four pieces:
   precisions and compares final eval metrics within a tolerance band
   (``repro precision-parity``);
 * :mod:`repro.perf.transport` — the preallocated
-  ``multiprocessing.shared_memory`` blocks and their layout manifest;
-* :mod:`repro.perf.bench` — microbenchmarks (train step incl. f32,
-  embedding backward, transport, negative sampling, serving batch)
-  emitting machine-readable
-  ``BENCH_train.json`` / ``BENCH_serving.json`` with per-op profiler
-  attribution, plus the regression-gate comparison logic CI runs
-  against committed baselines.
+  ``multiprocessing.shared_memory`` blocks and their layout manifest.
 
 See ``docs/performance.md`` for the design and tuning guide.
 """
 
-from repro.perf.bench import (
-    bench_embedding_backward,
-    bench_negative_sampling,
-    bench_train_step,
-    bench_transport,
-    check_against_baseline,
-    run_serving_bench,
-    run_train_bench,
-)
 from repro.perf.config import PerfConfig, enable_sparse_embedding_grads
 from repro.perf.parity import ParityReport, run_precision_parity
 from repro.perf.transport import (
@@ -49,12 +34,5 @@ __all__ = [
     "ShmTransport",
     "WorkerTransportClient",
     "ParityReport",
-    "bench_embedding_backward",
-    "bench_negative_sampling",
-    "bench_train_step",
-    "bench_transport",
-    "check_against_baseline",
     "run_precision_parity",
-    "run_serving_bench",
-    "run_train_bench",
 ]

@@ -252,7 +252,7 @@ class ChaosPlan(FaultPlan):
     exact sequence numbers, window faults (:class:`WindowFault`) fire
     across ranges.  Like every plan, it rides only into a shard's
     **first incarnation** — a respawned shard carries no plan, which is
-    exactly what lets the chaos bench observe recovery.
+    exactly what lets a chaos run observe recovery.
     """
 
     def __init__(self, faults: Iterable[Fault] = (),

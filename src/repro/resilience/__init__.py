@@ -17,8 +17,9 @@ machine is unit-testable without processes or sleeps:
   every response truthfully tagged by quality tier.
 
 :meth:`repro.fleet.router.ShardRouter.recommend_resilient` composes
-them into the serving request path; ``repro chaos-bench`` measures the
-result under injected faults.
+them into the serving request path;
+:func:`repro.fleet.loadgen.run_chaos_loop` drives it under injected
+faults.
 """
 
 from repro.resilience.admission import AdmissionController

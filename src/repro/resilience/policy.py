@@ -69,7 +69,7 @@ class Deadline:
 class ResilienceConfig:
     """Every knob of the request-level resilience layer.
 
-    Defaults suit a low-latency serving tier; the chaos bench and tests
+    Defaults suit a low-latency serving tier; chaos runs and tests
     override freely.  All durations are milliseconds.
 
     Parameters

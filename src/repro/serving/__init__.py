@@ -15,12 +15,6 @@ See ``docs/serving.md`` for the architecture and latency model.
 """
 
 from repro.serving.batcher import MicroBatcher
-from repro.serving.bench import (
-    ServingBenchResult,
-    format_report,
-    run_and_report,
-    run_serving_benchmark,
-)
 from repro.serving.cache import TopKCache
 from repro.serving.engine import InferenceEngine
 from repro.serving.service import LatencyTracker, RecommendationService
@@ -31,8 +25,4 @@ __all__ = [
     "MicroBatcher",
     "RecommendationService",
     "LatencyTracker",
-    "ServingBenchResult",
-    "run_serving_benchmark",
-    "run_and_report",
-    "format_report",
 ]

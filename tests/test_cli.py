@@ -92,98 +92,9 @@ class TestCommands:
         assert "ST-TransRec-1" in out
         assert "recall@10" in out  # the bar chart footer
 
-    def test_serve_bench_parses_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.tiny is False
-        assert args.batch_size == 256
-        assert args.embedding_dim == 64
-        assert args.scale == 3.0
-        assert args.out == "benchmarks/results/serving_throughput.txt"
-
-    def test_fleet_bench_parses_defaults(self):
-        args = build_parser().parse_args(["fleet-bench"])
-        assert args.tiny is False
-        assert args.shards is None
-        assert args.dtype == "float32"
-        assert args.rate is None
-        assert args.scale == 3.0
-        assert args.out == "BENCH_serving.json"
-
     def test_fleet_smoke_parses(self):
         args = build_parser().parse_args(["fleet-smoke"])
         assert args.seed == 3
-
-    def test_perf_bench_parses_defaults(self):
-        args = build_parser().parse_args(["perf-bench"])
-        assert args.tiny is False
-        assert args.workers == 2
-        assert args.steps is None
-        assert args.out_dir == "."
-        assert args.baseline is None
-
-    def test_perf_bench_writes_json_and_gates(self, tmp_path, capsys,
-                                              monkeypatch):
-        import repro.cli as cli_mod
-
-        def fake_train(out_path, tiny, workers, steps):
-            payload = {"train_step": {"speedup": 2.0, "workers": workers,
-                                      "f32": {"speedup": 2.6},
-                                      "f32_vs_f64": {"speedup": 1.3}},
-                       "embedding_backward": {"speedup": 5.0},
-                       "transport": {"speedup": 3.0},
-                       "negative_sampling": {"speedup": 4.0}}
-            with open(out_path, "w") as fh:
-                json.dump(payload, fh)
-            return payload
-
-        def fake_serving(out_path, tiny):
-            payload = {"serving_batch": {"speedup": 9.0}}
-            with open(out_path, "w") as fh:
-                json.dump(payload, fh)
-            return payload
-
-        import repro.perf.bench as bench_mod
-        monkeypatch.setattr(bench_mod, "run_train_bench", fake_train)
-        monkeypatch.setattr(bench_mod, "run_serving_bench", fake_serving)
-
-        baseline = tmp_path / "baselines.json"
-        baseline.write_text(json.dumps({
-            "full": {"train": {"tolerance": 0.2,
-                               "metrics": {"train_step.speedup": 2.0}}}}))
-        code = main(["perf-bench", "--out-dir", str(tmp_path),
-                     "--baseline", str(baseline)])
-        assert code == 0
-        assert (tmp_path / "BENCH_train.json").exists()
-        assert (tmp_path / "BENCH_serving.json").exists()
-        assert "regression gate" in capsys.readouterr().out
-
-        baseline.write_text(json.dumps({
-            "full": {"train": {"tolerance": 0.0,
-                               "metrics": {"train_step.speedup": 99.0}}}}))
-        code = main(["perf-bench", "--out-dir", str(tmp_path),
-                     "--baseline", str(baseline)])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_serve_bench_runs_and_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "serving.txt"
-        code = main(["serve-bench", "--scale", "0.1", "--batch-size", "8",
-                     "--k", "3", "--repeats", "1", "--embedding-dim", "8",
-                     "--out", str(out)])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "speedup" in printed
-        assert out.exists()
-        assert "batched engine" in out.read_text()
-
-    def test_serve_bench_dash_out_skips_writing(self, capsys,
-                                                monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        code = main(["serve-bench", "--scale", "0.1", "--batch-size", "4",
-                     "--k", "3", "--repeats", "1", "--embedding-dim", "8",
-                     "--out", "-"])
-        assert code == 0
-        assert not (tmp_path / "benchmarks").exists()
 
     def test_compare_subset(self, capsys):
         code = main(["compare", "--preset", "foursquare",
@@ -224,48 +135,6 @@ class TestResumableTraining:
         args = build_parser().parse_args(["fault-smoke", "--seed", "5"])
         assert args.seed == 5
         assert args.func.__name__ == "cmd_fault_smoke"
-
-
-class TestChaosBenchParser:
-    def test_defaults(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["chaos-bench"])
-        assert args.tiny is False
-        assert args.shards is None
-        assert args.deadline_ms == 250.0
-        assert args.load_seconds == 4.0
-        assert args.rate is None
-        assert args.out == "BENCH_serving.json"
-        assert args.baseline is None
-        assert args.trace is True
-        assert args.all_slow is False
-
-    def test_trace_and_all_slow_flags(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["chaos-bench", "--no-trace", "--all-slow"])
-        assert args.trace is False
-        assert args.all_slow is True
-
-    def test_tiny_and_overrides(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["chaos-bench", "--tiny", "--shards", "1", "2",
-             "--deadline-ms", "100", "--rate", "50", "--dtype", "float64"])
-        assert args.tiny is True
-        assert args.shards == [1, 2]
-        assert args.deadline_ms == 100.0
-        assert args.rate == 50.0
-        assert args.dtype == "float64"
-
-    def test_rejects_unknown_dtype(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos-bench", "--dtype", "float16"])
 
 
 class TestTraceToolingParsers:

@@ -6,7 +6,6 @@ import pytest
 from repro.fleet.loadgen import (
     LoadPhase,
     ZipfUserSampler,
-    measure_saturation,
     poisson_schedule,
     run_open_loop,
 )
@@ -147,17 +146,3 @@ class TestRunOpenLoop:
         assert d["offered"] == result.offered
         assert d["served_rate"] == pytest.approx(result.served_rate)
 
-
-class TestMeasureSaturation:
-    def test_positive_rate_from_stub(self):
-        backend = StubBackend()
-        rate = measure_saturation(backend, list(range(100)),
-                                  batch_size=32, min_seconds=0.05)
-        assert rate > 0
-        assert all(len(call) == 32 for call in backend.calls)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            measure_saturation(StubBackend(), [1], batch_size=0)
-        with pytest.raises(ValueError):
-            measure_saturation(StubBackend(), [1], min_seconds=0.0)

@@ -318,7 +318,11 @@ class TestChaosLoop:
             result = run_chaos_loop(router, users, rate=60.0,
                                     duration_s=1.5, k=K,
                                     deadline_ms=200.0, seed=11)
+            faults = router.stats()["faults"]
         assert result.offered > 0
+        # The injected crash landed: availability held through a real
+        # fault, not because the plan never fired.
+        assert faults["crashes"] >= 1
         assert result.availability >= 0.99
         assert result.answered == sum(result.quality_counts.values())
         assert set(result.quality_counts) <= set(QUALITY_TIERS)

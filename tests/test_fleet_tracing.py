@@ -9,8 +9,11 @@ segments sum to the measured latency, and the p99 attribution lands
 within the 10% band.
 """
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
 from repro.fleet.loadgen import run_chaos_loop
@@ -163,6 +166,37 @@ class TestDegradedTracing:
         assert "slowest trace(s)" in report
 
 
+class TestBurnAlert:
+    def test_deadline_misses_fire_a_burn_alert(self, world):
+        """Every shard stalled, no hop timeout inside the budget and no
+        finalize margin: a user still waiting on the fan-out is
+        finalized only once its deadline has passed, so the router
+        reports misses and the tracker must raise a burn-rate alert."""
+        model, index, dataset = world
+        plan = ChaosPlan(windows=[
+            WindowFault.slow_shard(0, 0, FOREVER, 0.5),
+            WindowFault.slow_shard(1, 0, FOREVER, 0.5),
+        ])
+        late = ResilienceConfig(
+            deadline_ms=DEADLINE_MS, hop_timeout_ms=DEADLINE_MS * 2,
+            hedge_after_ms=DEADLINE_MS * 0.12, poll_interval_ms=4.0,
+            finalize_margin_ms=0.0, breaker_restart_shard=False)
+        slo = SloTracker(default_serving_slos(DEADLINE_MS),
+                         short_window_s=0.25, long_window_s=1.0,
+                         min_events=10)
+        with ShardRouter(model, index, dataset, TARGET, num_shards=2,
+                         fault_plan=plan, supervision=_supervision(),
+                         resilience=late, slo=slo) as router:
+            run_chaos_loop(router, sorted(dataset.users), rate=100.0,
+                           duration_s=1.5, k=K, deadline_ms=DEADLINE_MS,
+                           seed=11, slo=slo)
+        deadline = slo.summary()["objectives"]["deadline_hit"]
+        miss = 1.0 - deadline["compliance"]
+        assert miss > 0.10, f"stalled shards missed only {miss:.1%}"
+        assert deadline["alerts"] >= 1, (
+            f"{miss:.1%} of deadlines missed but no burn-rate alert fired")
+
+
 class TestHealthyTracing:
     def test_fault_free_run_is_quiet(self, world):
         model, index, dataset = world
@@ -212,8 +246,6 @@ class TestHealthyTracing:
 class TestSloPersistence:
     def test_slo_summary_roundtrips_through_telemetry_tree(
             self, degraded_run, tmp_path):
-        import json
-
         doc = {"kind": "slo", "deadline_ms": DEADLINE_MS,
                "shards": {"2": degraded_run["slo"].summary()}}
         (tmp_path / "slo.json").write_text(json.dumps(doc))
@@ -222,3 +254,42 @@ class TestSloPersistence:
         _path, summary = loaded[0]
         assert summary["shards"]["2"]["objectives"][
             "deadline_hit"]["events"] > 0
+
+    def test_router_writes_slo_summary_at_close(self, degraded_run):
+        loaded = load_slo_summaries(degraded_run["telemetry_dir"])
+        assert len(loaded) == 1
+        _path, summary = loaded[0]
+        # Burn rates are read off the clock; the counts and the alert
+        # log are what close() must have captured.
+        live = degraded_run["slo"].summary()
+        assert summary["alerts"] == live["alerts"]
+        for name, objective in live["objectives"].items():
+            for field in ("events", "good", "bad", "alerts"):
+                assert summary["objectives"][name][field] == \
+                    objective[field]
+
+
+class TestReportCommands:
+    """The CLI readers over the live run's telemetry tree."""
+
+    def test_trace_report_explains_degraded_traces(self, degraded_run,
+                                                   capsys):
+        code = main(["trace-report", "--telemetry-dir",
+                     str(degraded_run["telemetry_dir"])])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "kept because: degraded=" in out
+        assert "p99 attribution" in out
+        assert "slowest trace" in out
+
+    def test_metrics_report_json_rolls_up_traces_and_slo(self,
+                                                         degraded_run,
+                                                         capsys):
+        code = main(["metrics-report", "--telemetry-dir",
+                     str(degraded_run["telemetry_dir"]),
+                     "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["traces"]["kept"] > 0
+        assert doc["slo"]
+        assert doc["slo"][0]["objectives"]["deadline_hit"]["events"] > 0

@@ -285,6 +285,44 @@ class TestCliTelemetry:
         assert "faults_crashes 0.0" in prom
         capsys.readouterr()
 
+    def test_training_and_serving_share_one_telemetry_dir(self, tmp_path,
+                                                          capsys):
+        """A training run and a serving session save into one directory;
+        the merged report and exposition carry both."""
+        from repro.cli import main
+        from repro.data import load_dataset
+
+        data = self._generate(tmp_path)
+        tel_dir = tmp_path / "tel"
+        code = main(["train", "--data", str(data),
+                     "--target", "los_angeles",
+                     "--embedding-dim", "8", "--epochs", "1",
+                     "--pretrain-epochs", "1",
+                     "--telemetry-dir", str(tel_dir)])
+        assert code == 0
+
+        dataset = load_dataset(data)
+        index = dataset.build_index()
+        telemetry = Telemetry(tel_dir, run_name="serving")
+        with RecommendationService(make_model(index), index, dataset,
+                                   "los_angeles", use_batcher=False,
+                                   registry=telemetry.registry) as service:
+            users = sorted(dataset.users)[:4]
+            service.recommend_many(users, k=5)      # misses
+            service.recommend_many(users, k=5)      # hits
+        telemetry.save()
+        capsys.readouterr()
+
+        code = main(["metrics-report", "--telemetry-dir", str(tel_dir)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "(2 runs," in out
+        assert "train.epochs" in out
+        assert "serving.cache.hit_rate" in out
+        prom = (tel_dir / PROM_FILE).read_text()
+        assert "train_epochs" in prom
+        assert "serving_cache_hit_rate 0.5" in prom
+
     def test_metrics_report_missing_dir_fails(self, tmp_path, capsys):
         from repro.cli import main
 
