@@ -29,6 +29,7 @@ import dataclasses
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +569,7 @@ def cmd_stream_smoke(args) -> int:
             retrain_steps=150, num_negatives=8, rng=args.seed,
             registry=registry)
         replayed_pairs = []
+        burst_ms = []
 
         # Base fleet serves generation 0 (parameters were frozen into
         # the shared block at construction; later in-place updates to
@@ -587,8 +589,12 @@ def cmd_stream_smoke(args) -> int:
             # generation and loaded back through the checkpoint path
             # (pointer + manifest validated by load_latest).
             for burst in ingest_bursts:
+                started = time.perf_counter()
                 updater.ingest(burst)
+                ingested = time.perf_counter()
                 updater.retrain()
+                burst_ms.append((1000.0 * (ingested - started), 1000.0 * (
+                    time.perf_counter() - ingested)))
                 replayed_pairs.append(int(
                     registry.gauge("streaming.retrain_rows").value))
                 generation = publisher.publish(model, index)
@@ -675,6 +681,9 @@ def cmd_stream_smoke(args) -> int:
     _report(f"retrain: pairs replayed per step, by round: "
             f"{replayed_pairs} (new rows plus an equal-size sample of "
             f"older ones, x num_negatives)")
+    for i, (ingest_ms, retrain_ms) in enumerate(burst_ms):
+        _report(f"updater: burst {i} ingest={ingest_ms:.1f}ms "
+                f"retrain={retrain_ms:.1f}ms")
 
     failed = False
     if steady.served != steady.offered or \

@@ -11,17 +11,24 @@ Three embedding tables (users, POIs, words) feed two output paths:
 The transfer-learning layer (MMD between source/target POI embedding
 batches) and the resampling module live in the trainer: they consume the
 same POI embedding table that both paths train.
+
+:class:`UserSideBPR` is the interaction path's BPR gradient with
+respect to the user rows alone, in closed form and without a graph —
+the step the streaming updater folds check-ins in with.
 """
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
 from repro.core.config import STTransRecConfig
-from repro.nn.layers import MLP, Dropout, Embedding
+from repro.nn.backend import active_backend as _xp
+from repro.nn.layers import MLP, Dropout, Embedding, Linear
 from repro.nn.module import Module
 from repro.nn.ops import concat
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, stable_sigmoid
 from repro.utils.rng import as_rng
 
 
@@ -130,3 +137,95 @@ class STTransRec(Module):
             f"d={self.config.embedding_dim}, "
             f"tower={self.config.tower_sizes()})"
         )
+
+
+class UserSideBPR:
+    """Tape-free gradient of the mean BPR loss with respect to user rows.
+
+    The loss is the one :meth:`STTransRec.interaction_logits` gives as a
+    graph, ``-log_sigmoid(pos_logits - neg_logits).mean()`` over the
+    pairs ``(users[i], pos[i])`` against sampled negatives, in eval mode
+    (dropout is the identity).  Only the user lookups are
+    differentiated: the POI table, ``poi_bias`` and the tower are
+    constants.  :meth:`grads` runs the numpy operations the autograd
+    tape runs for that path, in the same order — the unfactorised
+    ``[x_u, x_v, x_u * x_v] @ W1``, ``g @ W.swapaxes(-1, -2)`` back
+    through each layer, the concat split — so the rows it returns carry
+    the bits the tape's user-lookup gradients carry.
+
+    One instance serves one round of steps over fixed pairs: the
+    positive POI rows, their ``poi_bias`` values and the unique users
+    (with the ``np.unique`` inverse that maps each pair to one) are
+    gathered once here.  The user rows are read afresh on every call,
+    so steps that update the table in place see their own updates.
+    """
+
+    def __init__(self, model: STTransRec, users: np.ndarray,
+                 pos: np.ndarray) -> None:
+        xp = _xp()
+        self.model = model
+        self.users = users
+        self.pos = pos
+        self.unique, self.inverse = xp.unique(users, return_inverse=True)
+        self._product = \
+            model.config.interaction_features == "concat_product"
+        self._pos_v = xp.take(model.poi_embeddings.weight.data, pos, axis=0)
+        self._pos_bias = xp.take(model.poi_bias.weight.data, pos,
+                                 axis=0).reshape(-1)
+        self._layers = [(step.weight.data, step.bias.data)
+                        for step in model.tower.tower.steps
+                        if isinstance(step, Linear)]
+        self._head = (model.tower.head.weight.data,
+                      model.tower.head.bias.data)
+        # The tape seeds backward with 1, negates it and scales it by
+        # the mean's 1/n constant in the table's dtype.
+        dtype = model.user_embeddings.weight.data.dtype
+        self._seed = -np.asarray(1.0 / users.size, dtype=dtype)
+
+    def grads(self, neg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-pair gradient rows of the user lookups against ``neg``.
+
+        Returns ``(positive branch, negative branch)``, each shaped
+        ``(len(users), embedding_dim)``: the gradients the tape sends
+        into the user gather of the positive and of the negative
+        :meth:`STTransRec.interaction_logits` call.
+        """
+        xp = _xp()
+        model = self.model
+        x_u = xp.take(model.user_embeddings.weight.data, self.users, axis=0)
+        x_neg = xp.take(model.poi_embeddings.weight.data, neg, axis=0)
+        neg_bias = xp.take(model.poi_bias.weight.data, neg,
+                           axis=0).reshape(-1)
+        pos_logits, pos_masks = self._forward(x_u, self._pos_v,
+                                              self._pos_bias)
+        neg_logits, neg_masks = self._forward(x_u, x_neg, neg_bias)
+        grad = self._seed * (1.0 - stable_sigmoid(pos_logits - neg_logits))
+        return (self._backward(grad, pos_masks, self._pos_v),
+                self._backward(-grad, neg_masks, x_neg))
+
+    def _forward(self, x_u: np.ndarray, x_v: np.ndarray,
+                 bias: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Logits and each hidden layer's ReLU mask (Eq. 11, eval mode)."""
+        xp = _xp()
+        parts = [x_u, x_v, x_u * x_v] if self._product else [x_u, x_v]
+        hidden = xp.concatenate(parts, axis=1)
+        masks = []
+        for weight, b in self._layers:
+            hidden = hidden @ weight + b
+            mask = hidden > 0
+            hidden = xp.where(mask, hidden, 0.0)
+            masks.append(mask)
+        weight, b = self._head
+        return (hidden @ weight + b).reshape(-1) + bias, masks
+
+    def _backward(self, grad: np.ndarray, masks: List[np.ndarray],
+                  x_v: np.ndarray) -> np.ndarray:
+        """Carry a logit gradient back to the user lookup."""
+        grad = grad.reshape(-1, 1) @ self._head[0].swapaxes(-1, -2)
+        for (weight, _b), mask in zip(reversed(self._layers),
+                                      reversed(masks)):
+            grad = (grad * mask) @ weight.swapaxes(-1, -2)
+        d = x_v.shape[1]
+        if self._product:
+            return grad[:, :d] + grad[:, 2 * d:] * x_v
+        return grad[:, :d]

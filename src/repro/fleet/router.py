@@ -203,9 +203,9 @@ class ShardRouter:
     slo:
         Optional :class:`~repro.obs.slo.SloTracker`; every request on
         every entry point is fed to it (availability, deadline, latency
-        objectives).  The caller owns evaluation cadence; with a
-        ``telemetry_dir`` the tracker's summary is written to
-        ``telemetry_dir/slo.json`` at close.
+        objectives), judged when its batch returns.  The caller owns
+        evaluation cadence; with a ``telemetry_dir`` the tracker's
+        summary is written to ``telemetry_dir/slo.json`` at close.
     """
 
     def __init__(self, model, index: DatasetIndex, dataset: CheckinDataset,
@@ -665,6 +665,7 @@ class ShardRouter:
                 self._close_trace(state, response, "shed_fallback",
                                   state["adm_end_ms"])
         if not admitted:
+            self._note_returned(out, per_user)
             return out
         # 2. One unit per catalogue slice, each carrying the whole
         # admitted batch, on breaker-approved shards.  Every half-open
@@ -683,6 +684,7 @@ class ShardRouter:
             self._topk_unit(admitted, excludes, k, lo, hi, shard)
             for (lo, hi), shard in zip(slices, participants)],
             k, exclude_visited, cfg=cfg, deadlines=per_user, traces=traces)
+        self._note_returned(out, per_user)
         out.update(served)
         self._admission.note_service(
             (time.perf_counter() - batch_start) * 1000.0)
@@ -704,10 +706,27 @@ class ShardRouter:
         if self.registry is not None:
             self.registry.counter(f"fleet.resilience.{name}").inc()
 
+    def _note_returned(self, responses: Dict[int, ResilientResponse],
+                       deadlines: Dict[int, Deadline],
+                       resilient: bool = True) -> None:
+        """Judge answers as their batch returns them, then count them.
+
+        A batch returns every answer at once, so a user finalized inside
+        the budget still waits for the rest of the batch: the latency
+        and ``deadline_met`` a caller sees are those of this instant,
+        and each response is restamped with them before it is counted.
+        """
+        now = time.perf_counter()
+        for user_id, response in responses.items():
+            deadline = deadlines[user_id]
+            response.latency_ms = deadline.elapsed_ms(now)
+            response.deadline_met = response.latency_ms < deadline.budget_ms
+            self._note_response(response, resilient)
+
     def _note_response(self, response: ResilientResponse,
                        resilient: bool = True) -> None:
-        """Feed one answer to the SLO tracker and, for the resilient
-        entry point, to the ``fleet.resilience.*`` counters."""
+        """Feed one returned answer to the SLO tracker and, for the
+        resilient entry point, to the ``fleet.resilience.*`` counters."""
         if self._slo is not None:
             self._slo.record_request(
                 answered=True, deadline_met=response.deadline_met,
@@ -741,7 +760,6 @@ class ShardRouter:
             deadline_met=not deadline.expired(),
             latency_ms=deadline.elapsed_ms(), shed=shed,
             shed_reason=shed_reason)
-        self._note_response(response)
         return response
 
     # -- tracing -----------------------------------------------------------
@@ -1048,7 +1066,6 @@ class ShardRouter:
                     user_id=uid, items=items, quality=QUALITY_FULL,
                     deadline_met=latency_ms < deadline.budget_ms,
                     latency_ms=latency_ms)
-                self._note_response(response, resilient=cfg is not None)
                 out[uid] = response
             else:
                 response = self._degraded_response(
@@ -1151,6 +1168,7 @@ class ShardRouter:
         finally:
             for rid in list(inflight):
                 abandon(rid)
+        self._note_returned(out, deadlines, resilient=cfg is not None)
         return out, gens
 
     # ------------------------------------------------------------------

@@ -4,18 +4,11 @@ Mirrors the familiar torch-style container protocol so the model code in
 ``repro.core`` reads like the paper's TensorFlow/Keras description:
 modules own named parameters and sub-modules, expose ``parameters()`` for
 the optimizer, and toggle ``train()``/``eval()`` for dropout.
-
-``trainable_only(*keep)`` scopes a freeze: inside it every parameter
-but ``keep`` has ``requires_grad=False``, so forward passes build no
-graph for the frozen ones and ``backward`` computes no gradient for
-them.  The frozen parameters stay parameters: discovery, ``state_dict``
-and ``load_state_dict`` list them throughout.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -31,10 +24,6 @@ class Module:
     explicit registration step.
     """
 
-    #: ids of this module's parameters frozen by an active
-    #: :meth:`trainable_only` scope (a class-level empty default).
-    _frozen_ids: FrozenSet[int] = frozenset()
-
     def __init__(self) -> None:
         self._training = True
 
@@ -42,14 +31,12 @@ class Module:
     # Discovery
     # ------------------------------------------------------------------
     def _is_parameter(self, value) -> bool:
-        return isinstance(value, Tensor) and (
-            value.requires_grad or id(value) in self._frozen_ids)
+        return isinstance(value, Tensor) and value.requires_grad
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         """Yield ``(dotted_name, tensor)`` for every parameter.
 
-        A parameter is a tensor attribute with ``requires_grad=True``, or
-        one that :meth:`trainable_only` has frozen for the moment.
+        A parameter is a tensor attribute with ``requires_grad=True``.
         """
         for name, value in vars(self).items():
             if name.startswith("_"):
@@ -105,37 +92,6 @@ class Module:
     # ------------------------------------------------------------------
     # Gradient bookkeeping
     # ------------------------------------------------------------------
-    @contextmanager
-    def trainable_only(self, *keep: Tensor) -> Iterator[None]:
-        """Freeze every parameter except ``keep`` for the ``with`` block.
-
-        Frozen parameters get ``requires_grad=False``: lookups and ops
-        on them build no graph nodes, and ``backward`` computes no
-        gradient for them.  Each module records its frozen parameters
-        *before* the flags drop and forgets them only *after* the flags
-        are restored, so ``named_parameters``/``state_dict`` never see
-        a partial model, even from another thread.  The previous state
-        is restored in ``finally``; nested scopes only narrow the
-        trainable set.
-        """
-        keep_ids = {id(t) for t in keep}
-        frozen = [p for p in self.parameters()
-                  if p.requires_grad and id(p) not in keep_ids]
-        frozen_ids = frozenset(id(p) for p in frozen)
-        modules = list(self.modules())
-        previous = [m._frozen_ids for m in modules]
-        for module, before in zip(modules, previous):
-            module._frozen_ids = before | frozen_ids
-        try:
-            for param in frozen:
-                param.requires_grad = False
-            yield
-        finally:
-            for param in frozen:
-                param.requires_grad = True
-            for module, before in zip(modules, previous):
-                module._frozen_ids = before
-
     def zero_grad(self) -> None:
         """Clear gradients on all parameters."""
         for param in self.parameters():

@@ -19,11 +19,9 @@ Design notes
   in parent order.  ``backward()`` owns all accumulation, so op closures
   stay pure functions of the upstream gradient.
 * A closure may return ``None`` for a parent that does not require grad.
-  The binary arithmetic ops and ``@`` do, so a frozen operand — a
-  constant, or a parameter switched off by
-  :meth:`repro.nn.module.Module.trainable_only` — costs no gradient
-  arithmetic.  The gradients that are computed are the same expressions
-  as before, so they keep their bits.
+  The binary arithmetic ops and ``@`` do, so a constant operand costs no
+  gradient arithmetic.  The gradients that are computed are the same
+  expressions either way, so they keep their bits.
 * Gradients of broadcast operations are un-broadcast by summing over the
   broadcast axes, so shapes always round-trip correctly.
 * ``.grad`` is populated on leaf tensors only; interior nodes are

@@ -61,9 +61,10 @@ class ResilientResponse:
     ``items`` is the ``(poi_id, score)`` ranking (possibly empty for a
     shed request with no fallback source), ``quality`` one of
     :data:`QUALITY_TIERS`, ``deadline_met`` whether the response was
-    produced within the request's budget, and ``shed`` whether the
-    admission controller refused the request at the door (in which case
-    ``items`` came straight from the fallback chain).
+    returned to the caller within the request's budget (``latency_ms``
+    runs to that return), and ``shed`` whether the admission controller
+    refused the request at the door (in which case ``items`` came
+    straight from the fallback chain).
     """
 
     user_id: int

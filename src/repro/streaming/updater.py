@@ -12,26 +12,29 @@ in two tiers:
 2. **Periodic sparse retrain** — :meth:`retrain` replays the rows
    ingested since the last round plus an equal-size uniform sample of
    the older retained history, so a round costs O(burst), not
-   O(history).  It runs :class:`repro.nn.optim.Adam` in
-   ``sparse_mode="exact"``: the embedding table emits a
-   ``SparseRowGrad`` restricted to the touched rows, so the optimizer
-   carries real Adam moments for exactly those rows and never writes
-   the rest of the table.
+   O(history).  Its Adam carries moments for exactly the replayed
+   users and never writes the rest of the table.
 
-Both tiers differentiate only the path to the user table.  They run
-inside :meth:`repro.nn.module.Module.trainable_only`, so the POI
-gathers and ``poi_bias`` build no graph nodes and ``backward`` computes
-no gradient for the POI table, the bias or the tower.  The user-row
-gradient is the same expression either way, so the updated rows are
-bit-identical to a backward through every parameter.  The fold-in's
-dense user gradient is scattered by the backend's ``scatter_rows``
-kernel.
+Both tiers differentiate only the path to the user table, and neither
+builds an autograd graph.  Each step is one
+:class:`repro.core.model.UserSideBPR` call: a closed-form numpy
+forward/backward of the mean BPR loss through the interaction tower,
+with the POI table, ``poi_bias`` and the tower held constant.  It runs
+the numpy operations the tape runs, in the same order, and the steps
+apply its rows with the tape's own kernels: ``scatter_rows`` for the
+fold-in's dense gradient, a first-occurrence coalesce and
+``adam_update`` for the retrain.  So the updated rows are
+bit-identical to a backward through every parameter followed by the
+same SGD step or ``Adam(sparse_mode="exact")``.  Everything fixed for
+a round is built once per :meth:`ingest`, :meth:`fold_in_user` or
+:meth:`retrain` call: the positive POI rows and biases, the unique
+users, and a boolean visited table over (user, negative-pool POI).
 
 Negative sampling mirrors
 :meth:`repro.data.sampling.InteractionSampler.sample_negatives_batch`
-— bulk draws, encoded-key ``searchsorted`` membership against the
-visited set (base dataset ∪ ingested stream), bounded rejection rounds
-— but scoped to the touched users only.
+— bulk draws from the pool, bounded rejection rounds against the
+visited set (base dataset ∪ ingested stream) — scoped to the touched
+users.  Membership is one lookup in the round's visited table.
 
 The updater never changes POI-side parameters, so a serving engine's
 precomputed catalogue terms stay valid; republishing the model
@@ -48,10 +51,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.model import STTransRec
+from repro.core.model import STTransRec, UserSideBPR
 from repro.data.dataset import CheckinDataset
 from repro.data.vocabulary import DatasetIndex
-from repro.nn.optim import Adam
+from repro.nn.backend import active_backend as _xp
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming.events import CheckinEvent
 from repro.utils.rng import SeedLike, as_rng
@@ -60,6 +63,9 @@ from repro.utils.validation import check_positive
 __all__ = ["IncrementalUpdater", "UpdateStats"]
 
 _MAX_REJECTION_ROUNDS = 100
+# Adam's defaults (Kingma & Ba), as repro.nn.optim.Adam has them.
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -186,23 +192,36 @@ class IncrementalUpdater:
         new = user_rows.astype(np.int64) * self._poi_key + poi_rows
         self._visited_keys = np.union1d(self._visited_keys, new)
 
+    def _visited_mask(self, unique_users: np.ndarray) -> np.ndarray:
+        """Boolean (user, pool position) table: has the user visited it."""
+        return self._is_visited(
+            unique_users[:, None].astype(np.int64) * self._poi_key
+            + self._pool)
+
     def _sample_negatives(self, user_rows: np.ndarray) -> np.ndarray:
         """One negative per entry of ``user_rows``, never a visited POI."""
-        n = user_rows.size
+        unique, inverse = np.unique(user_rows, return_inverse=True)
+        return self._draw_negatives(self._visited_mask(unique), inverse)
+
+    def _draw_negatives(self, visited: np.ndarray,
+                        inverse: np.ndarray) -> np.ndarray:
+        """Bulk draws from the pool, visited ones redrawn in rounds.
+
+        ``visited`` is :meth:`_visited_mask` over the unique users and
+        ``inverse`` maps each entry to its row there.  Every round
+        redraws exactly the entries still on a visited POI, in index
+        order, so the generator sees the same calls whatever the
+        membership test costs.
+        """
         pool = self._pool
-        draws = pool[self._rng.integers(0, pool.size, size=n)]
-        keys = user_rows.astype(np.int64) * self._poi_key + draws
-        bad = self._is_visited(keys)
+        at = self._rng.integers(0, pool.size, size=inverse.size)
+        redo = np.flatnonzero(visited[inverse, at])
         rounds = 0
-        while bad.any() and rounds < _MAX_REJECTION_ROUNDS:
-            redraw = pool[self._rng.integers(0, pool.size,
-                                             size=int(bad.sum()))]
-            draws[bad] = redraw
-            keys[bad] = user_rows[bad].astype(np.int64) * self._poi_key \
-                + redraw
-            bad = self._is_visited(keys)
+        while redo.size and rounds < _MAX_REJECTION_ROUNDS:
+            at[redo] = self._rng.integers(0, pool.size, size=redo.size)
+            redo = redo[visited[inverse[redo], at[redo]]]
             rounds += 1
-        return draws
+        return pool[at]
 
     # ------------------------------------------------------------------
     # Ingest: fold-in
@@ -262,54 +281,46 @@ class IncrementalUpdater:
         self._mark_visited(users, poi_rows)
         self._fold_in(users, poi_rows)
 
+    def _round(self, user_rows: np.ndarray, poi_rows: np.ndarray
+               ) -> Tuple[UserSideBPR, np.ndarray]:
+        """What one fold-in or retrain round holds fixed for its steps.
+
+        The round's :class:`UserSideBPR` over every (user, positive)
+        pair repeated ``num_negatives`` times, and the visited table of
+        its unique users (:meth:`_visited_mask`).
+        """
+        bpr = UserSideBPR(self.model,
+                          np.repeat(user_rows, self.num_negatives),
+                          np.repeat(poi_rows, self.num_negatives))
+        return bpr, self._visited_mask(bpr.unique)
+
     def _fold_in(self, user_rows: np.ndarray,
                  poi_rows: np.ndarray) -> None:
-        """Batched BPR fold-in: move only the touched rows."""
-        pos = np.repeat(poi_rows, self.num_negatives)
-        users = np.repeat(user_rows, self.num_negatives)
-        touched = np.unique(user_rows)
-        weight = self.model.user_embeddings.weight
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with self.model.trainable_only(weight):
-                for _ in range(self.fold_in_steps):
-                    neg = self._sample_negatives(users)
-                    self._bpr_backward(weight, users, pos, neg)
-                    grad = weight.grad
-                    if grad is None:
-                        break
-                    if hasattr(grad, "to_dense"):
-                        grad = grad.to_dense()
-                    weight.data[touched] -= \
-                        self.learning_rate * grad[touched]
-                    self.stats.fold_in_steps += 1
-        finally:
-            self.model.zero_grad()
-            if was_training:
-                self.model.train()
+        """Batched BPR fold-in: SGD on only the touched rows.
 
-    def _bpr_backward(self, weight, users: np.ndarray, pos: np.ndarray,
-                      neg: np.ndarray) -> None:
-        """Set ``weight.grad`` to the gradient of the mean BPR loss.
-
-        The previous step's gradient is dropped *after* this forward,
-        not before it.  That gradient was the step's last allocation
-        and sits at the top of the heap; while it lives, the memory the
-        previous step freed below it cannot be trimmed, so the forward
-        reuses those pages instead of returning them to the OS and
-        faulting them back in.  On the e2e ``stream`` world with 3040
-        replayed pairs that cuts page faults per retrain step from
-        ~2280 to ~470.
+        Each branch's per-pair rows are scattered onto the unique users
+        by the backend's ``scatter_rows`` and the two are added — the
+        dense gradient a backward through the embedding table forms,
+        restricted to the rows it can change.
         """
-        pos_logits = self.model.interaction_logits(users, pos)
-        neg_logits = self.model.interaction_logits(users, neg)
-        loss = -(pos_logits - neg_logits).log_sigmoid().mean()
-        weight.zero_grad()
-        loss.backward()
+        started = time.perf_counter()
+        bpr, visited = self._round(user_rows, poi_rows)
+        table = self.model.user_embeddings.weight.data
+        scatter = _xp().scatter_rows
+        n = bpr.unique.size
+        for _ in range(self.fold_in_steps):
+            pos_grad, neg_grad = bpr.grads(
+                self._draw_negatives(visited, bpr.inverse))
+            grad = scatter(bpr.inverse, pos_grad, n) \
+                + scatter(bpr.inverse, neg_grad, n)
+            table[bpr.unique] -= self.learning_rate * grad
+            self.stats.fold_in_steps += 1
+        if self._registry is not None:
+            self._registry.histogram("streaming.fold_in_ms").observe(
+                (time.perf_counter() - started) * 1000.0)
 
     # ------------------------------------------------------------------
-    # Periodic retrain: Adam sparse_mode over a bounded replay set
+    # Periodic retrain: Adam over a bounded replay set
     # ------------------------------------------------------------------
     def _replay_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """(user rows, POI rows) one retrain round replays.
@@ -338,20 +349,21 @@ class IncrementalUpdater:
                 np.array(pois, dtype=np.int64)[keep])
 
     def retrain(self, steps: Optional[int] = None) -> UpdateStats:
-        """Replay the new rows and a sample of older ones through sparse Adam.
+        """Replay the new rows and a sample of older ones through Adam.
 
         The replay set is :meth:`_replay_rows`: at most twice the rows
         ingested since the last round, whatever the retained history
         holds.  A call with nothing new does nothing and counts no
-        round.  Only the user-embedding parameter is given to the
-        optimizer and ``sparse_grad`` is enabled for the duration, so
-        each backward produces a :class:`SparseRowGrad` over exactly the
-        touched rows and ``sparse_mode="exact"`` updates nothing else —
-        bit-identical to a dense pass restricted to those rows, at
-        touched-set cost.  Every other parameter is frozen for the round
-        (see the module docstring).  The ``streaming.retrain_rows``
-        gauge records the pairs replayed per step: replayed rows ×
-        ``num_negatives``.
+        round.  Each round is a fresh Adam (Kingma & Ba defaults, step
+        ``retrain_lr``) whose moments cover only the replayed users:
+        rows outside them would get an update of exactly ``0.0``.  A
+        step's gradient coalesces the positive branch's per-pair rows
+        ahead of the negative branch's, summing duplicates in
+        first-occurrence order, and ``adam_update`` applies it — the
+        arithmetic of :class:`repro.nn.optim.Adam` in
+        ``sparse_mode="exact"`` over an embedding's ``SparseRowGrad``.
+        The ``streaming.retrain_rows`` gauge records the pairs replayed
+        per step: replayed rows × ``num_negatives``.
         """
         if not self._fresh:
             return self.stats
@@ -359,32 +371,26 @@ class IncrementalUpdater:
         check_positive("steps", steps)
 
         rows, positives = self._replay_rows()
-        user_rows = np.repeat(rows, self.num_negatives)
-        pos = np.repeat(positives, self.num_negatives)
-
-        weight = self.model.user_embeddings.weight
-        was_training = self.model.training
-        was_sparse = self.model.user_embeddings.sparse_grad
-        self.model.eval()
-        self.model.user_embeddings.sparse_grad = True
         started = time.perf_counter()
-        optimizer = Adam([weight], lr=self.retrain_lr,
-                         sparse_mode="exact")
-        try:
-            with self.model.trainable_only(weight):
-                for _ in range(steps):
-                    neg = self._sample_negatives(user_rows)
-                    self._bpr_backward(weight, user_rows, pos, neg)
-                    optimizer.step()
-        finally:
-            self.model.zero_grad()
-            self.model.user_embeddings.sparse_grad = was_sparse
-            if was_training:
-                self.model.train()
+        bpr, visited = self._round(rows, positives)
+        table = self.model.user_embeddings.weight.data
+        xp = _xp()
+        n = bpr.unique.size
+        inverse = np.concatenate([bpr.inverse, bpr.inverse])
+        m = np.zeros((n,) + table.shape[1:], dtype=table.dtype)
+        v = np.zeros_like(m)
+        beta1, beta2 = _ADAM_BETAS
+        for t in range(1, steps + 1):
+            branches = bpr.grads(
+                self._draw_negatives(visited, bpr.inverse))
+            grad = xp.scatter_rows(inverse, np.concatenate(branches), n)
+            table[bpr.unique] -= xp.adam_update(
+                m, v, grad, self.retrain_lr, beta1, beta2, _ADAM_EPS,
+                1.0 - beta1**t, 1.0 - beta2**t)
         self.stats.retrain_rounds += 1
         if self._registry is not None:
             self._registry.gauge("streaming.retrain_rows").set(
-                float(user_rows.size))
+                float(bpr.users.size))
             self._registry.counter("streaming.retrain_rounds").inc()
             self._registry.histogram("streaming.retrain_ms").observe(
                 (time.perf_counter() - started) * 1000.0)

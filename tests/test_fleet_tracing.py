@@ -29,7 +29,7 @@ from repro.obs.trace_report import (
 )
 from repro.parallel.supervisor import SupervisionConfig
 from repro.reliability import ChaosPlan, WindowFault
-from repro.resilience import QUALITY_FULL, ResilienceConfig
+from repro.resilience import QUALITY_FULL, Deadline, ResilienceConfig
 
 TARGET = "shelbyville"
 K = 5
@@ -195,6 +195,41 @@ class TestBurnAlert:
         assert miss > 0.10, f"stalled shards missed only {miss:.1%}"
         assert deadline["alerts"] >= 1, (
             f"{miss:.1%} of deadlines missed but no burn-rate alert fired")
+
+
+class TestDeadlineAtReturn:
+    def test_finalized_in_budget_but_returned_late_is_a_miss(self, world):
+        """One batch, one stalled shard: the short-budget user is
+        finalized from the fallback chain inside its budget, but the
+        call returns only once the long-budget user's slice arrives,
+        after the short budget has run out.  The caller saw a late
+        answer, so the SLO tracker must count a miss."""
+        model, index, dataset = world
+        short, patient = sorted(dataset.users)[:2]
+        plan = ChaosPlan(windows=[WindowFault.slow_shard(0, 0, FOREVER,
+                                                         0.3)])
+        config = ResilienceConfig(
+            deadline_ms=10_000.0, hop_timeout_ms=5_000.0,
+            hedge_after_ms=5_000.0, poll_interval_ms=2.0,
+            finalize_margin_ms=80.0, breaker_restart_shard=False)
+        slo = SloTracker(default_serving_slos(DEADLINE_MS))
+        with ShardRouter(model, index, dataset, TARGET, num_shards=1,
+                         fault_plan=plan, supervision=_supervision(),
+                         resilience=config, slo=slo) as router:
+            got = router.recommend_resilient(
+                [short, patient], k=K,
+                deadlines=[Deadline(100.0), Deadline(10_000.0)])
+            counters = router.resilience_stats()
+        assert got[patient].quality == QUALITY_FULL
+        assert got[patient].deadline_met
+        assert got[short].quality != QUALITY_FULL
+        assert got[short].latency_ms >= 100.0
+        assert not got[short].deadline_met
+        deadline = slo.summary()["objectives"]["deadline_hit"]
+        assert deadline["events"] == 2
+        assert deadline["bad"] == 1
+        assert counters["deadline_misses"] == 1
+        assert counters["deadline_hits"] == 1
 
 
 class TestHealthyTracing:

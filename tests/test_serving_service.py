@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.checkpoint import save_checkpoint
 from repro.core.config import STTransRecConfig
-from repro.core.model import STTransRec
+from repro.core.model import STTransRec, UserSideBPR
 from repro.core.recommend import Recommender
 from repro.data.dataset import CheckinDataset
 from repro.data.records import CheckinRecord
@@ -206,18 +206,18 @@ class TestFoldIn:
         index = heavy.build_index()
         new_pois = catalogue[cut:cut + 2]
         calls = []
+        grads = UserSideBPR.grads
+
+        def recording(bpr, neg):
+            calls.append(np.asarray(neg).copy())
+            return grads(bpr, neg)
+
+        monkeypatch.setattr(UserSideBPR, "grads", recording)
         with RecommendationService(make_model(index), index, heavy,
                                    "shelbyville", use_batcher=False) as svc:
-            logits = svc.model.interaction_logits
-
-            def recording(user_idx, poi_idx):
-                calls.append(np.asarray(poi_idx).copy())
-                return logits(user_idx, poi_idx)
-
-            monkeypatch.setattr(svc.model, "interaction_logits", recording)
             svc.fold_in(user, new_pois)
-        # Each BPR step scores the positives, then the negatives.
-        negatives = np.concatenate(calls[1::2])
+        # Each BPR step scores the positives against these negatives.
+        negatives = np.concatenate(calls)
         assert negatives.size > 0
         visited = {index.pois.index_of(p)
                    for p in catalogue[:cut] + new_pois}

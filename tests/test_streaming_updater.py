@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import STTransRecConfig
-from repro.core.model import STTransRec
+from repro.core.model import STTransRec, UserSideBPR
 from repro.nn.dtypes import using_dtype
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
@@ -14,9 +14,9 @@ from repro.streaming import CheckinEvent, IncrementalUpdater
 TARGET = "shelbyville"
 
 
-def make_updater(dataset, index, **overrides):
+def make_updater(dataset, index, config=None, **overrides):
     model = STTransRec(index.num_users, index.num_pois, index.num_words,
-                       STTransRecConfig(embedding_dim=8, seed=3))
+                       config or STTransRecConfig(embedding_dim=8, seed=3))
     model.eval()
     pool = [p.poi_id for p in dataset.pois_in_city(TARGET)]
     kwargs = dict(learning_rate=0.1, fold_in_steps=2, retrain_lr=0.05,
@@ -66,18 +66,19 @@ def replayed(updater):
     """Run one retrain round; return the (user, POI) rows it replayed,
     or ``None`` when it ran no step."""
     seen = []
-    real = updater._bpr_backward
+    real = UserSideBPR.grads
     k = updater.num_negatives
 
-    def spy(weight, users, pos, neg):
-        seen.append(list(zip(users[::k].tolist(), pos[::k].tolist())))
-        real(weight, users, pos, neg)
+    def spy(bpr, neg):
+        seen.append(list(zip(bpr.users[::k].tolist(),
+                             bpr.pos[::k].tolist())))
+        return real(bpr, neg)
 
-    updater._bpr_backward = spy
+    UserSideBPR.grads = spy
     try:
         updater.retrain()
     finally:
-        del updater._bpr_backward
+        UserSideBPR.grads = real
     assert all(rows == seen[0] for rows in seen)
     return seen[0] if seen else None
 
@@ -172,20 +173,20 @@ class TestNegativeSampling:
         updater.ingest([event])
         assert updater._is_visited(key)[0]
 
-    def test_ingest_never_draws_its_own_positives(self, world):
+    def test_ingest_never_draws_its_own_positives(self, world,
+                                                  monkeypatch):
         dataset, index = world
         model, updater = make_updater(dataset, index, fold_in_steps=5)
         events = stream_events(dataset, index, num_users=3, per_user=4)
         batch = set(pairs_of(index, events))
         drawn = []
-        real = updater._sample_negatives
+        real = UserSideBPR.grads
 
-        def spy(user_rows):
-            negatives = real(user_rows)
-            drawn.extend(zip(user_rows.tolist(), negatives.tolist()))
-            return negatives
+        def spy(bpr, neg):
+            drawn.extend(zip(bpr.users.tolist(), neg.tolist()))
+            return real(bpr, neg)
 
-        updater._sample_negatives = spy
+        monkeypatch.setattr(UserSideBPR, "grads", spy)
         updater.ingest(events)
         assert len(drawn) == len(events) * updater.num_negatives * 5
         assert not batch & set(drawn)
@@ -424,6 +425,38 @@ class TestFrozenBackward:
                                      ref_model.named_parameters()):
             assert p.data.tobytes() == q.data.tobytes(), name
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("hidden_sizes", [[16], None],
+                             ids=["hidden16", "paper"])
+    @pytest.mark.parametrize("features", ["concat", "concat_product"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_configuration_matrix_bit_identical(self, world, precision,
+                                                features, hidden_sizes,
+                                                dropout):
+        dataset, index = world
+        config = STTransRecConfig(embedding_dim=8, seed=3,
+                                  interaction_features=features,
+                                  hidden_sizes=hidden_sizes, dropout=dropout)
+        with using_dtype(precision):
+            model, updater = make_updater(dataset, index, config)
+            ref_model, reference = make_updater(dataset, index, config)
+        reference._fold_in = lambda users, pois: full_graph_fold_in(
+            reference, users, pois)
+        user_table = model.user_embeddings.weight
+        before = {name: p.data.tobytes()
+                  for name, p in model.named_parameters()
+                  if p is not user_table}
+
+        got = run_updates(dataset, index, updater, lambda u: u.retrain())
+        expected = run_updates(dataset, index, reference,
+                               full_graph_retrain)
+        assert got.dtype == np.dtype(
+            np.float64 if precision == "f64" else np.float32)
+        assert got.tobytes() == expected.tobytes()
+        for name, p in model.named_parameters():
+            if p is not user_table:
+                assert p.data.tobytes() == before[name], name
+
     def test_only_the_user_table_receives_a_grad(self, world, monkeypatch):
         dataset, index = world
         model, updater = make_updater(dataset, index)
@@ -431,14 +464,19 @@ class TestFrozenBackward:
         others = [(n, p) for n, p in model.named_parameters()
                   if p is not weight]
         seen = []
-        real_backward = Tensor.backward
+        backward_calls = []
+        real_grads = UserSideBPR.grads
 
-        def spy(self, grad=None):
-            real_backward(self, grad)
-            seen.append((weight.grad is not None,
+        def spy(bpr, neg):
+            branches = real_grads(bpr, neg)
+            user_rows = (len(bpr.users), weight.data.shape[1])
+            seen.append((all(g.shape == user_rows for g in branches),
                          [n for n, p in others if p.grad is not None]))
+            return branches
 
-        monkeypatch.setattr(Tensor, "backward", spy)
+        monkeypatch.setattr(UserSideBPR, "grads", spy)
+        monkeypatch.setattr(Tensor, "backward",
+                            lambda self, grad=None: backward_calls.append(1))
         events = stream_events(dataset, index)
         updater.ingest(events)
         updater.fold_in_user(index.users.index_of(events[0].user_id),
@@ -449,6 +487,9 @@ class TestFrozenBackward:
         assert all(user_grad and not other for user_grad, other in seen)
         assert {n.split(".")[0] for n, _ in others} >= {
             "poi_embeddings", "poi_bias", "tower"}
+        # Tape-free: no backward ran and no parameter holds a grad.
+        assert not backward_calls
+        assert all(p.grad is None for _n, p in model.named_parameters())
 
     def test_retrain_rows_gauge(self, world):
         dataset, index = world
