@@ -47,6 +47,7 @@ from repro.data import (
 from repro.data.stats import dataset_statistics
 from repro.eval import RankingEvaluator, build_case_study
 from repro.eval.reporting import format_comparison
+from repro.utils.blas import limit_blas_threads
 from repro.utils.logging import REPORT_LOGGER_NAME, setup_cli_logging
 
 PRESETS = {"foursquare": foursquare_like, "yelp": yelp_like}
@@ -158,6 +159,9 @@ def cmd_train(args) -> int:
             _progress("--profile-ops instruments in-process tensor ops "
                       "only; worker replicas run unprofiled")
         return _train_resumable(args, split, config, telemetry)
+    # The fit runs in this process; batch-sized matmuls are slower on a
+    # multi-threaded BLAS pool than on one thread.
+    limit_blas_threads()
     trainer = STTransRecTrainer(split, config, telemetry=telemetry)
     if args.profile_ops:
         from repro.nn.profile import profile_ops
@@ -489,6 +493,8 @@ def cmd_stream_smoke(args) -> int:
         load_latest,
     )
 
+    # Training and the updater's fold-ins run in this process.
+    limit_blas_threads()
     scale = 0.2 if args.tiny else args.scale
     config = foursquare_like(scale=scale, seed=args.seed)
     dataset, truth = generate_dataset(config)
@@ -815,6 +821,7 @@ def cmd_fault_smoke(args) -> int:
 
 
 def cmd_case_study(args) -> int:
+    limit_blas_threads()            # both fits run in this process
     config, _dataset, split = _build_preset_split(args)
     profile = dataclasses.replace(PROFILES[args.preset], seed=args.seed)
     from repro.baselines import STTransRecMethod

@@ -12,23 +12,29 @@ The transfer-learning layer (MMD between source/target POI embedding
 batches) and the resampling module live in the trainer: they consume the
 same POI embedding table that both paths train.
 
-:class:`UserSideBPR` is the interaction path's BPR gradient with
-respect to the user rows alone, in closed form and without a graph —
-the step the streaming updater folds check-ins in with.
+The interaction path also exists in closed numpy, without a graph:
+:class:`TowerPass` is one pass through the tower, forward and backward;
+:class:`InteractionBCE` is the BCE loss over the logits with every
+parameter's gradient — the trainer's joint step; and
+:class:`UserSideBPR` is the BPR gradient with respect to the user rows
+alone — the step the streaming updater folds check-ins in with.  Each
+replays the tape's numpy operations in the tape's order, so its
+results carry the tape's bits.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import STTransRecConfig
 from repro.nn.backend import active_backend as _xp
+from repro.nn.dtypes import coerce
 from repro.nn.layers import MLP, Dropout, Embedding, Linear
 from repro.nn.module import Module
 from repro.nn.ops import concat
-from repro.nn.tensor import Tensor, stable_sigmoid
+from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 from repro.utils.rng import as_rng
 
 
@@ -139,6 +145,166 @@ class STTransRec(Module):
         )
 
 
+class TowerPass:
+    """One pass through the interaction tower (Eq. 11) in closed numpy.
+
+    :meth:`forward` and :meth:`backward` run the numpy operations the
+    autograd tape runs for :class:`~repro.nn.layers.MLP`, in the same
+    order: ``x @ W`` then ``+ b``, the ``np.where`` ReLU, and in
+    backward ``g @ W.swapaxes(-1, -2)`` through each layer, so every
+    array they return carries the tape's bits.
+
+    With ``train=True`` (the trainer's pass) each of the tower's
+    :class:`~repro.nn.layers.Dropout` layers acts as its ``forward``
+    would (a mask drawn from its generator in train mode, the identity
+    in eval mode), and :meth:`backward` also returns the parameters'
+    gradients.  With ``train=False`` the pass is the eval-mode tower
+    with frozen weights: no dropout, whatever the layers' mode, and the
+    input gradient only — the cache then holds just the ReLU masks.
+
+    The weights are read once, at construction; build a new pass after
+    the parameters change.
+    """
+
+    def __init__(self, mlp: MLP, train: bool = False) -> None:
+        self._train = train
+        self._layers: List[list] = []
+        for step in mlp.tower.steps:
+            if isinstance(step, Linear):
+                self._layers.append([step.weight.data, step.bias.data,
+                                     None])
+            elif isinstance(step, Dropout) and train:
+                self._layers[-1][2] = step
+        self._head = (mlp.head.weight.data, mlp.head.bias.data)
+
+    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, tuple]:
+        """Pre-sigmoid logits of shape ``(batch,)`` and the pass's cache
+        for :meth:`backward`."""
+        xp = _xp()
+        inputs, relu_masks, drop_masks = [], [], []
+        for weight, b, drop in self._layers:
+            if self._train:
+                inputs.append(x)
+            x = x @ weight + b
+            mask = x > 0
+            x = xp.where(mask, x, 0.0)
+            relu_masks.append(mask)
+            x, drop_mask = _apply_dropout(drop, x)
+            drop_masks.append(drop_mask)
+        weight, b = self._head
+        return ((x @ weight + b).reshape(-1),
+                (inputs, relu_masks, drop_masks,
+                 x if self._train else None))
+
+    def backward(self, grad: np.ndarray, cache: tuple
+                 ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Carry a logit gradient back through the tower.
+
+        Returns the gradient of the tower input and, for a training
+        pass, the gradients of the tower's parameters in
+        ``MLP.parameters()`` order (each layer's weight and bias, then
+        the head's); an empty list otherwise.
+        """
+        inputs, relu_masks, drop_masks, last = cache
+        grad = grad.reshape(-1, 1)
+        weight = self._head[0]
+        grads: List[np.ndarray] = []
+        if self._train:
+            grads += [grad.sum(axis=0), last.swapaxes(-1, -2) @ grad]
+        grad = grad @ weight.swapaxes(-1, -2)
+        for i in reversed(range(len(self._layers))):
+            if drop_masks[i] is not None:
+                grad = grad * drop_masks[i]
+            grad = grad * relu_masks[i]
+            if self._train:
+                grads += [grad.sum(axis=0),
+                          inputs[i].swapaxes(-1, -2) @ grad]
+            grad = grad @ self._layers[i][0].swapaxes(-1, -2)
+        grads.reverse()
+        return grad, grads
+
+
+def _apply_dropout(layer: Optional[Dropout], x: np.ndarray
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``Dropout.forward`` on an array: ``(output, mask)``.
+
+    The mask is drawn from the layer's generator exactly as the layer
+    draws it; ``None`` (and ``x`` unchanged) when ``layer`` is ``None``,
+    in eval mode or at rate 0.
+    """
+    if layer is None or not layer.training or layer.rate == 0.0:
+        return x, None
+    mask = _xp().dropout_mask(layer._rng, x.shape, 1.0 - layer.rate,
+                              x.dtype)
+    return x * mask, mask
+
+
+class InteractionBCE:
+    """Tape-free BCE over the interaction logits (Eqs. 11 and 13).
+
+    The loss is ``bce_with_logits(model.interaction_logits(users, pois),
+    labels)``, the mean over the batch, with every parameter on its
+    path differentiated.  Construction runs the forward pass in the
+    model's current mode: in train mode the embedding and hidden
+    dropout masks are drawn from :attr:`STTransRec.training_rng` in the
+    order the tape draws them.  :meth:`backward` returns the gradients
+    the tape sends into each lookup and each tower parameter, with the
+    tape's bits.
+    """
+
+    def __init__(self, model: STTransRec, users: np.ndarray,
+                 pois: np.ndarray, labels: np.ndarray) -> None:
+        xp = _xp()
+        self.users = users
+        self.pois = pois
+        x_u = xp.take(model.user_embeddings.weight.data, users, axis=0)
+        x_v = xp.take(model.poi_embeddings.weight.data, pois, axis=0)
+        self._x_u, self._x_v = x_u, x_v
+        self._product = \
+            model.config.interaction_features == "concat_product"
+        parts = [x_u, x_v, x_u * x_v] if self._product else [x_u, x_v]
+        joined, self._drop_mask = _apply_dropout(
+            model.embedding_dropout, xp.concatenate(parts, axis=1))
+        bias = xp.take(model.poi_bias.weight.data, pois,
+                       axis=0).reshape(-1)
+        self._tower = TowerPass(model.tower, train=True)
+        logits, self._cache = self._tower.forward(joined)
+        z = logits + bias
+        dtype = z.dtype
+        self._y = coerce(labels, dtype=dtype)
+        self._not_y = 1.0 - self._y
+        self._sig = stable_sigmoid(z)
+        self._sig_neg = stable_sigmoid(-z)
+        losses = -((-softplus(-z)) * self._y
+                   + (-softplus(z)) * self._not_y)
+        self._mean = coerce(1.0 / z.size, dtype=dtype)
+        #: The batch's mean loss, a 0-d value in the model's dtype.
+        self.loss = losses.sum() * self._mean
+
+    def backward(self, grad) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      List[np.ndarray]]:
+        """Gradients for an upstream loss gradient ``grad`` (0-d).
+
+        Returns ``(user rows, POI rows, poi_bias rows, tower grads)``:
+        the rows the tape scatters into the user, POI and ``poi_bias``
+        tables at ``users``, ``pois`` and ``pois``, and the tower's
+        parameter gradients in ``MLP.parameters()`` order.
+        """
+        g = -(grad * self._mean)
+        g_z = (g * self._y) * (1.0 - self._sig) \
+            - (g * self._not_y) * (1.0 - self._sig_neg)
+        g_in, tower_grads = self._tower.backward(g_z, self._cache)
+        if self._drop_mask is not None:
+            g_in = g_in * self._drop_mask
+        d = self._x_u.shape[1]
+        g_u, g_v = g_in[:, :d], g_in[:, d:2 * d]
+        if self._product:
+            g_p = g_in[:, 2 * d:]
+            g_u = g_u + g_p * self._x_v
+            g_v = g_v + g_p * self._x_u
+        return g_u, g_v, g_z.reshape(-1, 1), tower_grads
+
+
 class UserSideBPR:
     """Tape-free gradient of the mean BPR loss with respect to user rows.
 
@@ -172,11 +338,7 @@ class UserSideBPR:
         self._pos_v = xp.take(model.poi_embeddings.weight.data, pos, axis=0)
         self._pos_bias = xp.take(model.poi_bias.weight.data, pos,
                                  axis=0).reshape(-1)
-        self._layers = [(step.weight.data, step.bias.data)
-                        for step in model.tower.tower.steps
-                        if isinstance(step, Linear)]
-        self._head = (model.tower.head.weight.data,
-                      model.tower.head.bias.data)
+        self._tower = TowerPass(model.tower)
         # The tape seeds backward with 1, negates it and scales it by
         # the mean's 1/n constant in the table's dtype.
         dtype = model.user_embeddings.weight.data.dtype
@@ -196,35 +358,25 @@ class UserSideBPR:
         x_neg = xp.take(model.poi_embeddings.weight.data, neg, axis=0)
         neg_bias = xp.take(model.poi_bias.weight.data, neg,
                            axis=0).reshape(-1)
-        pos_logits, pos_masks = self._forward(x_u, self._pos_v,
+        pos_logits, pos_cache = self._forward(x_u, self._pos_v,
                                               self._pos_bias)
-        neg_logits, neg_masks = self._forward(x_u, x_neg, neg_bias)
+        neg_logits, neg_cache = self._forward(x_u, x_neg, neg_bias)
         grad = self._seed * (1.0 - stable_sigmoid(pos_logits - neg_logits))
-        return (self._backward(grad, pos_masks, self._pos_v),
-                self._backward(-grad, neg_masks, x_neg))
+        return (self._backward(grad, pos_cache, self._pos_v),
+                self._backward(-grad, neg_cache, x_neg))
 
     def _forward(self, x_u: np.ndarray, x_v: np.ndarray,
-                 bias: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Logits and each hidden layer's ReLU mask (Eq. 11, eval mode)."""
-        xp = _xp()
+                 bias: np.ndarray) -> Tuple[np.ndarray, tuple]:
+        """Logits and the tower pass's cache (Eq. 11, eval mode)."""
         parts = [x_u, x_v, x_u * x_v] if self._product else [x_u, x_v]
-        hidden = xp.concatenate(parts, axis=1)
-        masks = []
-        for weight, b in self._layers:
-            hidden = hidden @ weight + b
-            mask = hidden > 0
-            hidden = xp.where(mask, hidden, 0.0)
-            masks.append(mask)
-        weight, b = self._head
-        return (hidden @ weight + b).reshape(-1) + bias, masks
+        logits, cache = self._tower.forward(
+            _xp().concatenate(parts, axis=1))
+        return logits + bias, cache
 
-    def _backward(self, grad: np.ndarray, masks: List[np.ndarray],
+    def _backward(self, grad: np.ndarray, cache: tuple,
                   x_v: np.ndarray) -> np.ndarray:
         """Carry a logit gradient back to the user lookup."""
-        grad = grad.reshape(-1, 1) @ self._head[0].swapaxes(-1, -2)
-        for (weight, _b), mask in zip(reversed(self._layers),
-                                      reversed(masks)):
-            grad = (grad * mask) @ weight.swapaxes(-1, -2)
+        grad, _ = self._tower.backward(grad, cache)
         d = x_v.shape[1]
         if self._product:
             return grad[:, :d] + grad[:, 2 * d:] * x_v

@@ -16,6 +16,16 @@ plus the transfer term, optimizing the overall loss of Eq. 3:
 The source side pools all source cities (each segmented and resampled
 independently, then concatenated), matching the paper's treatment of
 "the remaining cities as source cities".
+
+Steps build no autograd graph.  Each term's forward and backward runs
+in closed numpy (:class:`~repro.core.model.InteractionBCE`, the
+user-anchor term here, :class:`~repro.text.skipgram.SkipgramBatch`,
+:class:`~repro.transfer.mmd.MMDBatch`), replaying the operations the
+``repro.nn`` tape runs for the same loss in the tape's order; the
+step then adds each table's per-lookup gradients in the tape's
+topological order and hands Adam one flat gradient vector.  Every
+parameter, moment and loss value keeps the tape's bits
+(``tests/test_core_trainer.py::TestTapeFreeStep``).
 """
 
 from __future__ import annotations
@@ -27,25 +37,25 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import STTransRecConfig
-from repro.core.model import STTransRec
+from repro.core.model import InteractionBCE, STTransRec
 from repro.data.sampling import ContextPairSampler, InteractionSampler
 from repro.data.split import CrossingCitySplit
 from repro.data.vocabulary import DatasetIndex
-from repro.nn.losses import bce_with_logits
+from repro.nn.backend import active_backend as _xp
+from repro.nn.dtypes import coerce
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.spatial.density import build_density_model
 from repro.spatial.grid import CityGrid
 from repro.spatial.resampling import DensityResampler
 from repro.spatial.segmentation import Segmentation, segment_city
 from repro.text.context_graph import TextualContextGraph
-from repro.text.skipgram import skipgram_batch_loss
+from repro.text.skipgram import SkipgramBatch
 from repro.transfer.kernels import (
     GaussianKernel,
     MultiGaussianKernel,
     median_heuristic_bandwidth,
 )
-from repro.transfer.mmd import mmd_between_embeddings
+from repro.transfer.mmd import MMDBatch
 from repro.obs.telemetry import Telemetry, span as _span
 from repro.utils.logging import get_logger
 from repro.utils.rng import as_rng
@@ -69,6 +79,67 @@ class _OptimizerGroup:
     def step(self) -> None:
         for optimizer in self.optimizers:
             optimizer.step()
+
+
+class _AnchorTerm:
+    """The content-anchor regularizer, ``mean((x_u − anchor_u)²)`` over
+    a batch's unique users, with its backward in closed numpy (the
+    tape's ``(diff * diff).mean()``, operation for operation)."""
+
+    def __init__(self, model: STTransRec, anchors: np.ndarray,
+                 users: np.ndarray) -> None:
+        self.users = np.unique(users)
+        diff = _xp().take(model.user_embeddings.weight.data, self.users,
+                          axis=0) - anchors[self.users]
+        self._diff = diff
+        self._mean = coerce(1.0 / diff.size, dtype=diff.dtype)
+        self.loss = (diff * diff).sum() * self._mean
+
+    def backward(self, grad) -> np.ndarray:
+        """User rows' gradient (at :attr:`users`) for upstream ``grad``."""
+        part = (grad * self._mean) * self._diff
+        return part + part
+
+
+class _Grads:
+    """A step's gradient contributions, per parameter, in arrival order.
+
+    :meth:`add` scatters one lookup's rows into a dense table image
+    (the tape's ``gather_rows`` backward); :meth:`value` adds a
+    parameter's images left to right, as the tape accumulates them.
+    """
+
+    def __init__(self) -> None:
+        self._parts: Dict[int, List[np.ndarray]] = {}
+
+    def add(self, embedding, idx: np.ndarray, rows: np.ndarray) -> None:
+        table = embedding.weight
+        self._parts.setdefault(id(table), []).append(_xp().scatter_rows(
+            idx, rows, table.data.shape[0]))
+
+    def set(self, param, grad: np.ndarray) -> None:
+        self._parts.setdefault(id(param), []).append(grad)
+
+    def reached(self, param) -> bool:
+        return id(param) in self._parts
+
+    def value(self, param, out: Optional[np.ndarray] = None
+              ) -> Optional[np.ndarray]:
+        """The parameter's gradient (``None`` if unreached), written
+        into ``out`` when given.  Adds in place into the first image,
+        which the step owns."""
+        parts = self._parts.get(id(param))
+        if not parts:
+            return None
+        total = parts[0]
+        for part in parts[1:-1]:
+            total += part
+        if out is None:
+            return total + parts[-1] if len(parts) > 1 else total
+        if len(parts) > 1:
+            return np.add(total, parts[-1], out=out)
+        out[...] = total
+        return out
 
 
 @dataclass
@@ -153,6 +224,9 @@ class STTransRecTrainer:
         self._kernel = self._build_kernel()
         self._profile_rows = self._build_profile_rows()
         self._anchors: Optional[np.ndarray] = None
+        # Per-optimizer views of a flat gradient buffer (_grad_views).
+        self._grad_flats: Dict[int, Optional[List[np.ndarray]]] = {}
+        self._tower_params = self.model.tower.parameters()
 
     # ------------------------------------------------------------------
     # Component construction
@@ -346,64 +420,63 @@ class STTransRecTrainer:
         if cfg.user_anchor > 0 and self._anchors is None:
             self._refresh_anchors()
 
+        model = self.model
         with _span(tel, "epoch"):
             for name, (users, pois, labels) in self._interaction_batches():
                 self.optimizer.zero_grad()
                 with _span(tel, "interaction"):
-                    logits = self.model.interaction_logits(users, pois)
-                    loss = bce_with_logits(logits, labels)
+                    interaction = InteractionBCE(model, users, pois, labels)
+                    anchor = (_AnchorTerm(model, self._anchors, users)
+                              if cfg.user_anchor > 0 else None)
+                loss = interaction.loss
                 key = "it" if name == "target" else "is"
                 sums[key] += loss.item()
                 counts[key] += 1
                 if tel is not None:
                     step_counters[key].inc()
+                if anchor is not None:
+                    loss = loss + anchor.loss * cfg.user_anchor
 
-                if cfg.user_anchor > 0:
-                    unique_users = np.unique(users)
-                    x_u = self.model.user_embeddings(unique_users)
-                    diff = x_u - Tensor(self._anchors[unique_users])
-                    loss = loss + (diff * diff).mean() * cfg.user_anchor
-
+                context = None
                 if cfg.use_text:
                     ctx = next(context_src if name == "source"
                                else context_tgt, None)
                     if ctx is not None:
-                        poi_idx, word_idx, neg_idx = ctx
                         with _span(tel, "context"):
-                            ctx_loss = skipgram_batch_loss(
-                                self.model.poi_embeddings,
-                                self.model.word_embeddings,
-                                poi_idx, word_idx, neg_idx,
-                            )
+                            context = SkipgramBatch(
+                                model.poi_embeddings.weight.data,
+                                model.word_embeddings.weight.data, *ctx)
                         ckey = "ct" if name == "target" else "cs"
-                        sums[ckey] += ctx_loss.item()
+                        sums[ckey] += context.loss.item()
                         counts[ckey] += 1
                         if tel is not None:
                             step_counters[ckey].inc()
-                        loss = loss + ctx_loss * cfg.lambda_text
+                        loss = loss + context.loss * cfg.lambda_text
 
+                mmd = None
                 if cfg.use_mmd and cfg.lambda_mmd > 0:
                     with _span(tel, "mmd_batch"):
                         src_idx = self._sample_pool(self.source_mmd_pool,
                                                     cfg.mmd_batch_size)
                         tgt_idx = self._sample_pool(self.target_mmd_pool,
                                                     cfg.mmd_batch_size)
-                        mmd = mmd_between_embeddings(
-                            self.model.poi_embedding_batch(src_idx),
-                            self.model.poi_embedding_batch(tgt_idx),
-                            kernel=self._kernel,
-                            estimator=cfg.mmd_estimator,
-                        )
-                    sums["mmd"] += mmd.item()
+                        table = model.poi_embeddings.weight.data
+                        mmd = (MMDBatch(_xp().take(table, src_idx, axis=0),
+                                        _xp().take(table, tgt_idx, axis=0),
+                                        kernel=self._kernel,
+                                        estimator=cfg.mmd_estimator),
+                               src_idx, tgt_idx)
+                    sums["mmd"] += mmd[0].loss.item()
                     counts["mmd"] += 1
                     if tel is not None:
                         step_counters["mmd"].inc()
-                    loss = loss + mmd * cfg.lambda_mmd
+                    loss = loss + mmd[0].loss * cfg.lambda_mmd
 
                 sums["total"] += loss.item()
                 counts["steps"] += 1
                 with _span(tel, "backward"):
-                    loss.backward()
+                    self._set_grads(self._joint_grads(
+                        loss, interaction, anchor, context, mmd))
                 with _span(tel, "optimizer"):
                     self.optimizer.step()
                 if tel is not None:
@@ -460,29 +533,111 @@ class STTransRecTrainer:
         with _span(self.telemetry, "pretrain"):
             for _ in range(n):
                 for sampler in (self.source_contexts, self.target_contexts):
-                    for poi_idx, word_idx, neg_idx in \
-                            sampler.epoch(cfg.batch_size):
+                    for batch in sampler.epoch(cfg.batch_size):
                         self.optimizer.zero_grad()
-                        loss = skipgram_batch_loss(
-                            self.model.poi_embeddings,
-                            self.model.word_embeddings,
-                            poi_idx, word_idx, neg_idx,
-                        )
-                        loss.backward()
+                        context = SkipgramBatch(
+                            self.model.poi_embeddings.weight.data,
+                            self.model.word_embeddings.weight.data, *batch)
+                        grads = _Grads()
+                        self._add_context_grads(
+                            grads, context,
+                            _xp().ones_like(context.loss))
+                        self._set_grads(grads)
                         self.optimizer.step()
         # Content-based warm start for user embeddings.
         poi_emb = self.model.poi_embeddings.weight.data
         user_emb = self.model.user_embeddings.weight.data
-        for user_id in self.train_data.users:
-            u = self.index.users.get(user_id)
-            if u < 0:
-                continue
-            rows = [
-                self.index.pois.index_of(r.poi_id)
-                for r in self.train_data.user_profile(user_id)
-            ]
+        for u, rows in self._profile_rows.items():
             if rows:
                 user_emb[u] = poi_emb[rows].mean(axis=0)
+
+    # ------------------------------------------------------------------
+    # Gradients
+    # ------------------------------------------------------------------
+    def _joint_grads(self, loss, interaction: InteractionBCE,
+                     anchor: Optional["_AnchorTerm"],
+                     context: Optional[SkipgramBatch],
+                     mmd: Optional[Tuple[MMDBatch, np.ndarray, np.ndarray]]
+                     ) -> "_Grads":
+        """Every parameter's gradient of one joint step's loss (Eq. 3).
+
+        The tape seeds backward with a 1 in the loss's dtype and scales
+        it by each term's weight on the way down.  Contributions are
+        added in the order the tape's topological walk reaches them:
+        the interaction lookups, then the context lookups, then the
+        source and target MMD batches.
+        """
+        cfg = self.config
+        model = self.model
+        one = _xp().ones_like(loss)
+        dtype = one.dtype
+        grads = _Grads()
+        g_user, g_poi, g_bias, tower = interaction.backward(one)
+        grads.add(model.user_embeddings, interaction.users, g_user)
+        grads.add(model.poi_embeddings, interaction.pois, g_poi)
+        for param, grad in zip(self._tower_params, tower):
+            grads.set(param, grad)
+        grads.add(model.poi_bias, interaction.pois, g_bias)
+        if anchor is not None:
+            grads.add(model.user_embeddings, anchor.users, anchor.backward(
+                one * coerce(cfg.user_anchor, dtype=dtype)))
+        if context is not None:
+            self._add_context_grads(
+                grads, context, one * coerce(cfg.lambda_text, dtype=dtype))
+        if mmd is not None:
+            batch, src_idx, tgt_idx = mmd
+            g_src, g_tgt = batch.backward(
+                one * coerce(cfg.lambda_mmd, dtype=dtype))
+            grads.add(model.poi_embeddings, src_idx, g_src)
+            grads.add(model.poi_embeddings, tgt_idx, g_tgt)
+        return grads
+
+    def _add_context_grads(self, grads: "_Grads", context: SkipgramBatch,
+                           grad) -> None:
+        g_poi, g_pos, g_neg = context.backward(grad)
+        grads.add(self.model.poi_embeddings, context.poi_idx, g_poi)
+        grads.add(self.model.word_embeddings, context.pos_word_idx, g_pos)
+        grads.add(self.model.word_embeddings, context.neg_word_idx, g_neg)
+
+    def _set_grads(self, grads: "_Grads") -> None:
+        """Hand the step's gradients to the optimizer.
+
+        A parameter the step did not reach keeps ``grad=None``, so Adam
+        skips it and leaves its moments alone, as after a tape step.
+        When every parameter of an :class:`~repro.nn.optim.Adam` has a
+        gradient, the gradients are written as views of one flat vector
+        laid out like its moments, so :meth:`Adam.step` runs one fused
+        ``adam_update`` over it.
+        """
+        for optimizer in getattr(self.optimizer, "optimizers",
+                                 [self.optimizer]):
+            params = optimizer.params
+            views = self._grad_views(optimizer)
+            if views is None or not all(grads.reached(p) for p in params):
+                for p in params:
+                    p.grad = grads.value(p)
+                continue
+            for p, view in zip(params, views):
+                p.grad = grads.value(p, out=view)
+
+    def _grad_views(self, optimizer) -> Optional[List[np.ndarray]]:
+        """Per-parameter views of one reusable flat gradient vector laid
+        out like ``optimizer``'s moments; ``None`` for mixed dtypes."""
+        key = id(optimizer)
+        if key not in self._grad_flats:
+            params = optimizer.params
+            dtypes = {p.data.dtype for p in params}
+            views = None
+            if len(dtypes) == 1:
+                flat = np.empty(sum(p.data.size for p in params),
+                                dtype=dtypes.pop())
+                views, start = [], 0
+                for p in params:
+                    views.append(flat[start:start + p.data.size]
+                                 .reshape(p.data.shape))
+                    start += p.data.size
+            self._grad_flats[key] = views
+        return self._grad_flats[key]
 
     def fit(self, epochs: Optional[int] = None,
             epoch_callback=None) -> TrainResult:

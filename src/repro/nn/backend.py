@@ -210,17 +210,26 @@ class ArrayBackend:
         the parameter *decrement* (caller subtracts it).
 
         This is the exact pre-backend arithmetic, operation for
-        operation.
+        operation: ``m += (1 - β1)·g``, ``v += ((1 - β2)·g)·g`` and
+        ``lr·m̂ / (√v̂ + ε)``, with temporaries updated in place and
+        scalar products in either operand order (the same IEEE
+        operations, so the same bits).
         """
         if weight_decay:
             grad = grad + weight_decay * param
         m *= beta1
-        m += (1.0 - beta1) * grad
+        m += grad * (1.0 - beta1)
         v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        m_hat = m / bias1
-        v_hat = v / bias2
-        return lr * m_hat / (np.sqrt(v_hat) + eps)
+        step = grad * (1.0 - beta2)
+        step *= grad
+        v += step
+        update = m / bias1
+        update *= lr
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
+        return update
 
 
 _INSTANCE = ArrayBackend()

@@ -15,6 +15,12 @@ every forward output array *and* every gradient array the backward
 closures produce — an f32 run therefore reports half the footprint of
 the f64 reference, not a dtype-blind element count.
 
+The trainer's joint step runs no tensor ops: each term is a closed-form
+numpy pass (:data:`PROFILED_PASSES`).  The profiler counts each pass as
+one op named after its class: construction is its forward, its
+``backward`` method its backward, and its allocations are the arrays
+that ``backward`` returns.
+
 The profiler is designed for the single-threaded training hot path; do
 not arm it while another thread is running tensor ops.
 
@@ -29,12 +35,16 @@ not arm it while another thread is running tensor ops.
 from __future__ import annotations
 
 import functools
+import importlib
 import time
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.nn.tensor import Tensor
 
-__all__ = ["OpStat", "OpProfile", "profile_ops", "PROFILED_OPS"]
+__all__ = ["OpStat", "OpProfile", "profile_ops", "PROFILED_OPS",
+           "PROFILED_PASSES"]
 
 # Every differentiable op the tensor exposes; each gets a timing wrapper.
 PROFILED_OPS = (
@@ -42,6 +52,14 @@ PROFILED_OPS = (
     "__rtruediv__", "__neg__", "__pow__", "__matmul__", "__getitem__",
     "exp", "log", "tanh", "relu", "sigmoid", "log_sigmoid", "clip",
     "abs", "sum", "mean", "max", "reshape", "transpose", "gather_rows",
+)
+
+# The tape-free passes of the trainer's joint step, as (module, class).
+PROFILED_PASSES = (
+    ("repro.core.model", "InteractionBCE"),
+    ("repro.core.trainer", "_AnchorTerm"),
+    ("repro.text.skipgram", "SkipgramBatch"),
+    ("repro.transfer.mmd", "MMDBatch"),
 )
 
 
@@ -180,6 +198,24 @@ def _wrap_backward(orig: Callable, op: str, profile: OpProfile) -> Callable:
     return timed_backward
 
 
+def _wrap_pass_backward(orig: Callable, op: str,
+                        profile: OpProfile) -> Callable:
+    @functools.wraps(orig)
+    def timed(self, *args, **kwargs):
+        started = time.perf_counter()
+        result = orig(self, *args, **kwargs)
+        stat = profile._stat(op)
+        stat.backward_calls += 1
+        stat.backward_seconds += time.perf_counter() - started
+        for g in result if isinstance(result, tuple) else (result,):
+            for array in g if isinstance(g, list) else (g,):
+                if isinstance(array, np.ndarray):
+                    stat.bytes_allocated += array.nbytes
+        return result
+
+    return timed
+
+
 class profile_ops:
     """Context manager arming the op profiler (reusable, not reentrant).
 
@@ -195,12 +231,20 @@ class profile_ops:
         if self._originals:
             raise RuntimeError("profile_ops is not reentrant")
         for op in PROFILED_OPS:
-            orig = Tensor.__dict__[op]
-            self._originals[op] = orig
-            setattr(Tensor, op, _wrap_forward(orig, op, self.profile))
+            self._patch(Tensor, op, _wrap_forward, op)
+        for module, name in PROFILED_PASSES:
+            cls = getattr(importlib.import_module(module), name)
+            op = name.lstrip("_")
+            self._patch(cls, "__init__", _wrap_forward, op)
+            self._patch(cls, "backward", _wrap_pass_backward, op)
         return self.profile
 
+    def _patch(self, cls: type, attr: str, wrap: Callable, op: str) -> None:
+        orig = cls.__dict__[attr]
+        self._originals[(cls, attr)] = orig
+        setattr(cls, attr, wrap(orig, op, self.profile))
+
     def __exit__(self, *exc_info) -> None:
-        for op, orig in self._originals.items():
-            setattr(Tensor, op, orig)
+        for (cls, attr), orig in self._originals.items():
+            setattr(cls, attr, orig)
         self._originals = {}

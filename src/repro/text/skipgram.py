@@ -8,16 +8,24 @@ is the negative-sampling objective
 which pushes a POI's embedding toward its description words and away
 from sampled non-context words.  POIs sharing contexts end up nearby —
 including across cities when the shared words are city-independent.
+
+:class:`SkipgramBatch` is :func:`skipgram_batch_loss` on the tables'
+arrays with its backward in closed numpy, bit-identical to the tape;
+the trainer's pretraining and joint steps use it.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
+from repro.nn.backend import active_backend as _xp
+from repro.nn.dtypes import coerce
 from repro.nn.layers import Embedding
 from repro.nn.losses import negative_sampling_loss
 from repro.nn.ops import rowwise_dot
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 
 
 def skipgram_batch_loss(poi_embeddings: Embedding,
@@ -52,6 +60,56 @@ def skipgram_batch_loss(poi_embeddings: Embedding,
     poi_rep = poi_vecs.gather_rows(np.repeat(np.arange(batch), k))    # (B*k, d)
     neg_scores = rowwise_dot(poi_rep, neg_vecs).reshape(batch, k)     # (B, k)
     return negative_sampling_loss(pos_scores, neg_scores)
+
+
+class SkipgramBatch:
+    """Tape-free Eq. 4 on one mini-batch of context pairs.
+
+    Construction computes :func:`skipgram_batch_loss`'s value
+    (:attr:`loss`, 0-d, in the tables' dtype) from the POI and word
+    tables' arrays; :meth:`backward` returns the gradient rows the tape
+    sends into its three lookups.  Both run the tape's numpy operations
+    in the tape's order, so the rows carry the tape's bits.
+    """
+
+    def __init__(self, poi_table: np.ndarray, word_table: np.ndarray,
+                 poi_idx: np.ndarray, pos_word_idx: np.ndarray,
+                 neg_word_idx: np.ndarray) -> None:
+        xp = _xp()
+        neg_word_idx = np.asarray(neg_word_idx)
+        batch, k = neg_word_idx.shape
+        self.poi_idx = poi_idx
+        self.pos_word_idx = pos_word_idx
+        self.neg_word_idx = neg_word_idx.reshape(-1)
+        self._poi = xp.take(poi_table, poi_idx, axis=0)
+        self._pos = xp.take(word_table, pos_word_idx, axis=0)
+        self._neg = xp.take(word_table, self.neg_word_idx, axis=0)
+        self._rep_idx = np.repeat(np.arange(batch), k)
+        self._rep = xp.take(self._poi, self._rep_idx, axis=0)
+        pos_scores = (self._poi * self._pos).sum(axis=-1)
+        neg_scores = (self._rep * self._neg).sum(axis=-1).reshape(batch, k)
+        self._pos_sig = stable_sigmoid(pos_scores)
+        self._neg_sig = stable_sigmoid(-neg_scores)
+        losses = -(-softplus(-pos_scores)) \
+            + (-(-softplus(neg_scores))).sum(axis=1)
+        self._mean = coerce(1.0 / batch, dtype=losses.dtype)
+        #: The batch's mean loss, a 0-d value in the tables' dtype.
+        self.loss = losses.sum() * self._mean
+
+    def backward(self, grad) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gradient rows for an upstream gradient ``grad`` (0-d).
+
+        Returns ``(POI rows, positive word rows, negative word rows)``,
+        for the lookups at ``poi_idx``, ``pos_word_idx`` and the
+        flattened ``neg_word_idx``.
+        """
+        g = -(grad * self._mean)
+        g_pos = (g * (1.0 - self._pos_sig))[:, None]
+        g_neg = (-(g * (1.0 - self._neg_sig))).reshape(-1)[:, None]
+        g_rep = _xp().scatter_rows(self._rep_idx, g_neg * self._neg,
+                                   self._poi.shape[0])
+        return (g_pos * self._pos + g_rep, g_pos * self._poi,
+                g_neg * self._rep)
 
 
 def pretrain_poi_embeddings(sampler, poi_embeddings: Embedding,

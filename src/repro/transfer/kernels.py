@@ -7,14 +7,20 @@ provide the multi-bandwidth mixture popularized by deep-transfer work
 selector, both useful in practice and exercised by ablation benches.
 
 All kernels operate on autograd :class:`~repro.nn.tensor.Tensor` inputs
-so the MMD loss back-propagates into the POI embeddings.
+so the MMD loss back-propagates into the POI embeddings.  Each kernel's
+:meth:`gram` is the same Gram matrix on plain arrays with its backward
+in closed numpy (:class:`Gram`), bit-identical to the tape; the
+trainer's joint step uses it.
 """
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
 import numpy as np
 
-from repro.nn.ops import pairwise_sq_dists
+from repro.nn.dtypes import coerce
+from repro.nn.ops import PairwiseSqDists, pairwise_sq_dists
 from repro.nn.tensor import Tensor
 from repro.utils.validation import check_positive
 
@@ -36,6 +42,10 @@ class GaussianKernel:
         """Gram matrix ``K[i, j] = k(x_i, y_j)`` of shape ``(n, m)``."""
         gamma = 1.0 / (2.0 * self.bandwidth**2)
         return (pairwise_sq_dists(x, y) * (-gamma)).exp()
+
+    def gram(self, x: np.ndarray, y: np.ndarray) -> "Gram":
+        """:meth:`__call__` on arrays, with its closed-form backward."""
+        return Gram(x, y, [self.bandwidth])
 
     def __repr__(self) -> str:
         return f"GaussianKernel(bandwidth={self.bandwidth})"
@@ -69,8 +79,56 @@ class MultiGaussianKernel:
             total = term if total is None else total + term
         return total * (1.0 / len(self.bandwidths))
 
+    def gram(self, x: np.ndarray, y: np.ndarray) -> "Gram":
+        """:meth:`__call__` on arrays, with its closed-form backward."""
+        return Gram(x, y, self.bandwidths, mixture=True)
+
     def __repr__(self) -> str:
         return f"MultiGaussianKernel(bandwidths={self.bandwidths})"
+
+
+class Gram:
+    """A Gaussian Gram matrix ``K`` (or a mixture of them) and its backward.
+
+    ``K = exp(-γ d²)`` over :class:`~repro.nn.ops.PairwiseSqDists` for
+    one bandwidth; with ``mixture=True``, the mean of one such term per
+    bandwidth, summed in bandwidth order.  The operations are those of
+    :class:`GaussianKernel` and :class:`MultiGaussianKernel` on the
+    tape, in the tape's order, so ``K`` and :meth:`backward` carry the
+    tape's bits.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray,
+                 bandwidths: Sequence[float], mixture: bool = False) -> None:
+        self._dists = PairwiseSqDists(x, y)
+        dtype = x.dtype
+        self._scales = [coerce(-(1.0 / (2.0 * bw**2)), dtype=dtype)
+                        for bw in bandwidths]
+        self._terms = [self._dists.out * scale for scale in self._scales]
+        for term in self._terms:
+            np.exp(term, out=term)
+        total = self._terms[0]
+        for term in self._terms[1:]:
+            total = total + term
+        self._mean = (coerce(1.0 / len(self._terms), dtype=dtype)
+                      if mixture else None)
+        #: The ``(n, m)`` kernel matrix.
+        self.K = total if self._mean is None else total * self._mean
+
+    def backward(self, grad) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Contributions to ``x`` and ``y`` for a gradient on ``K``
+        (array or scalar); see :meth:`PairwiseSqDists.backward`."""
+        if self._mean is not None:
+            grad = grad * self._mean
+        g_dists = None
+        for term, scale in zip(self._terms, self._scales):
+            part = grad * term
+            part *= scale
+            if g_dists is None:
+                g_dists = part
+            else:
+                g_dists += part
+        return self._dists.backward(g_dists)
 
 
 def median_heuristic_bandwidth(x: np.ndarray, y: np.ndarray) -> float:

@@ -257,3 +257,35 @@ class TestTraceToolingCommands:
     def test_metrics_report_empty_tree_exits_nonzero(self, tmp_path):
         code = main(["metrics-report", "--telemetry-dir", str(tmp_path)])
         assert code == 1
+
+
+class TestBlasThreads:
+    """Commands that train or fold in within the calling process limit
+    the BLAS pool before they do (``repro.utils.blas``)."""
+
+    class Limited(Exception):
+        pass
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        import repro.cli as cli
+
+        def limit():
+            raise self.Limited
+
+        monkeypatch.setattr(cli, "limit_blas_threads", limit)
+
+    def test_train_limits_before_fitting(self, tmp_path, spy):
+        data = tmp_path / "data.jsonl"
+        main(["generate", "--preset", "foursquare", "--out", str(data),
+              "--scale", "0.15"])
+        with pytest.raises(self.Limited):
+            main(["train", "--data", str(data), "--target", "los_angeles",
+                  "--embedding-dim", "8", "--epochs", "1"])
+
+    @pytest.mark.parametrize("argv", [
+        ["stream-smoke", "--tiny"],
+        ["case-study", "--preset", "foursquare"]])
+    def test_in_process_commands_limit_first(self, argv, spy):
+        with pytest.raises(self.Limited):
+            main(argv)

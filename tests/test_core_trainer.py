@@ -1,10 +1,18 @@
 """Joint trainer tests on the tiny dataset."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import STTransRecConfig
-from repro.core.trainer import STTransRecTrainer
+from repro.core.trainer import EpochStats, STTransRecTrainer
+from repro.nn.dtypes import using_dtype
+from repro.nn.losses import bce_with_logits
+from repro.nn.optim import Adam
+from repro.nn.tensor import Tensor
+from repro.text.skipgram import skipgram_batch_loss
+from repro.transfer.mmd import mmd_between_embeddings
 
 
 def fast_config(**overrides):
@@ -210,3 +218,216 @@ class TestPretraining:
         trainer.pretrain()
         assert not np.allclose(before,
                                trainer.model.poi_embeddings.weight.data)
+
+
+# ----------------------------------------------------------------------
+# The tape-free joint step against the autograd tape
+# ----------------------------------------------------------------------
+def full_graph_step(trainer, users, pois, labels, ctx):
+    """One joint step (Eq. 3) through the autograd tape, as the trainer
+    ran it before its steps left the tape.  Returns the loss components
+    the epoch stats average: ``(interaction, context, mmd, total)``,
+    ``None`` for a term the step did not have."""
+    cfg = trainer.config
+    model = trainer.model
+    trainer.optimizer.zero_grad()
+    loss = bce_with_logits(model.interaction_logits(users, pois), labels)
+    interaction = loss.item()
+    if cfg.user_anchor > 0:
+        unique_users = np.unique(users)
+        diff = model.user_embeddings(unique_users) \
+            - Tensor(trainer._anchors[unique_users])
+        loss = loss + (diff * diff).mean() * cfg.user_anchor
+    context = mmd_value = None
+    if ctx is not None:
+        ctx_loss = skipgram_batch_loss(model.poi_embeddings,
+                                       model.word_embeddings, *ctx)
+        context = ctx_loss.item()
+        loss = loss + ctx_loss * cfg.lambda_text
+    if cfg.use_mmd and cfg.lambda_mmd > 0:
+        src_idx = trainer._sample_pool(trainer.source_mmd_pool,
+                                       cfg.mmd_batch_size)
+        tgt_idx = trainer._sample_pool(trainer.target_mmd_pool,
+                                       cfg.mmd_batch_size)
+        mmd = mmd_between_embeddings(
+            model.poi_embedding_batch(src_idx),
+            model.poi_embedding_batch(tgt_idx),
+            kernel=trainer._kernel, estimator=cfg.mmd_estimator)
+        mmd_value = mmd.item()
+        loss = loss + mmd * cfg.lambda_mmd
+    total = loss.item()
+    loss.backward()
+    trainer.optimizer.step()
+    return interaction, context, mmd_value, total
+
+
+def full_graph_epoch(trainer, epoch):
+    """``train_epoch`` over :func:`full_graph_step`; ``seconds`` is 0."""
+    cfg = trainer.config
+    trainer.model.train()
+    sums = dict.fromkeys(("is", "it", "cs", "ct", "mmd", "total"), 0.0)
+    counts = dict.fromkeys(("is", "it", "cs", "ct", "mmd", "total"), 0)
+    contexts = {
+        side: (trainer._cycling_context(sampler) if cfg.use_text
+               else iter(()))
+        for side, sampler in (
+            ("source", getattr(trainer, "source_contexts", None)),
+            ("target", getattr(trainer, "target_contexts", None)))}
+    if cfg.user_anchor > 0 and trainer._anchors is None:
+        trainer._refresh_anchors()
+    for name, batch in trainer._interaction_batches():
+        ctx = next(contexts[name], None) if cfg.use_text else None
+        values = full_graph_step(trainer, *batch, ctx)
+        side = "t" if name == "target" else "s"
+        for key, value in zip(("i" + side, "c" + side, "mmd", "total"),
+                              values):
+            if value is not None:
+                sums[key] += value
+                counts[key] += 1
+
+    def avg(key):
+        return sums[key] / counts[key] if counts[key] else 0.0
+
+    return EpochStats(epoch=epoch, total=avg("total"),
+                      interaction_source=avg("is"),
+                      interaction_target=avg("it"),
+                      context_source=avg("cs"), context_target=avg("ct"),
+                      mmd=avg("mmd"), seconds=0.0)
+
+
+def full_graph_pretrain(trainer, epochs):
+    """``pretrain`` through the tape, with its per-check-in warm start."""
+    cfg = trainer.config
+    if not cfg.use_text:
+        return
+    model = trainer.model
+    for _ in range(epochs):
+        for sampler in (trainer.source_contexts, trainer.target_contexts):
+            for batch in sampler.epoch(cfg.batch_size):
+                trainer.optimizer.zero_grad()
+                skipgram_batch_loss(model.poi_embeddings,
+                                    model.word_embeddings,
+                                    *batch).backward()
+                trainer.optimizer.step()
+    poi_emb = model.poi_embeddings.weight.data
+    user_emb = model.user_embeddings.weight.data
+    for user_id in trainer.train_data.users:
+        u = trainer.index.users.get(user_id)
+        if u < 0:
+            continue
+        rows = [trainer.index.pois.index_of(r.poi_id)
+                for r in trainer.train_data.user_profile(user_id)]
+        if rows:
+            user_emb[u] = poi_emb[rows].mean(axis=0)
+
+
+def _optimizers(trainer):
+    return getattr(trainer.optimizer, "optimizers", [trainer.optimizer])
+
+
+def _stats_fields(stats):
+    fields = dataclasses.asdict(stats)
+    del fields["seconds"]              # wall clock
+    return fields
+
+
+def assert_same_training(split, config):
+    """pretrain(1) then two epochs, tape-free and through the tape:
+    every parameter, Adam moment and step count, and every epoch-stats
+    field, byte for byte."""
+    got = STTransRecTrainer(split, config)
+    ref = STTransRecTrainer(split, config)
+    got.pretrain(1)
+    full_graph_pretrain(ref, 1)
+    got._refresh_anchors()
+    ref._refresh_anchors()
+    for epoch in range(2):
+        assert _stats_fields(got.train_epoch(epoch)) == \
+            _stats_fields(full_graph_epoch(ref, epoch))
+    for (name, p), (_, q) in zip(got.model.named_parameters(),
+                                 ref.model.named_parameters()):
+        assert p.data.dtype == q.data.dtype
+        assert p.data.tobytes() == q.data.tobytes(), name
+    for mine, theirs in zip(_optimizers(got), _optimizers(ref)):
+        a, b = mine.state_dict(), theirs.state_dict()
+        assert a["step_count"] == b["step_count"] > 0
+        for key in ("m", "v"):
+            for x, y in zip(a[key], b[key]):
+                assert x.tobytes() == y.tobytes(), key
+    return got
+
+
+def matrix_config(**overrides):
+    params = dict(hidden_sizes=[8, 4], weight_decay=1e-3,
+                  lambda_text=0.5, lambda_mmd=0.7, dropout=0.2)
+    params.update(overrides)
+    return fast_config(**params)
+
+
+class TestTapeFreeStep:
+    @pytest.mark.parametrize("kernel", ["gaussian", "multi"])
+    @pytest.mark.parametrize("estimator",
+                             ["quadratic", "unbiased", "linear"])
+    @pytest.mark.parametrize("features", ["concat", "concat_product"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_configuration_matrix_bit_identical(self, tiny_split, precision,
+                                                features, estimator,
+                                                kernel):
+        config = matrix_config(interaction_features=features,
+                               mmd_estimator=estimator, mmd_kernel=kernel)
+        with using_dtype(precision):
+            trainer = assert_same_training(tiny_split, config)
+        assert trainer.model.poi_embeddings.weight.data.dtype == \
+            np.dtype(np.float64 if precision == "f64" else np.float32)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(use_text=False), dict(use_mmd=False), dict(user_anchor=0.0),
+        dict(dropout=0.0), dict(tower_weight_decay=1e-4)],
+        ids=["no-text", "no-mmd", "no-anchor", "no-dropout",
+             "tower-decay"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_switches_bit_identical(self, tiny_split, precision, overrides):
+        with using_dtype(precision):
+            assert_same_training(tiny_split, matrix_config(**overrides))
+
+    def test_untouched_parameters_keep_no_grad(self, tiny_split):
+        """The word table without text, and everything but the POI and
+        word tables in pretraining, keep ``grad=None``: Adam leaves
+        their moments at zero."""
+        trainer = STTransRecTrainer(tiny_split, matrix_config())
+        trainer.pretrain(1)
+        params = dict(trainer.model.named_parameters())
+        state = trainer.optimizer.state_dict()
+        for (name, p), m in zip(params.items(), state["m"]):
+            if name in ("poi_embeddings.weight", "word_embeddings.weight"):
+                assert p.grad is not None and m.any(), name
+            else:
+                assert p.grad is None and not m.any(), name
+
+        trainer = STTransRecTrainer(tiny_split,
+                                    matrix_config(use_text=False))
+        trainer.train_epoch()
+        word = trainer.model.word_embeddings.weight
+        assert word.grad is None
+        index = [p is word for p in trainer.optimizer.params].index(True)
+        assert not trainer.optimizer.state_dict()["m"][index].any()
+
+    def test_joint_step_takes_the_fused_adam_path(self, tiny_split,
+                                                  monkeypatch):
+        trainer = STTransRecTrainer(tiny_split, matrix_config())
+        fused = []
+        real = Adam._step_fused
+        monkeypatch.setattr(Adam, "_step_fused",
+                            lambda self, *a: fused.append(1) or
+                            real(self, *a))
+        trainer.train_epoch()
+        assert fused and len(fused) == trainer.optimizer._step_count
+
+    def test_fit_never_builds_a_graph(self, tiny_split, monkeypatch):
+        def refuse(self, grad=None):
+            raise AssertionError("the trainer ran the autograd tape")
+
+        monkeypatch.setattr(Tensor, "backward", refuse)
+        result = STTransRecTrainer(tiny_split, fast_config()).fit()
+        assert result.epochs == 2
+        assert np.isfinite(result.final_loss)
