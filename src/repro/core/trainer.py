@@ -117,6 +117,18 @@ class _Grads:
         self._parts.setdefault(id(table), []).append(_xp().scatter_rows(
             idx, rows, table.data.shape[0]))
 
+    def add_interaction(self, model: STTransRec, step: InteractionBCE,
+                        grad) -> None:
+        """The interaction BCE's contributions for upstream ``grad``, in
+        the order the tape reaches them: the user and POI lookups, the
+        tower's parameters, then ``poi_bias``."""
+        g_user, g_poi, g_bias, tower = step.backward(grad)
+        self.add(model.user_embeddings, step.users, g_user)
+        self.add(model.poi_embeddings, step.pois, g_poi)
+        for param, part in zip(model.tower.parameters(), tower):
+            self.set(param, part)
+        self.add(model.poi_bias, step.pois, g_bias)
+
     def set(self, param, grad: np.ndarray) -> None:
         self._parts.setdefault(id(param), []).append(grad)
 
@@ -218,15 +230,14 @@ class STTransRecTrainer:
             self._build_context_samplers()
         self.segmentations: Dict[str, Segmentation] = {}
         self._build_mmd_pools()
-        # Kernel bandwidth is finalized after pre-training, when the
-        # embedding scale is realistic; start with a provisional kernel
-        # so train_epoch() works even without a fit() call.
+        # Kernel bandwidth is finalized at the end of pretrain(), when
+        # the embedding scale is realistic; start with a provisional
+        # kernel so train_epoch() works even without pre-training.
         self._kernel = self._build_kernel()
         self._profile_rows = self._build_profile_rows()
         self._anchors: Optional[np.ndarray] = None
         # Per-optimizer views of a flat gradient buffer (_grad_views).
         self._grad_flats: Dict[int, Optional[List[np.ndarray]]] = {}
-        self._tower_params = self.model.tower.parameters()
 
     # ------------------------------------------------------------------
     # Component construction
@@ -524,14 +535,27 @@ class STTransRecTrainer:
         Runs skipgram-only epochs over both cities' context graphs, then
         warm-starts each user's embedding at the mean of their visited
         POIs' embeddings, so the interaction tower starts from a space
-        where user–POI affinity is approximately geometric.
+        where user–POI affinity is approximately geometric.  Without
+        text there is nothing to pre-train on.
+
+        Either way it then re-estimates the MMD kernel bandwidth (median
+        heuristic, unless ``config.mmd_bandwidth`` is fixed) on the
+        embedding scale joint training starts from: the provisional
+        bandwidth sized on random-init embeddings would be orders of
+        magnitude too small once the embeddings grow.
         """
         cfg = self.config
-        if not cfg.use_text:
-            return
-        n = cfg.pretrain_epochs if epochs is None else epochs
+        if cfg.use_text:
+            self._pretrain_text(
+                cfg.pretrain_epochs if epochs is None else epochs)
+        if cfg.mmd_bandwidth is None:
+            self._kernel = self._build_kernel()
+
+    def _pretrain_text(self, epochs: int) -> None:
+        """Skipgram-only epochs, then the content-based user warm start."""
+        cfg = self.config
         with _span(self.telemetry, "pretrain"):
-            for _ in range(n):
+            for _ in range(epochs):
                 for sampler in (self.source_contexts, self.target_contexts):
                     for batch in sampler.epoch(cfg.batch_size):
                         self.optimizer.zero_grad()
@@ -544,7 +568,6 @@ class STTransRecTrainer:
                             _xp().ones_like(context.loss))
                         self._set_grads(grads)
                         self.optimizer.step()
-        # Content-based warm start for user embeddings.
         poi_emb = self.model.poi_embeddings.weight.data
         user_emb = self.model.user_embeddings.weight.data
         for u, rows in self._profile_rows.items():
@@ -572,12 +595,7 @@ class STTransRecTrainer:
         one = _xp().ones_like(loss)
         dtype = one.dtype
         grads = _Grads()
-        g_user, g_poi, g_bias, tower = interaction.backward(one)
-        grads.add(model.user_embeddings, interaction.users, g_user)
-        grads.add(model.poi_embeddings, interaction.pois, g_poi)
-        for param, grad in zip(self._tower_params, tower):
-            grads.set(param, grad)
-        grads.add(model.poi_bias, interaction.pois, g_bias)
+        grads.add_interaction(model, interaction, one)
         if anchor is not None:
             grads.add(model.user_embeddings, anchor.users, anchor.backward(
                 one * coerce(cfg.user_anchor, dtype=dtype)))
@@ -654,12 +672,6 @@ class STTransRecTrainer:
         """
         with _span(self.telemetry, "fit"):
             self.pretrain()
-            # Re-estimate the kernel bandwidth on the pre-trained
-            # embedding scale (a fixed bandwidth chosen at random-init
-            # scale would be orders of magnitude too small once
-            # embeddings grow).
-            if self.config.mmd_bandwidth is None:
-                self._kernel = self._build_kernel()
             result = TrainResult()
             best_loss = float("inf")
             stale_epochs = 0

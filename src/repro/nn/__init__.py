@@ -25,15 +25,12 @@ from repro.nn.module import Module
 from repro.nn.ops import concat, pairwise_sq_dists, rowwise_dot, stack
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.profile import OpProfile, OpStat, profile_ops
-from repro.nn.sparse import SparseRowGrad, grad_values
 from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 
 __all__ = [
     "ArrayBackend",
     "active_backend",
     "Tensor",
-    "SparseRowGrad",
-    "grad_values",
     "OpProfile",
     "OpStat",
     "profile_ops",

@@ -19,7 +19,7 @@ against ``tests/data/backend_golden.npz``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -169,17 +169,6 @@ class ArrayBackend:
                           minlength=num_rows * cols)
         return out.astype(np.float64, copy=False).reshape(
             (num_rows,) + tail)
-
-    def coalesce_rows(self, ids: np.ndarray, rows: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sum duplicate row ids; returns ``(sorted_unique_ids, sums)``.
-
-        Contributions to each output row are added in first-occurrence
-        order — the accumulation order of ``np.add.at`` — so densifying
-        the result is bit-identical to a direct dense scatter.
-        """
-        unique, inverse = np.unique(ids, return_inverse=True)
-        return unique, self.scatter_rows(inverse, rows, unique.size)
 
     def stable_sigmoid(self, x: np.ndarray) -> np.ndarray:
         """Logistic function computed without overflow for large |x|."""

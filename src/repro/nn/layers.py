@@ -67,23 +67,15 @@ class Embedding(Module):
     The paper randomly initializes embeddings from a Gaussian
     distribution; rows are gathered with scatter-add gradients so only
     the rows used in a batch receive updates.
-
-    With ``sparse_grad=True`` the backward pass produces a
-    :class:`repro.nn.sparse.SparseRowGrad` instead of a dense
-    ``num_embeddings × embedding_dim`` array — pair it with a
-    sparse-aware optimizer (``Adam(sparse_mode=...)``); see
-    ``repro.perf.enable_sparse_embedding_grads``.
     """
 
     def __init__(self, num_embeddings: int, embedding_dim: int,
-                 std: float = 0.01, rng: SeedLike = None,
-                 sparse_grad: bool = False) -> None:
+                 std: float = 0.01, rng: SeedLike = None) -> None:
         super().__init__()
         check_positive("num_embeddings", num_embeddings)
         check_positive("embedding_dim", embedding_dim)
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        self.sparse_grad = bool(sparse_grad)
         self.weight = Tensor(
             init.normal((num_embeddings, embedding_dim), std=std, rng=rng),
             requires_grad=True,
@@ -121,7 +113,7 @@ class Embedding(Module):
     def forward(self, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids)
         self._validate_ids(ids)
-        return self.weight.gather_rows(ids, sparse_grad=self.sparse_grad)
+        return self.weight.gather_rows(ids)
 
     def all_vectors(self) -> Tensor:
         """The full embedding matrix as a graph node (for MMD batches)."""

@@ -191,7 +191,6 @@ def _wrap_backward(orig: Callable, op: str, profile: OpProfile) -> Callable:
         stat.backward_seconds += elapsed
         for g in result:
             if g is not None:
-                # ndarray and SparseRowGrad both expose true byte size.
                 stat.bytes_allocated += g.nbytes
         return result
 

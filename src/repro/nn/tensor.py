@@ -41,24 +41,6 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 BackwardFn = Callable[[np.ndarray], Tuple[Optional[np.ndarray], ...]]
 
 
-def _grad_add(existing, incoming):
-    """Accumulate two gradients, either of which may be a SparseRowGrad.
-
-    In-place ``ndarray += SparseRowGrad`` would raise (the sparse type
-    disables ``__array_ufunc__``), so all accumulation in ``backward``
-    routes through this out-of-place helper.  Python's binary dispatch
-    does the rest: sparse+sparse stays sparse (a cheap concatenation);
-    any mixed pair densifies through the exact dense arithmetic mirrored
-    by ``SparseRowGrad.__add__``/``__radd__``.
-    """
-    return existing + incoming
-
-
-def _is_sparse_grad(grad) -> bool:
-    from repro.nn.sparse import SparseRowGrad
-    return isinstance(grad, SparseRowGrad)
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -406,35 +388,11 @@ class Tensor:
 
         return self._child(out_data, (self,), backward)
 
-    def gather_rows(self, indices: ArrayLike,
-                    sparse_grad: bool = False) -> "Tensor":
-        """Select rows ``indices`` (embedding lookup) with scatter-add grad.
-
-        With ``sparse_grad=True`` the backward pass returns a
-        :class:`repro.nn.sparse.SparseRowGrad` carrying only the touched
-        rows instead of scatter-adding into a dense zero array the size
-        of the whole table.  Only enable this on *leaf* tables consumed
-        by a sparse-aware optimizer (see ``Embedding.sparse_grad``); for
-        interior nodes the gradient must flow onward as an array, so the
-        dense default stays correct everywhere else.
-        """
+    def gather_rows(self, indices: ArrayLike) -> "Tensor":
+        """Select rows ``indices`` (embedding lookup) with scatter-add grad."""
         idx = _xp().asarray(indices)
         a = self
         out_data = _xp().take(self.data, idx, axis=0)
-
-        if sparse_grad:
-            # Flatten in C order: np.add.at accumulates duplicate ids in
-            # exactly this traversal order, so the sparse encoding below
-            # densifies bit-identically to the dense branch.
-            flat_idx = idx.reshape(-1)
-
-            def backward_sparse(grad: np.ndarray):
-                from repro.nn.sparse import SparseRowGrad
-                rows = np.ascontiguousarray(grad).reshape(
-                    (flat_idx.size,) + a.data.shape[1:])
-                return (SparseRowGrad(a.data.shape, flat_idx, rows),)
-
-            return self._child(out_data, (self,), backward_sparse)
 
         def backward(grad: np.ndarray):
             return (_xp().scatter_rows(idx, grad, a.data.shape[0]),)
@@ -477,7 +435,7 @@ class Tensor:
                     if node.grad is None:
                         node.grad = node_grad.copy()
                     else:
-                        node.grad = _grad_add(node.grad, node_grad)
+                        node.grad = node.grad + node_grad
                 continue
             parent_grads = node._backward(node_grad)
             for parent, pg in zip(node._parents, parent_grads):
@@ -485,10 +443,9 @@ class Tensor:
                     continue
                 key = id(parent)
                 if key in grads:
-                    grads[key] = _grad_add(grads[key], pg)
+                    grads[key] = grads[key] + pg
                 else:
-                    grads[key] = pg if _is_sparse_grad(pg) \
-                        else _xp().asarray(pg)
+                    grads[key] = _xp().asarray(pg)
 
     # Convenience constructors -----------------------------------------
     @staticmethod

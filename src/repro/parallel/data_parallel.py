@@ -22,17 +22,22 @@ One flat vector
 A step moves and applies the gradient as one contiguous vector in
 parameter order, the layout of :class:`~repro.perf.transport.
 GradientLayout` (TensorFlow's all-reduce exchanges such a fused
-buffer).  Each worker packs its gradients into that vector — sparse
-embedding rows scattered with ``to_dense``, untouched parameters as
-zeros — in its shared-memory slot or through its pipe.  The master
-then does per step what it used to do per parameter: one ``isfinite``
-guards a contribution, one ``np.stack(usable).mean(axis=0)`` averages
-the usable ones (elementwise, hence bit-identical to averaging each
-parameter), each ``param.grad`` becomes a view of the mean, and
+buffer).  A replica's step builds no autograd graph: it runs
+:class:`~repro.core.model.InteractionBCE` (the interaction loss's
+forward and backward in closed numpy, with the tape's bits) and
+scatters the lookup rows as the joint trainer does.  Each worker packs
+the result into that vector — the word table, which the interaction
+loss never reaches, as zeros — in its shared-memory slot or through
+its pipe.  The master then does per step what it used to do per
+parameter: one ``isfinite`` guards a contribution, one
+``np.stack(usable).mean(axis=0)`` averages the usable ones
+(elementwise, hence bit-identical to averaging each parameter), each
+``param.grad`` becomes a view of the mean, and
 :class:`~repro.nn.optim.Adam` steps the whole vector with one
-``adam_update``.  With shared memory, workers are woken for a step
-through a :class:`~repro.parallel.supervisor.StepWake` instead of a
-pipe message (see that module for why).
+``adam_update``.  The in-process replica of a one-worker run guards and
+steps its own vector the same way.  With shared memory, workers are
+woken for a step through a :class:`~repro.parallel.supervisor.
+StepWake` instead of a pipe message (see that module for why).
 
 Fault tolerance
 ---------------
@@ -55,7 +60,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,12 +70,16 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.config import STTransRecConfig
-from repro.core.trainer import _EPOCH_SECONDS_BUCKETS, STTransRecTrainer
+from repro.core.model import InteractionBCE
+from repro.core.trainer import (
+    _EPOCH_SECONDS_BUCKETS,
+    STTransRecTrainer,
+    _Grads,
+)
 from repro.data.split import CrossingCitySplit
+from repro.nn.backend import active_backend as _xp
 from repro.nn.dtypes import set_default_dtype, using_dtype
-from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam
-from repro.nn.sparse import SparseRowGrad
 from repro.obs.metrics import MetricsRegistry, exponential_buckets
 from repro.obs.telemetry import Telemetry, span as _span
 from repro.parallel.supervisor import (
@@ -80,7 +89,7 @@ from repro.parallel.supervisor import (
     WorkerFailure,
     WorkerSupervisor,
 )
-from repro.perf.config import PerfConfig, enable_sparse_embedding_grads
+from repro.perf.config import PerfConfig
 from repro.perf.transport import (
     GradientLayout,
     ShmTransport,
@@ -141,19 +150,29 @@ def _interaction_batch_stream(trainer: STTransRecTrainer):
             yield batch
 
 
-def _nan_like(grad):
-    """A same-shaped all-NaN gradient, dense or sparse (fault injection)."""
-    if isinstance(grad, SparseRowGrad):
-        return SparseRowGrad(grad.shape, grad.ids,
-                             np.full_like(grad.rows, np.nan))
-    return np.full_like(grad, np.nan)
+def _replica_grads(model, users: np.ndarray, pois: np.ndarray,
+                   labels: np.ndarray
+                   ) -> Tuple[Dict[str, Optional[np.ndarray]], float]:
+    """One replica's step: the interaction loss's gradient, tape-free.
+
+    Returns ``({parameter name: gradient}, loss)`` for
+    ``bce_with_logits(model.interaction_logits(users, pois), labels)``
+    in the model's current mode, with the bits a tape backward gives:
+    the user, POI and ``poi_bias`` rows scattered as the joint trainer
+    scatters them, the tower's gradients as computed.  The word table
+    is not reached, so its gradient is ``None`` (packed as zeros).
+    """
+    step = InteractionBCE(model, users, pois, labels)
+    grads = _Grads()
+    grads.add_interaction(model, step, _xp().ones_like(step.loss))
+    return ({name: grads.value(p) for name, p in model.named_parameters()},
+            float(step.loss))
 
 
 def _worker_loop(pipe, split, config, worker_seed: int,
                  worker_id: int = 0,
                  fault_plan: Optional[FaultPlan] = None,
                  incarnation: int = 0,
-                 sparse_grads: bool = False,
                  transport_layout=None,
                  precision: str = "f64",
                  wake: Optional[StepWake] = None) -> None:
@@ -193,8 +212,6 @@ def _worker_loop(pipe, split, config, worker_seed: int,
     trainer = STTransRecTrainer(split, worker_config)
     model = trainer.model
     model.train()
-    if sparse_grads:
-        enable_sparse_embedding_grads(model)
     params = dict(model.named_parameters())
     transport = None
     layout = transport_layout
@@ -235,10 +252,7 @@ def _worker_loop(pipe, split, config, worker_seed: int,
         if fault_plan is not None:
             fault_plan.execute_pre_step(worker_id, step)
         _reseed_dropout(model, worker_seed, step)
-        model.zero_grad()
-        loss = bce_with_logits(model.interaction_logits(users, pois), labels)
-        loss.backward()
-        grads = {name: p.grad for name, p in params.items()}
+        grads, loss = _replica_grads(model, users, pois, labels)
         flat = transport.write_grads(grads) if transport is not None \
             else layout.pack_grads(grads)
         if fault_plan is not None and \
@@ -248,8 +262,7 @@ def _worker_loop(pipe, split, config, worker_seed: int,
         step_counter.inc()
         telemetry = {"worker": worker_id, "incarnation": incarnation,
                      "metrics": registry.to_dict()}
-        reply = (None if transport is not None else flat, loss.item(),
-                 telemetry)
+        reply = (None if transport is not None else flat, loss, telemetry)
         # Views of the shared blocks must not outlive the client that
         # maps them, or its close at exit fails.
         state = flat = None
@@ -287,11 +300,10 @@ class DataParallelTrainer:
         worker replicas ship their own registries through the
         supervisor pipe (see :meth:`worker_registries`).
     perf:
-        Hot-path configuration (:class:`~repro.perf.config.PerfConfig`).
-        Defaults to the optimized path — sparse embedding gradients and
-        shared-memory gradient transport — which is proven bit-identical
-        to :meth:`PerfConfig.reference` (the seed's dense/pipe path) in
-        ``tests/test_perf_transport.py``.
+        Transport and precision (:class:`~repro.perf.config.PerfConfig`).
+        Defaults to the shared-memory gradient transport in f64; the
+        pipe transport is bit-identical to it
+        (``tests/test_perf_transport.py``).
     """
 
     def __init__(self, split: CrossingCitySplit, config: STTransRecConfig,
@@ -316,13 +328,10 @@ class DataParallelTrainer:
         with using_dtype(self.perf.precision):
             self._master = STTransRecTrainer(split, config)
             self.model = self._master.model
-            if self.perf.sparse_grads:
-                enable_sparse_embedding_grads(self.model)
             self._params = dict(self.model.named_parameters())
             self.optimizer = Adam(list(self._params.values()),
                                   lr=config.learning_rate,
-                                  weight_decay=config.weight_decay,
-                                  sparse_mode=self.perf.adam_sparse_mode)
+                                  weight_decay=config.weight_decay)
         self._examples_per_epoch = self._count_epoch_examples()
         self._guard = GradientGuard()
         self._global_step = 0
@@ -388,8 +397,7 @@ class DataParallelTrainer:
             target=_worker_loop,
             args=(child, self.split, self.config,
                   _WORKER_SEED_BASE + worker_id, worker_id, plan,
-                  incarnation, self.perf.sparse_grads, layout,
-                  self.perf.precision, wake),
+                  incarnation, layout, self.perf.precision, wake),
             daemon=True,
         )
         process.start()
@@ -450,13 +458,16 @@ class DataParallelTrainer:
             faults.record(f"step {step} skipped: no usable gradients")
             return None
         with _span(tel, "apply"):
-            mean = np.stack(usable).mean(axis=0)
-            for slot, param in zip(self._layout.slots,
-                                   self._params.values()):
-                param.grad = slot.view(mean)
-            self.optimizer.step()
-            self.optimizer.zero_grad()
+            self._apply(np.stack(usable).mean(axis=0))
         return float(np.mean(losses))
+
+    def _apply(self, flat: np.ndarray) -> None:
+        """One Adam step over a flat gradient vector: each
+        ``param.grad`` becomes a view of it, so Adam fuses the step."""
+        for slot, param in zip(self._layout.slots, self._params.values()):
+            param.grad = slot.view(flat)
+        self.optimizer.step()
+        self.optimizer.zero_grad()
 
     def _single_step(self, faults: FaultStats) -> Optional[float]:
         step = self._global_step
@@ -467,34 +478,26 @@ class DataParallelTrainer:
                     time.sleep(fault.seconds)
         users, pois, labels = next(self._local_stream)
         _reseed_dropout(self.model, self.config.seed, step)
-        self.optimizer.zero_grad()
-        loss = bce_with_logits(
-            self.model.interaction_logits(users, pois), labels
-        )
-        loss.backward()
+        grads, loss = _replica_grads(self.model, users, pois, labels)
+        flat = self._layout.pack_grads(grads)
         if self.fault_plan is not None and \
                 self.fault_plan.wants_nan_gradients(0, step):
-            for param in self._params.values():
-                if param.grad is not None:
-                    param.grad = _nan_like(param.grad)
-        grads = {name: p.grad for name, p in self._params.items()
-                 if p.grad is not None}
-        if not self._guard.check(grads, loss.item()):
+            flat.fill(np.nan)
+        if not self._guard.check(flat, loss, self._layout):
             faults.nonfinite_contributions += 1
             faults.skipped_steps += 1
             faults.record(
                 f"step {step} skipped: non-finite "
                 f"{self._guard.last_bad_names[:3]}")
-            self.optimizer.zero_grad()
             return None
-        self.optimizer.step()
+        self._apply(flat)
         if self.telemetry is not None:
             self.telemetry.histogram(
                 "worker.step_time_ms", bounds=_STEP_TIME_BUCKETS_MS,
                 worker="0").observe(
                     (time.perf_counter() - started) * 1000.0)
             self.telemetry.counter("worker.steps", worker="0").inc()
-        return loss.item()
+        return loss
 
     def run_steps(self, num_steps: int) -> List[float]:
         """Run exactly ``num_steps`` synchronized training steps.

@@ -1,7 +1,7 @@
 """Cross-precision parity: does f32 training land where f64 lands?
 
-The structural optimizations in :mod:`repro.perf` (sparse gradients,
-shm transport) are guarded by bit-identity tests.  Precision cannot be:
+The shared-memory transport in :mod:`repro.perf` is guarded by
+bit-identity tests.  Precision cannot be:
 f32 arithmetic legitimately diverges from f64 step by step.  What must
 *not* diverge is the quantity the paper reports — final ranking quality.
 This module trains the same synthetic crossing-city task once per

@@ -17,13 +17,9 @@ Both kinds of block share one layout: every parameter, in parameter
 order, densely packed.  A gradient slot is therefore **one flat vector**
 — the fused buffer TensorFlow's all-reduce exchanges — and the master
 guards, averages and Adam-steps it as a single array instead of one
-small tensor at a time.  Sparse embedding gradients are scattered into
-the slot by the backend's ``scatter_rows`` (the same kernel the dense
-``gather_rows`` backward uses, so both encodings write the same bytes);
-a parameter the step never touched is written as zeros, which is what
-the dense reference path sends.  The broadcast already moves every
-parameter every step, so the gradient bytes per step are the same order
-as the broadcast's.
+small tensor at a time.  A parameter the step never touched is written
+as zeros.  The broadcast already moves every parameter every step, so
+the gradient bytes per step are the same as the broadcast's.
 
 The existing pipe stays as the control channel: workers reply ``(None,
 loss, telemetry)``, so all supervision semantics (deadlines, crash/hang
@@ -66,7 +62,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.sparse import SparseRowGrad
 from repro.utils.logging import get_logger
 
 logger = get_logger("perf.transport")
@@ -146,13 +141,12 @@ class GradientLayout:
         """Elements of a flat gradient vector."""
         return sum(slot.size for slot in self.slots)
 
-    def pack_grads(self, grads: Mapping[str, object],
+    def pack_grads(self, grads: Mapping[str, Optional[np.ndarray]],
                    out: Optional[np.ndarray] = None) -> np.ndarray:
         """Write ``{name: grad}`` into one flat vector in parameter order.
 
-        Sparse gradients are densified with ``to_dense`` (the backend's
-        ``scatter_rows``); a missing or ``None`` gradient is written as
-        zeros.  ``out`` is filled in place when given.
+        A missing or ``None`` gradient is written as zeros.  ``out`` is
+        filled in place when given.
         """
         if out is None:
             out = np.empty(self.size, dtype=self.dtype)
@@ -161,8 +155,6 @@ class GradientLayout:
             dst = slot.view(out)
             if grad is None:
                 dst[...] = 0.0
-            elif isinstance(grad, SparseRowGrad):
-                dst[...] = grad.to_dense()
             else:
                 dst[...] = grad
         return out
@@ -322,7 +314,8 @@ class WorkerTransportClient:
             out[slot.name] = view.copy() if copy else view
         return out
 
-    def write_grads(self, grads: Mapping[str, object]) -> np.ndarray:
+    def write_grads(self, grads: Mapping[str, Optional[np.ndarray]]
+                    ) -> np.ndarray:
         """Pack ``{name: grad}`` into this worker's slot; returns the slot
         vector (see :meth:`GradientLayout.pack_grads`)."""
         if self._grad_shm is None:

@@ -21,17 +21,10 @@ import numpy as np
 
 
 def nonfinite_gradients(grads: Mapping[str, np.ndarray]) -> List[str]:
-    """Names of gradient entries containing NaN or Inf (sorted).
-
-    Accepts both dense arrays and :class:`repro.nn.sparse.SparseRowGrad`
-    values; a sparse gradient only scans its payload rows (an absent row
-    is an exact zero, which is finite by construction).
-    """
-    from repro.nn.sparse import grad_values
-
+    """Names of gradient entries containing NaN or Inf (sorted);
+    ``None`` entries are skipped."""
     return sorted(name for name, g in grads.items()
-                  if g is not None
-                  and not np.all(np.isfinite(grad_values(g))))
+                  if g is not None and not np.all(np.isfinite(g)))
 
 
 class GradientGuard:

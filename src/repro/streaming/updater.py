@@ -9,7 +9,7 @@ in two tiers:
    batch of stream events; :meth:`fold_in_user` on one user's
    check-ins, as a batch of one — the serving path behind
    :meth:`repro.serving.RecommendationService.fold_in`.
-2. **Periodic sparse retrain** — :meth:`retrain` replays the rows
+2. **Periodic retrain** — :meth:`retrain` replays the rows
    ingested since the last round plus an equal-size uniform sample of
    the older retained history, so a round costs O(burst), not
    O(history).  Its Adam carries moments for exactly the replayed
@@ -25,7 +25,8 @@ apply its rows with the tape's own kernels: ``scatter_rows`` for the
 fold-in's dense gradient, a first-occurrence coalesce and
 ``adam_update`` for the retrain.  So the updated rows are
 bit-identical to a backward through every parameter followed by the
-same SGD step or ``Adam(sparse_mode="exact")``.  Everything fixed for
+same SGD step, or, for the retrain, to a tape backward over one lookup
+of the concatenated pairs, then Adam.  Everything fixed for
 a round is built once per :meth:`ingest`, :meth:`fold_in_user` or
 :meth:`retrain` call: the positive POI rows and biases, the unique
 users, and a boolean visited table over (user, negative-pool POI).
@@ -359,9 +360,10 @@ class IncrementalUpdater:
         rows outside them would get an update of exactly ``0.0``.  A
         step's gradient coalesces the positive branch's per-pair rows
         ahead of the negative branch's, summing duplicates in
-        first-occurrence order, and ``adam_update`` applies it — the
-        arithmetic of :class:`repro.nn.optim.Adam` in
-        ``sparse_mode="exact"`` over an embedding's ``SparseRowGrad``.
+        first-occurrence order, and ``adam_update`` applies it: the
+        bits of a tape backward over one lookup of the concatenated
+        pairs (positives, then negatives), then
+        :class:`repro.nn.optim.Adam`.
         The ``streaming.retrain_rows`` gauge records the pairs replayed
         per step: replayed rows × ``num_negatives``.
         """

@@ -26,7 +26,6 @@ from repro.nn.layers import MLP, Embedding
 from repro.nn.losses import bce_with_logits, negative_sampling_loss
 from repro.nn.ops import concat
 from repro.nn.optim import Adam
-from repro.nn.sparse import SparseRowGrad
 from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "backend_golden.npz"
@@ -34,27 +33,33 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "backend_golden.npz"
 PRECISIONS = ("f64", "f32")
 
 
-def _dense(grad) -> np.ndarray:
-    return grad.to_dense() if isinstance(grad, SparseRowGrad) else grad
+def _pair_rows(emb, users: np.ndarray, pois: np.ndarray) -> Tensor:
+    """``[emb(users), emb(pois)]`` side by side, from one lookup."""
+    rows = emb(np.concatenate([users, pois]))
+    return concat([rows[:users.size], rows[users.size:]], axis=1)
 
 
 def nn_case(precision: str) -> Dict[str, np.ndarray]:
     """Forward, backward, and five Adam steps on a small tower.
 
-    Covers the ops the training hot path exercises: sparse embedding
-    gather, concat, the Linear/ReLU tower, both losses, the stable
-    sigmoid/softplus kernels, dense and sparse-exact Adam.
+    Covers the ops the training hot path exercises: embedding gather,
+    slicing, concat, the Linear/ReLU tower, both losses, the stable
+    sigmoid/softplus kernels and Adam.
+
+    Each batch's user and POI rows come from one lookup over the
+    concatenated ids, split afterwards: its backward scatters the
+    concatenated rows in one pass, the order the capture was taken in.
     """
     out: Dict[str, np.ndarray] = {}
     with using_dtype(precision):
-        emb = Embedding(60, 8, std=0.05, rng=5, sparse_grad=True)
+        emb = Embedding(60, 8, std=0.05, rng=5)
         mlp = MLP(16, [12, 6], dropout=0.0, rng=7)
         rng = np.random.default_rng(11)
         users = rng.integers(0, 60, size=32)
         pois = rng.integers(0, 60, size=32)
         labels = (rng.random(32) < 0.5).astype(np.float64)
 
-        x = concat([emb(users), emb(pois)], axis=1)
+        x = _pair_rows(emb, users, pois)
         logits = mlp(x)
         loss = bce_with_logits(logits, labels)
         pos = logits[:4]
@@ -66,12 +71,12 @@ def nn_case(precision: str) -> Dict[str, np.ndarray]:
         out["logits"] = logits.data.copy()
         out["bce_loss"] = np.asarray(loss.data).copy()
         out["ns_loss"] = np.asarray(loss2.data).copy()
-        out["emb_grad"] = _dense(emb.weight.grad).copy()
+        out["emb_grad"] = emb.weight.grad.copy()
         for name, p in mlp.named_parameters():
-            out[f"grad.{name}"] = np.asarray(_dense(p.grad)).copy()
+            out[f"grad.{name}"] = np.asarray(p.grad).copy()
 
         params = [emb.weight] + [p for _n, p in mlp.named_parameters()]
-        opt = Adam(params, lr=1e-2, sparse_mode="exact")
+        opt = Adam(params, lr=1e-2)
         fixed = np.linspace(-4.0, 4.0, 32)
         for step in range(5):
             opt.zero_grad()
@@ -79,7 +84,7 @@ def nn_case(precision: str) -> Dict[str, np.ndarray]:
             u = srng.integers(0, 60, size=32)
             v = srng.integers(0, 60, size=32)
             y = (srng.random(32) < 0.5).astype(np.float64)
-            h = concat([emb(u), emb(v)], axis=1)
+            h = _pair_rows(emb, u, v)
             step_loss = bce_with_logits(mlp(h), y)
             step_loss.backward()
             opt.step()

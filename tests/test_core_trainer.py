@@ -219,6 +219,25 @@ class TestPretraining:
         assert not np.allclose(before,
                                trainer.model.poi_embeddings.weight.data)
 
+    @pytest.mark.parametrize("use_text", [True, False])
+    def test_pretrain_then_epoch_trains_like_fit(self, tiny_split,
+                                                 use_text):
+        """``pretrain()`` then ``train_epoch()`` uses the kernel
+        bandwidth ``fit`` uses, sized on the pre-trained embeddings
+        rather than the random init, and trains the same first epoch."""
+        config = fast_config(use_text=use_text)
+        fitted = STTransRecTrainer(tiny_split, config)
+        seen = []
+        first = fitted.fit(epochs=1, epoch_callback=lambda t, _stats:
+                           seen.append(t._kernel.bandwidth)).history[0]
+        manual = STTransRecTrainer(tiny_split, config)
+        provisional = manual._kernel.bandwidth
+        manual.pretrain()
+        assert manual._kernel.bandwidth == seen[0] != provisional
+        stats = manual.train_epoch(0)
+        assert dataclasses.replace(stats, seconds=0.0) == \
+            dataclasses.replace(first, seconds=0.0)
+
 
 # ----------------------------------------------------------------------
 # The tape-free joint step against the autograd tape
@@ -296,10 +315,17 @@ def full_graph_epoch(trainer, epoch):
 
 
 def full_graph_pretrain(trainer, epochs):
-    """``pretrain`` through the tape, with its per-check-in warm start."""
+    """``pretrain`` through the tape, with its per-check-in warm start,
+    then the kernel bandwidth re-estimated on the pre-trained scale."""
+    if trainer.config.use_text:
+        full_graph_skipgram(trainer, epochs)
+    if trainer.config.mmd_bandwidth is None:
+        trainer._kernel = trainer._build_kernel()
+
+
+def full_graph_skipgram(trainer, epochs):
+    """The skipgram epochs and the user warm start, through the tape."""
     cfg = trainer.config
-    if not cfg.use_text:
-        return
     model = trainer.model
     for _ in range(epochs):
         for sampler in (trainer.source_contexts, trainer.target_contexts):

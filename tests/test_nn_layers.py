@@ -121,25 +121,6 @@ class TestEmbeddingValidation:
                 emb(ids)
 
 
-class TestEmbeddingSparseGrad:
-    def test_forward_identical_to_dense(self):
-        ids = np.array([1, 3, 1])
-        dense = Embedding(5, 3, rng=0)
-        sparse = Embedding(5, 3, rng=0, sparse_grad=True)
-        np.testing.assert_array_equal(dense(ids).data, sparse(ids).data)
-
-    def test_backward_yields_sparse_row_grad(self):
-        from repro.nn.sparse import SparseRowGrad
-
-        emb = Embedding(5, 3, rng=0, sparse_grad=True)
-        emb(np.array([2, 2, 4])).sum().backward()
-        grad = emb.weight.grad
-        assert isinstance(grad, SparseRowGrad)
-        np.testing.assert_array_equal(grad.to_dense()[2], 2.0)
-        np.testing.assert_array_equal(grad.to_dense()[4], 1.0)
-        np.testing.assert_array_equal(grad.to_dense()[[0, 1, 3]], 0.0)
-
-
 class TestDropout:
     def test_eval_mode_is_identity(self):
         drop = Dropout(0.5, rng=0)

@@ -130,25 +130,37 @@ class TestNaNGuard:
             assert np.all(np.isfinite(param.data))
 
 
+def _assert_resume_bit_identical(split, tmp_path, workers):
+    """Interrupt after two of four epochs and resume: the parameters end
+    bit-identical to an uninterrupted run."""
+    config = fast_config(dropout=0.3)   # dropout must also be neutral
+    ckpt = tmp_path / "resume.npz"
+
+    def trainer():
+        return DataParallelTrainer(split, config, num_workers=workers,
+                                   supervision=FAST_SUPERVISION)
+
+    with trainer() as reference:
+        reference.train(epochs=4)
+    with trainer() as interrupted:
+        interrupted.train(epochs=2, checkpoint_every=2, checkpoint_path=ckpt)
+    with trainer() as resumed:
+        history = resumed.train(epochs=4, resume_from=ckpt)
+
+    assert len(history) == 2            # only the remaining epochs
+    for (name, a), (_n, b) in zip(reference.model.named_parameters(),
+                                  resumed.model.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
 class TestResume:
     def test_resume_is_bit_identical_single_worker(self, tiny_split,
                                                    tmp_path):
-        config = fast_config(dropout=0.3)   # dropout must also be neutral
-        ckpt = tmp_path / "resume.npz"
+        _assert_resume_bit_identical(tiny_split, tmp_path, workers=1)
 
-        with DataParallelTrainer(tiny_split, config) as reference:
-            reference.train(epochs=4)
-        with DataParallelTrainer(tiny_split, config) as interrupted:
-            interrupted.train(epochs=2, checkpoint_every=2,
-                              checkpoint_path=ckpt)
-        with DataParallelTrainer(tiny_split, config) as resumed:
-            history = resumed.train(epochs=4, resume_from=ckpt)
-
-        assert len(history) == 2            # only the remaining epochs
-        for (name, a), (_n, b) in zip(
-                reference.model.named_parameters(),
-                resumed.model.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+    def test_resume_is_bit_identical_two_workers(self, tiny_split,
+                                                 tmp_path):
+        _assert_resume_bit_identical(tiny_split, tmp_path, workers=2)
 
     def test_resume_multi_worker_continues(self, tiny_split, tmp_path):
         ckpt = tmp_path / "mw.npz"

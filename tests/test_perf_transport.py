@@ -1,13 +1,16 @@
 """Shared-memory gradient transport: layout, slot roundtrips, and the
-bit-identity of the optimized (shm + sparse) trainer path with the
-reference (pipe + dense) path — including under injected faults."""
+bit-identity of the trainer's tape-free replica step over either
+transport with the autograd tape's step over pipes — including under
+injected faults."""
+
+import contextlib
 
 import numpy as np
 import pytest
 
-from repro.nn.sparse import SparseRowGrad
+import repro.parallel.data_parallel as dp
 from repro.parallel.data_parallel import DataParallelTrainer
-from repro.perf.config import PerfConfig, enable_sparse_embedding_grads
+from repro.perf.config import PerfConfig
 from repro.perf.transport import (
     GradientLayout,
     ReadOnlyTransportError,
@@ -17,6 +20,7 @@ from repro.perf.transport import (
 from repro.reliability import Fault, FaultPlan
 
 from tests.test_core_trainer import fast_config
+from tests.test_parallel_equivalence import tape_replica_grads
 
 SPECS = [
     ("emb.weight", (12, 4), "float64"),
@@ -85,21 +89,16 @@ def _assert_bytes_equal(a, b):
 
 
 class TestShmRoundtrip:
-    def _grads(self, seed=0, sparse=False, dtype="float64"):
+    def _grads(self, seed=0):
         rng = np.random.default_rng(seed)
-        grads = {
-            "emb.weight": rng.standard_normal((12, 4)).astype(dtype),
-            "tower.weight": rng.standard_normal((4, 3)).astype(dtype),
-            "tower.bias": rng.standard_normal(3).astype(dtype),
+        return {
+            "emb.weight": rng.standard_normal((12, 4)),
+            "tower.weight": rng.standard_normal((4, 3)),
+            "tower.bias": rng.standard_normal(3),
         }
-        if sparse:
-            ids = np.array([3, 7, 3, 0, 7, 7])
-            grads["emb.weight"] = SparseRowGrad(
-                (12, 4), ids, rng.standard_normal((6, 4)).astype(dtype))
-        return grads
 
-    def _roundtrip(self, grads, specs=SPECS):
-        with ShmTransport(specs, num_slots=1) as transport:
+    def _roundtrip(self, grads):
+        with ShmTransport(SPECS, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
                 client.write_grads(grads)
@@ -113,16 +112,6 @@ class TestShmRoundtrip:
         back = self._roundtrip(grads)
         for name in grads:
             _assert_bytes_equal(back[name], grads[name])
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_sparse_roundtrip_matches_to_dense(self, dtype):
-        """Duplicate-id sparse rows land in the slot as ``to_dense``."""
-        specs = [(name, shape, dtype) for name, shape, _ in SPECS]
-        grads = self._grads(sparse=True, dtype=dtype)
-        back = self._roundtrip(grads, specs)
-        _assert_bytes_equal(back["emb.weight"],
-                            grads["emb.weight"].to_dense())
-        _assert_bytes_equal(back["tower.bias"], grads["tower.bias"])
 
     def test_missing_grad_is_written_as_zeros(self):
         """Over the previous step's values: a slot is reused."""
@@ -142,7 +131,7 @@ class TestShmRoundtrip:
         _assert_bytes_equal(back["emb.weight"], grads["emb.weight"])
 
     def test_pipe_vector_equals_slot(self):
-        grads = self._grads(seed=4, sparse=True)
+        grads = self._grads(seed=4)
         layout = GradientLayout.build(SPECS)
         with ShmTransport(SPECS, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
@@ -174,7 +163,7 @@ class TestShmRoundtrip:
             c1 = WorkerTransportClient(transport.layout, 1)
             try:
                 c0.write_grads(self._grads(seed=1))
-                c1.write_grads(self._grads(seed=2, sparse=True))
+                c1.write_grads(self._grads(seed=2))
                 back0 = _unpack(transport.layout, transport.read_grads(0))
                 back1 = _unpack(transport.layout, transport.read_grads(1))
             finally:
@@ -183,8 +172,7 @@ class TestShmRoundtrip:
         _assert_bytes_equal(back0["emb.weight"],
                             self._grads(seed=1)["emb.weight"])
         _assert_bytes_equal(back1["emb.weight"],
-                            self._grads(seed=2, sparse=True)
-                            ["emb.weight"].to_dense())
+                            self._grads(seed=2)["emb.weight"])
 
     def test_params_broadcast_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -303,34 +291,18 @@ class TestReadOnlyAttach:
 
 class TestPerfConfig:
     def test_defaults_are_optimized(self):
-        perf = PerfConfig()
-        assert perf.sparse_grads and perf.transport == "auto"
-        assert perf.adam_sparse_mode == "exact"
+        import dataclasses
 
-    def test_reference_is_seed_behavior(self):
-        perf = PerfConfig.reference()
-        assert not perf.sparse_grads
-        assert perf.transport == "pipe"
-        assert perf.adam_sparse_mode == "dense"
+        perf = PerfConfig()
+        assert [f.name for f in dataclasses.fields(perf)] == \
+            ["transport", "precision"]
+        assert perf.transport == "auto" and perf.precision == "f64"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="transport"):
             PerfConfig(transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="adam_sparse_mode"):
-            PerfConfig(adam_sparse_mode="bogus")
-
-    def test_enable_sparse_embedding_grads_counts_tables(self):
-        from repro.core.config import STTransRecConfig
-        from repro.core.model import STTransRec
-
-        model = STTransRec(num_users=5, num_pois=6, num_words=4,
-                           config=STTransRecConfig(embedding_dim=4,
-                                                   hidden_sizes=[4]))
-        count = enable_sparse_embedding_grads(model)
-        assert count >= 2        # at least user + poi tables
-        from repro.nn.layers import Embedding
-        assert all(m.sparse_grad for m in model.modules()
-                   if isinstance(m, Embedding))
+        with pytest.raises(ValueError, match="precision"):
+            PerfConfig(precision="f16")
 
 
 def _run(split, perf, workers=2, steps=6, fault_plan=None):
@@ -357,33 +329,54 @@ def _assert_identical(run_a, run_b):
         np.testing.assert_array_equal(state_a[name], state_b[name])
 
 
+@contextlib.contextmanager
+def _tape_replicas():
+    """Replicas take the autograd tape's step: the reference.  Workers
+    forked inside the block inherit the patch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "_replica_grads", tape_replica_grads)
+        yield
+
+
+PIPE = PerfConfig(transport="pipe")
+
+
 class TestTrainerBitIdentity:
-    """The acceptance contract: optimized path == reference path, bitwise."""
+    """The acceptance contract: the tape-free replica step over either
+    transport == the tape's step over pipes, bitwise.  Every replica
+    count × precision × weight decay is :class:`TestFlatExchangeMatrix`."""
+
+    def test_single_process_matches_tape(self, tiny_split):
+        with _tape_replicas():
+            reference = _run(tiny_split, PIPE, workers=1)
+        tape_free = _run(tiny_split, PerfConfig(), workers=1)
+        _assert_identical(reference, tape_free)
+
+    # The next two names date from when replicas could send row-sparse
+    # gradients: "sparse" is now the tape-free replica step, which
+    # scatters only the rows a batch touches, and "dense" the tape's.
 
     def test_two_workers_shm_sparse_matches_pipe_dense(self, tiny_split):
-        reference = _run(tiny_split, PerfConfig.reference())
-        optimized = _run(tiny_split, PerfConfig(transport="shm"))
-        assert optimized[2] is not None     # shm actually engaged
-        _assert_identical(reference, optimized)
+        with _tape_replicas():
+            reference = _run(tiny_split, PIPE)
+        tape_free = _run(tiny_split, PerfConfig(transport="shm"))
+        assert tape_free[2] is not None     # shm actually engaged
+        _assert_identical(reference, tape_free)
 
     def test_sparse_over_pipe_matches_dense(self, tiny_split):
-        reference = _run(tiny_split, PerfConfig.reference())
-        sparse_pipe = _run(tiny_split, PerfConfig(transport="pipe"))
-        assert sparse_pipe[2] is None
-        _assert_identical(reference, sparse_pipe)
-
-    def test_single_process_sparse_matches_dense(self, tiny_split):
-        reference = _run(tiny_split, PerfConfig.reference(), workers=1)
-        optimized = _run(tiny_split, PerfConfig(), workers=1)
-        _assert_identical(reference, optimized)
+        with _tape_replicas():
+            reference = _run(tiny_split, PIPE)
+        tape_free = _run(tiny_split, PIPE)
+        assert tape_free[2] is None
+        _assert_identical(reference, tape_free)
 
     def test_identical_under_crash_and_nan_faults(self, tiny_split):
         def plan():
             return FaultPlan([Fault.crash(worker=1, step=2),
                               Fault.nan_grad(worker=0, step=3)])
 
-        reference = _run(tiny_split, PerfConfig.reference(),
-                         fault_plan=plan(), steps=8)
+        with _tape_replicas():
+            reference = _run(tiny_split, PIPE, fault_plan=plan(), steps=8)
         optimized = _run(tiny_split, PerfConfig(transport="shm"),
                          fault_plan=plan(), steps=8)
         assert optimized[2] is not None
@@ -391,21 +384,18 @@ class TestTrainerBitIdentity:
 
     def test_auto_falls_back_to_pipe_when_shm_unavailable(
             self, tiny_split, monkeypatch):
-        import repro.parallel.data_parallel as dp
-
         def boom(*args, **kwargs):
             raise OSError("no shared memory on this box")
 
         monkeypatch.setattr(dp, "ShmTransport", boom)
         auto = _run(tiny_split, PerfConfig(transport="auto"))
         assert auto[2] is None              # fell back
-        reference = _run(tiny_split, PerfConfig.reference())
+        with _tape_replicas():
+            reference = _run(tiny_split, PIPE)
         _assert_identical(reference, auto)
 
     def test_explicit_shm_propagates_creation_failure(
             self, tiny_split, monkeypatch):
-        import repro.parallel.data_parallel as dp
-
         def boom(*args, **kwargs):
             raise OSError("no shared memory on this box")
 
@@ -423,10 +413,14 @@ def _matrix_plan():
                       Fault.nan_grad(worker=0, step=3)])
 
 
-def _run_with_moments(split, perf, workers, weight_decay):
+def _run_with_moments(split, perf, workers, weight_decay,
+                      product_features=True):
     """Losses, parameters, Adam moments and fault counts of 8 steps
     under the crash + NaN plan."""
-    config = fast_config(weight_decay=weight_decay)
+    config = fast_config(
+        weight_decay=weight_decay,
+        interaction_features=("concat_product" if product_features
+                              else "concat"))
     trainer = DataParallelTrainer(split, config, num_workers=workers,
                                   fault_plan=_matrix_plan(), perf=perf)
     try:
@@ -442,32 +436,31 @@ def _run_with_moments(split, perf, workers, weight_decay):
 
 
 class TestFlatExchangeMatrix:
-    """Every transport × gradient encoding × precision × replica count ×
-    weight decay is byte-equal to the reference path, faults included.
+    """Every transport × interaction features (``[u, v, u ⊙ v]`` or
+    ``[u, v]``) × precision × replica count × weight decay is byte-equal
+    to the tape's replica step over pipes, faults included.
 
-    The reference path runs at the candidate's precision, so the
-    comparison is byte-exact in f32 as well as in f64.
+    The reference runs at the candidate's precision, so the comparison
+    is byte-exact in f32 as well as in f64.
     """
 
     @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    @pytest.mark.parametrize("sparse_grads", [True, False])
+    @pytest.mark.parametrize("product_features", [True, False])
     @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_matches_reference(self, tiny_split, monkeypatch, transport,
-                               sparse_grads, precision, workers,
+                               product_features, precision, workers,
                                weight_decay):
-        import dataclasses
-
         from repro.nn.optim import Adam
 
-        key = (precision, workers, weight_decay)
+        key = (product_features, precision, workers, weight_decay)
         if key not in _REFERENCE_RUNS:
-            _REFERENCE_RUNS[key] = _run_with_moments(
-                tiny_split,
-                dataclasses.replace(PerfConfig.reference(),
-                                    precision=precision),
-                workers, weight_decay)
+            with _tape_replicas():
+                _REFERENCE_RUNS[key] = _run_with_moments(
+                    tiny_split,
+                    PerfConfig(transport="pipe", precision=precision),
+                    workers, weight_decay, product_features)
         reference = _REFERENCE_RUNS[key]
         # The averaged gradient must tile Adam's flat moments: a layout
         # drift between GradientLayout and Adam would silently fall back
@@ -477,9 +470,9 @@ class TestFlatExchangeMatrix:
         monkeypatch.setattr(
             Adam, "_step_fused",
             lambda self, *args: fused.append(1) or step_fused(self, *args))
-        perf = PerfConfig(transport=transport, sparse_grads=sparse_grads,
-                          precision=precision)
-        run = _run_with_moments(tiny_split, perf, workers, weight_decay)
+        perf = PerfConfig(transport=transport, precision=precision)
+        run = _run_with_moments(tiny_split, perf, workers, weight_decay,
+                                product_features)
         assert len(fused) == run[2]["step_count"] > 0
         assert run[4] == (transport == "shm")
         assert run[3] == reference[3] == (1, 1)

@@ -234,17 +234,6 @@ class TestRetrain:
         np.testing.assert_array_equal(embedding_snapshot(model), before)
         assert stats.retrain_rounds == 0
 
-    def test_sparse_grad_flag_restored(self, world):
-        dataset, index = world
-        model, updater = make_updater(dataset, index)
-        updater.ingest(stream_events(dataset, index))
-        assert not model.user_embeddings.sparse_grad
-        updater.retrain()
-        assert not model.user_embeddings.sparse_grad
-        model.user_embeddings.sparse_grad = True
-        updater.retrain()
-        assert model.user_embeddings.sparse_grad
-
     def test_replay_is_new_rows_plus_equal_older_sample(self, world):
         dataset, index = world
         model, updater = make_updater(dataset, index, retrain_steps=1)
@@ -360,20 +349,24 @@ def full_graph_fold_in(updater, user_rows, poi_rows):
 
 def full_graph_retrain(updater):
     """The retrain round with every parameter trainable (no freeze),
-    over the same replay rows."""
+    over the same replay rows: one ``interaction_logits`` call over the
+    positive pairs followed by the negative ones, so the user lookup's
+    backward scatters the positive branch's rows ahead of the negative
+    branch's, then a plain Adam."""
     model = updater.model
     rows, positives = updater._replay_rows()
     users = np.repeat(rows, updater.num_negatives)
     pos = np.repeat(positives, updater.num_negatives)
-    weight = model.user_embeddings.weight
-    model.user_embeddings.sparse_grad = True
-    optimizer = Adam([weight], lr=updater.retrain_lr, sparse_mode="exact")
+    n = users.size
+    pairs = np.concatenate([users, users])
+    optimizer = Adam([model.user_embeddings.weight], lr=updater.retrain_lr)
     for _ in range(updater.retrain_steps):
         neg = updater._sample_negatives(users)
-        full_graph_loss(model, users, pos, neg).backward()
+        model.zero_grad()
+        logits = model.interaction_logits(pairs, np.concatenate([pos, neg]))
+        (-(logits[:n] - logits[n:]).log_sigmoid().mean()).backward()
         optimizer.step()
     model.zero_grad()
-    model.user_embeddings.sparse_grad = False
 
 
 def run_updates(dataset, index, updater, retrain):
