@@ -26,7 +26,7 @@ def visited_poi_ids(dataset: CheckinDataset, user_id: int) -> Set[int]:
     through this set, so offline and online rankings can never disagree
     about what "already visited" means.
     """
-    return {record.poi_id for record in dataset.user_profile(user_id)}
+    return dataset.pois_of_user(user_id)
 
 
 class Recommender:

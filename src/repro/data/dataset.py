@@ -85,6 +85,10 @@ class CheckinDataset:
         return sorted((p for p in self.pois.values() if p.city == city),
                       key=lambda p: p.poi_id)
 
+    def pois_of_user(self, user_id: int) -> Set[int]:
+        """The set of POI ids a user has checked in at (any city)."""
+        return {record.poi_id for record in self._by_user.get(user_id, [])}
+
     def cities_of_user(self, user_id: int) -> Set[str]:
         """The set of cities a user has checked in."""
         return {record.city for record in self._by_user.get(user_id, [])}

@@ -88,7 +88,7 @@ class RankingEvaluator:
             if not truth:
                 continue
             # POIs in the target city the user never visited (train or test).
-            visited_train = {r.poi_id for r in split.train.user_profile(user)}
+            visited_train = split.train.pois_of_user(user)
             pool = sorted(target_set - truth - visited_train)
             if not pool:
                 continue

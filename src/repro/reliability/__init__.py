@@ -15,7 +15,6 @@ from repro.reliability.guards import (
     DivergenceDetector,
     GradientGuard,
     TrainingDiverged,
-    nonfinite_gradients,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "DivergenceDetector",
     "GradientGuard",
     "TrainingDiverged",
-    "nonfinite_gradients",
 ]

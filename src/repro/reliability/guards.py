@@ -15,22 +15,15 @@ loss-explosion check for the second.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import List, Optional
 
 import numpy as np
-
-
-def nonfinite_gradients(grads: Mapping[str, np.ndarray]) -> List[str]:
-    """Names of gradient entries containing NaN or Inf (sorted);
-    ``None`` entries are skipped."""
-    return sorted(name for name, g in grads.items()
-                  if g is not None and not np.all(np.isfinite(g)))
 
 
 class GradientGuard:
     """Per-step skip policy for non-finite losses and gradients.
 
-    ``check(grads, loss)`` returns True when the update is safe to
+    ``check(grads, loss, layout)`` returns True when the update is safe to
     apply.  A rejected step is counted and its offending parameter
     names recorded, so supervisors can surface *which* tensor went
     non-finite, not just that something did.
@@ -41,20 +34,15 @@ class GradientGuard:
         self.steps_skipped = 0
         self.last_bad_names: List[str] = []
 
-    def check(self, grads, loss: Optional[float] = None,
-              layout=None) -> bool:
-        """``grads`` is a ``{name: gradient}`` mapping, or one flat vector
-        laid out by ``layout`` (a :class:`~repro.perf.transport.
-        GradientLayout`): that is checked with a single ``isfinite``
-        pass, and the offending names are worked out from the layout
-        only when it fails."""
+    def check(self, grads: np.ndarray, loss: Optional[float],
+              layout) -> bool:
+        """``grads`` is one flat vector laid out by ``layout`` (a
+        :class:`~repro.perf.transport.GradientLayout`): it is checked
+        with a single ``isfinite`` pass, and the offending names are
+        worked out from the layout only when it fails."""
         self.steps_checked += 1
-        if layout is None:
-            bad = nonfinite_gradients(grads)
-        elif np.isfinite(grads).all():
-            bad = []
-        else:
-            bad = layout.nonfinite_names(grads)
+        bad = ([] if np.isfinite(grads).all()
+               else layout.nonfinite_names(grads))
         if loss is not None and not np.isfinite(loss):
             bad = ["<loss>"] + bad
         if bad:

@@ -12,7 +12,7 @@ evaluation all score through this engine instead.
 buffers and restructures the computation around what serving actually
 does: score *one catalogue* (the target city's POIs) for *many users*.
 
-Two properties make the hot path fast:
+Three properties make the hot path fast:
 
 * **No graph.**  All arithmetic is plain ``numpy`` on pre-copied
   parameter buffers; nothing allocates autograd nodes or backward
@@ -23,6 +23,9 @@ Two properties make the hot path fast:
   ``x_v @ W1_v + b1`` term depends only on the catalogue and is computed
   once at engine build time, so each request pays only the user-side
   pieces.
+* **Cache-sized tiles.**  A batch's (user, POI) pairs run through the
+  tower a few users at a time, every layer writing into the same
+  L2-sized scratch (:meth:`InferenceEngine.score_catalogue`).
 
 The engine is numerically equivalent to the model it was built from
 (same float64 arithmetic, dropout off), verified by the parity tests in
@@ -45,9 +48,11 @@ from repro.nn.layers import Linear
 
 __all__ = ["InferenceEngine"]
 
-# Target row count for flattened (user·POI, hidden) intermediates; keeps
-# per-chunk scratch memory around tens of megabytes at typical widths.
-_CHUNK_ROWS = 262_144
+# (user, POI) pair rows per scoring tile, rounded down to whole users.
+# At the paper tower (d = 64, widths 192 → 128 → 64 → 32 → 16, float32)
+# a tile's scratch is ~1.7 MB, inside one core's 2 MB L2;
+# docs/performance.md has the sweep that picked it.
+_CHUNK_ROWS = 1024
 
 
 class InferenceEngine:
@@ -289,14 +294,27 @@ class InferenceEngine:
     def catalogue_size(self) -> int:
         return len(self.catalogue_poi_ids)
 
-    def _hidden_to_logits(self, first: np.ndarray,
-                          poi_bias: np.ndarray) -> np.ndarray:
-        """ReLU the first-layer activations and run the rest of the tower."""
-        h = np.maximum(first, 0.0)
-        for w, b in self._hidden_rest:
-            h = np.maximum(h @ w + b, 0.0)
-        return (h @ self._head_w).reshape(h.shape[:-1]) \
-            + self._head_b[0] + poi_bias
+    def _buffers(self, rows: int) -> List[np.ndarray]:
+        """One ``(rows, width)`` output buffer per hidden layer after the
+        first, for :meth:`_tower`."""
+        return [np.empty((rows, w.shape[1]), dtype=self.dtype)
+                for w, _b in self._hidden_rest]
+
+    def _tower(self, first: np.ndarray,
+               buffers: List[np.ndarray]) -> np.ndarray:
+        """ReLU the first-layer activations in place and run the hidden
+        layers into ``buffers`` (one per layer, ``len(first)`` rows);
+        returns the last hidden layer's activations."""
+        h = np.maximum(first, 0.0, out=first)
+        for (w, b), buf in zip(self._hidden_rest, buffers):
+            h = np.matmul(h, w, out=buf)
+            h += b
+            np.maximum(h, 0.0, out=h)
+        return h
+
+    def _head(self, last: np.ndarray) -> np.ndarray:
+        """Head logits (before the POI bias) of last-layer activations."""
+        return (last @ self._head_w).reshape(len(last)) + self._head_b[0]
 
     def score_catalogue(self, user_indices: Sequence[int],
                         lo: int = 0,
@@ -312,6 +330,15 @@ class InferenceEngine:
         ``[lo, hi)`` — the fleet's partial-top-K fanout path.  The slice
         reads the same precomputed catalogue constants as the full pass
         (just narrowed), so per-pair scores are unchanged by slicing.
+
+        The (user, POI) pairs run through the tower in tiles of whole
+        users, about :data:`_CHUNK_ROWS` pairs each, so every layer
+        writes into the same cache-sized scratch instead of a fresh
+        batch-sized temporary.  Two products run over the whole batch
+        so that no row's bytes depend on the tiling: the user term
+        ``users @ W1_u`` (a one-user tile would take BLAS's single-row
+        path) and the head, a matrix-vector product whose rounding BLAS
+        varies with the row count.
         """
         user_indices = np.asarray(user_indices, dtype=np.int64)
         if user_indices.ndim != 1:
@@ -323,31 +350,45 @@ class InferenceEngine:
                 f"invalid catalogue slice [{lo}, {hi}) for catalogue of "
                 f"{self.catalogue_size}")
         cat = hi - lo
+        batch = len(user_indices)
         with self._lock:
             cat_first = self._cat_first[lo:hi]
             cat_emb = self._cat_emb[lo:hi]
-            cat_bias = self._cat_bias[lo:hi]
-            batch = len(user_indices)
-            logits = np.empty((batch, cat), dtype=self.dtype)
-            # Chunk users so the flattened (chunk·P, h) intermediates
-            # stay cache/memory friendly for huge catalogues.
-            chunk = max(1, _CHUNK_ROWS // cat)
-            for row0 in range(0, batch, chunk):
-                rows = user_indices[row0:row0 + chunk]
-                users = self._user_emb[rows]              # (C, d)
+            users = self._user_emb[user_indices]                 # (B, d)
+            user_first = users @ self._w1_user                   # (B, h)
+            per = max(1, _CHUNK_ROWS // cat)                     # users/tile
+            tile_rows = min(per, batch) * cat
+            first_buf = np.empty((tile_rows, cat_first.shape[1]),
+                                 dtype=self.dtype)
+            if self._w1_prod is not None:
+                pairs_buf = np.empty((tile_rows, self.embedding_dim),
+                                     dtype=self.dtype)
+                prod_buf = np.empty_like(first_buf)
+            tile_bufs = self._buffers(tile_rows)
+            # The last hidden layer of every pair, for the batch-wide head.
+            last = np.empty((batch * cat, self._head_w.shape[0]),
+                            dtype=self.dtype)
+            for row0 in range(0, batch, per):
+                n = min(per, batch - row0)
+                tile = slice(row0, row0 + n)
+                pair_rows = slice(row0 * cat, (row0 + n) * cat)
                 # First layer, decomposed by input block and flattened
                 # to single BLAS calls over all (user, POI) pairs.
-                first = cat_first[np.newaxis, :, :] \
-                    + (users @ self._w1_user)[:, np.newaxis, :]
+                first = first_buf[:n * cat]
+                np.add(cat_first[np.newaxis, :, :],
+                       user_first[tile, np.newaxis, :],
+                       out=first.reshape(n, cat, -1))
                 if self._w1_prod is not None:
-                    pairs = (cat_emb[np.newaxis, :, :]
-                             * users[:, np.newaxis, :])   # (C, P, d)
-                    first += (pairs.reshape(-1, self.embedding_dim)
-                              @ self._w1_prod).reshape(first.shape)
-                flat = self._hidden_to_logits(
-                    first.reshape(-1, first.shape[-1]),
-                    np.tile(cat_bias, len(rows)))
-                logits[row0:row0 + len(rows)] = flat.reshape(len(rows), cat)
+                    pairs = pairs_buf[:n * cat]
+                    np.multiply(cat_emb[np.newaxis, :, :],
+                                users[tile, np.newaxis, :],
+                                out=pairs.reshape(n, cat, -1))
+                    first += np.matmul(pairs, self._w1_prod,
+                                       out=prod_buf[:n * cat])
+                last[pair_rows] = self._tower(
+                    first, [buf[:n * cat] for buf in tile_bufs])
+            logits = self._head(last).reshape(batch, cat) \
+                + self._cat_bias[lo:hi]
             self.batches_scored += 1
             self.users_scored += batch
             self.pairs_scored += logits.size
@@ -368,8 +409,8 @@ class InferenceEngine:
             first = x_v @ self._w1_poi + self._b1 + x_u @ self._w1_user
             if self._w1_prod is not None:
                 first = first + (x_v * x_u) @ self._w1_prod
-            logits = self._hidden_to_logits(
-                first, self._poi_bias[poi_indices])
+            last = self._tower(first, self._buffers(len(first)))
+            logits = self._head(last) + self._poi_bias[poi_indices]
             self.batches_scored += 1
             self.users_scored += 1
             self.pairs_scored += logits.size
@@ -405,25 +446,31 @@ class InferenceEngine:
             raise ValueError("exclude_poi_ids must align with user_indices")
         scores = self.score_catalogue(user_indices, lo=lo, hi=hi)
         hi = lo + scores.shape[1]
-        all_positions = np.arange(lo, hi, dtype=np.int64)
-        all_ids = self.catalogue_poi_ids[lo:hi]
-        out: List[List[Tuple[int, int, float]]] = []
-        for i in range(len(user_indices)):
-            row, positions, ids = scores[i], all_positions, all_ids
-            if exclude_poi_ids is not None and exclude_poi_ids[i]:
-                masked = [pos - lo for pos in (
-                    self._catalogue_position.get(p)
-                    for p in exclude_poi_ids[i])
-                    if pos is not None and lo <= pos < hi]
-                if masked:
-                    keep = np.ones(hi - lo, dtype=bool)
-                    keep[masked] = False
-                    row, positions, ids = row[keep], positions[keep], \
-                        ids[keep]
-            order = np.argsort(-row, kind="stable")[:k]
-            out.append([(int(positions[j]), int(ids[j]), float(row[j]))
-                        for j in order])
-        return out
+        # One stable sort ranks every row: negated scores ascending
+        # (NaN after every score, as argsort puts it), excluded POIs
+        # after everything, ties in catalogue order.
+        keys = np.negative(scores)
+        keys[np.isnan(keys)] = np.finfo(keys.dtype).max
+        kept = np.full(len(user_indices), hi - lo)
+        if exclude_poi_ids is not None:
+            rows: List[int] = []
+            cols: List[int] = []
+            for i, excluded in enumerate(exclude_poi_ids):
+                for poi_id in excluded or ():
+                    pos = self._catalogue_position.get(poi_id)
+                    if pos is not None and lo <= pos < hi:
+                        rows.append(i)
+                        cols.append(pos - lo)
+            mask = np.zeros(keys.shape, dtype=bool)
+            mask[rows, cols] = True
+            keys[mask] = np.inf
+            kept -= mask.sum(axis=1)
+        order = np.argsort(keys, axis=1, kind="stable")[:, :k]
+        positions = (order + lo).tolist()
+        ids = self.catalogue_poi_ids[lo:hi][order].tolist()
+        values = np.take_along_axis(scores, order, axis=1).tolist()
+        return [list(zip(p[:n], i[:n], v[:n]))
+                for p, i, v, n in zip(positions, ids, values, kept.tolist())]
 
     def top_k_catalogue(
         self, user_indices: Sequence[int], k: int,

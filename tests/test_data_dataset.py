@@ -64,6 +64,12 @@ class TestViews:
         assert ds.cities_of_user(10) == {"a", "b"}
         assert ds.cities_of_user(11) == {"a"}
 
+    def test_pois_of_user(self):
+        ds = small_world()
+        assert ds.pois_of_user(10) == {0, 1, 2}
+        assert ds.pois_of_user(11) == {1}
+        assert ds.pois_of_user(999) == set()
+
     def test_users_in_city(self):
         assert small_world().users_in_city("b") == {10}
 

@@ -3,44 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.reliability import (
-    DivergenceDetector,
-    GradientGuard,
-    nonfinite_gradients,
-)
+from repro.perf.transport import GradientLayout
+from repro.reliability import DivergenceDetector, GradientGuard
 
-
-class TestNonfiniteGradients:
-    def test_clean_gradients_pass(self):
-        grads = {"a": np.ones(3), "b": np.zeros((2, 2))}
-        assert nonfinite_gradients(grads) == []
-
-    def test_nan_and_inf_named(self):
-        grads = {"ok": np.ones(2),
-                 "bad_nan": np.array([1.0, np.nan]),
-                 "bad_inf": np.array([np.inf])}
-        assert nonfinite_gradients(grads) == ["bad_inf", "bad_nan"]
-
-    def test_none_entries_ignored(self):
-        assert nonfinite_gradients({"a": None, "b": np.ones(1)}) == []
+LAYOUT = GradientLayout.build([("w", (2,), "float64"),
+                               ("b", (1,), "float64")])
 
 
 class TestGradientGuard:
     def test_accepts_finite(self):
         guard = GradientGuard()
-        assert guard.check({"w": np.ones(2)}, loss=0.5)
+        assert guard.check(np.ones(3), 0.5, LAYOUT)
         assert guard.steps_skipped == 0
 
     def test_rejects_nan_gradient_and_counts(self):
         guard = GradientGuard()
-        assert not guard.check({"w": np.array([np.nan])}, loss=0.5)
-        assert guard.steps_skipped == 1
+        assert not guard.check(np.array([1.0, np.nan, 1.0]), 0.5, LAYOUT)
         assert guard.last_bad_names == ["w"]
+        assert not guard.check(np.array([1.0, 1.0, np.inf]), 0.5, LAYOUT)
+        assert guard.steps_checked == guard.steps_skipped == 2
+        assert guard.last_bad_names == ["b"]
 
     def test_rejects_nonfinite_loss(self):
         guard = GradientGuard()
-        assert not guard.check({"w": np.ones(2)}, loss=float("nan"))
-        assert guard.last_bad_names[0] == "<loss>"
+        assert not guard.check(np.ones(3), float("nan"), LAYOUT)
+        assert guard.last_bad_names == ["<loss>"]
 
 
 class TestDivergenceDetector:

@@ -7,6 +7,7 @@ from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
 from repro.core.recommend import Recommender
+from repro.serving import engine as engine_module
 from repro.serving.engine import InferenceEngine
 
 
@@ -90,6 +91,119 @@ class TestScoreParity:
         alone = engine.score_catalogue([2])[0]
         in_batch = engine.score_catalogue([0, 1, 2, 3])[2]
         np.testing.assert_allclose(alone, in_batch, atol=1e-12)
+
+
+class TestTiles:
+    """A batch scored in tiles has the bytes of the batch scored at once."""
+
+    PER = 3     # users per tile while patched
+
+    @pytest.mark.parametrize("dim", [16, 32, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tower", [None, [16]])
+    @pytest.mark.parametrize("features", ["concat", "concat_product"])
+    def test_rows_bit_identical_to_one_tile(self, world, monkeypatch,
+                                            dtype, tower, features, dim):
+        dataset, index = world
+        config = STTransRecConfig(embedding_dim=dim, seed=5,
+                                  hidden_sizes=tower,
+                                  interaction_features=features)
+        model = STTransRec(index.num_users, index.num_pois,
+                           index.num_words, config)
+        # Spread the logits over several units: a random-init model's
+        # sit so near 0 that the sigmoid would hide a 1-ulp difference.
+        for param in model.parameters():
+            param.data *= 2.5
+        engine = InferenceEngine.from_model(model, index, dataset,
+                                            "shelbyville", dtype=dtype)
+        per = self.PER
+        for size in (1, per - 1, per, per + 1, 3 * per + 1):
+            users = np.arange(7, 7 + size) % index.num_users
+            # An odd slice leaves a short remainder of rows in each tile.
+            for lo, hi in ((0, engine.catalogue_size), (5, 18)):
+                monkeypatch.setattr(engine_module, "_CHUNK_ROWS", 10 ** 9)
+                whole = engine.score_catalogue(users, lo, hi)
+                monkeypatch.setattr(engine_module, "_CHUNK_ROWS",
+                                    per * (hi - lo))
+                tiled = engine.score_catalogue(users, lo, hi)
+                assert tiled.dtype == whole.dtype == np.dtype(dtype)
+                for i in range(size):
+                    assert tiled[i].tobytes() == whole[i].tobytes(), \
+                        (size, lo, hi, i)
+
+
+def loop_top_k(engine, user_indices, k, lo, hi, exclude_poi_ids):
+    """The per-user ranking loop ``top_k_slice`` replaced: the oracle."""
+    position = {int(p): i for i, p in enumerate(engine.catalogue_poi_ids)}
+    scores = engine.score_catalogue(user_indices, lo=lo, hi=hi)
+    all_positions = np.arange(lo, hi, dtype=np.int64)
+    all_ids = engine.catalogue_poi_ids[lo:hi]
+    out = []
+    for i in range(len(user_indices)):
+        row, positions, ids = scores[i], all_positions, all_ids
+        if exclude_poi_ids is not None and exclude_poi_ids[i]:
+            masked = [pos - lo for pos in (
+                position.get(p) for p in exclude_poi_ids[i])
+                if pos is not None and lo <= pos < hi]
+            if masked:
+                keep = np.ones(hi - lo, dtype=bool)
+                keep[masked] = False
+                row, positions, ids = row[keep], positions[keep], ids[keep]
+        order = np.argsort(-row, kind="stable")[:k]
+        out.append([(int(positions[j]), int(ids[j]), float(row[j]))
+                    for j in order])
+    return out
+
+
+class TestTopKSlice:
+    """``top_k_slice`` ranks exactly as the per-user loop it replaced."""
+
+    def test_edge_cases_match_the_loop(self, world):
+        dataset, index = world
+        engine = InferenceEngine.from_model(make_model(index), index,
+                                            dataset, "shelbyville")
+        ids = [int(p) for p in engine.catalogue_poi_ids]
+        lo, hi = 6, 14
+        inside, outside = ids[lo:hi], ids[:lo] + ids[hi:]
+        other_city = next(p.poi_id for p in dataset.pois_in_city(
+            "springfield"))
+        excludes = [
+            None,
+            set(),
+            set(inside[:6]),                   # 2 left for k = 4
+            set(inside),                       # nothing left
+            set(outside) | {other_city, -1, 10 ** 9},   # all ignored
+            {inside[0], outside[0], -7},
+            set(inside[1::2]) | set(outside[::3]),
+        ]
+        users = list(range(len(excludes)))
+        for k in (1, 4, hi - lo, hi - lo + 3):
+            got = engine.top_k_slice(users, k, lo, hi, excludes)
+            assert got == loop_top_k(engine, users, k, lo, hi, excludes)
+            assert [len(row) for row in got] == [
+                min(k, n) for n in (8, 8, 2, 0, 8, 7, 4)]
+        assert engine.top_k_slice(users, 3, lo, hi) == \
+            loop_top_k(engine, users, 3, lo, hi, None)
+
+    def test_ties_keep_ascending_catalogue_position(self, world):
+        dataset, index = world
+        pois = [p.poi_id for p in dataset.pois_in_city("shelbyville")][:5]
+        # Every POI listed three times: each score appears thrice.
+        engine = InferenceEngine(make_model(index), index, pois * 3)
+        excludes = [None, {pois[1]}, {pois[0], pois[4], -3}]
+        users = [0, 1, 2]
+        for lo, hi in ((0, 15), (2, 13)):
+            got = engine.top_k_slice(users, 7, lo, hi, excludes)
+            assert got == loop_top_k(engine, users, 7, lo, hi, excludes)
+            for row in got:
+                for (pos_a, _, score_a), (pos_b, _, score_b) in zip(
+                        row, row[1:]):
+                    assert score_a > score_b or (
+                        score_a == score_b and pos_a < pos_b)
+        best = engine.top_k_slice([0], 3)[0]
+        assert [pos % 5 for pos, _, _ in best] == [best[0][0]] * 3
+        assert [pos for pos, _, _ in best] == \
+            [best[0][0], best[0][0] + 5, best[0][0] + 10]
 
 
 class TestRanking:
