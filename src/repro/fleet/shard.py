@@ -14,9 +14,12 @@ Protocol (one pipe per shard, router is the only peer)::
     shard  -> router  (request_id, result, meta)
 
 There is one scoring op, ``("topk", (user_indices, k, lo, hi,
-excludes))``: the engine ranks catalogue slice ``[lo, hi)`` for every
+exclusions))``: the engine ranks catalogue slice ``[lo, hi)`` for every
 user (:meth:`~repro.serving.engine.InferenceEngine.top_k_slice`) and
-the reply carries one ``(position, poi_id, score)`` list per user.  A
+the reply carries one ``(position, poi_id, score)`` list per user.
+``exclusions`` is ``None`` or an
+:class:`~repro.serving.engine.Exclusions`: each user's visited POIs as
+one flat int64 id array plus offsets.  A
 whole-catalogue request is simply the slice ``[0, N)``; the router
 merges every user's partials with
 :func:`~repro.fleet.partition.merge_topk`.
@@ -146,8 +149,9 @@ def shard_serve_loop(pipe, manifest: FleetManifest, shard_id: int,
                 fault_plan.execute_pre_step(shard_id, seq)
             seq += 1
             start = time.perf_counter()
-            user_indices, k, lo, hi, excludes = payload
-            result = engine.top_k_slice(user_indices, k, lo, hi, excludes)
+            user_indices, k, lo, hi, exclusions = payload
+            result = engine.top_k_slice(user_indices, k, lo, hi,
+                                        exclusions)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             batch_ms.observe(elapsed_ms)
             requests.inc()

@@ -110,6 +110,73 @@ def test_reference_scatter_rows_rejects_out_of_range():
 
 
 # ----------------------------------------------------------------------
+# stable_sigmoid
+# ----------------------------------------------------------------------
+def _masked_sigmoid(x):
+    """The two boolean-masked passes ``stable_sigmoid`` replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _nan(bits, dtype):
+    """A NaN with the given bit pattern (sign and payload)."""
+    itype = np.uint64 if dtype == np.float64 else np.uint32
+    return np.array([bits], dtype=itype).view(dtype)[0]
+
+
+def _sigmoid_cases(dtype):
+    """``(label, x)`` covering the kernel's edge cases in ``dtype``."""
+    info = np.finfo(dtype)
+    rng = np.random.default_rng(31)
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, info.tiny, -info.tiny,
+         info.smallest_subnormal, -info.smallest_subnormal,
+         info.smallest_subnormal * 7, info.max, -info.max, 1.0, -1.0,
+         info.eps, -info.eps, 30.0, -30.0, 90.0, -90.0, 750.0, -750.0],
+        dtype=dtype)
+    quiet, payload, negative = (
+        (0x7FF8000000000000, 0x7FF800000000BEEF, 0xFFF8000000000001)
+        if dtype == np.float64 else (0x7FC00000, 0x7FC0BEEF, 0xFFC00001))
+    with_nans = np.concatenate([specials, np.array(
+        [_nan(bits, dtype) for bits in (quiet, payload, negative)])])
+    return [
+        ("specials", specials),
+        ("nan_payloads", with_nans),
+        ("only_nan", np.array([_nan(payload, dtype)] * 3)),
+        ("wide", (rng.standard_normal(4000) * 40).astype(dtype)),
+        ("unit", rng.standard_normal((37, 11)).astype(dtype)),
+        ("subnormals", (rng.random(64) * info.tiny).astype(dtype)
+         * np.where(rng.random(64) < 0.5, -1, 1).astype(dtype)),
+        ("strided", rng.standard_normal((9, 8)).astype(dtype)[:, ::3]),
+        ("zero_d_neg", np.array(-3.25, dtype=dtype)),
+        ("zero_d_pos", np.array(0.0, dtype=dtype)),
+        ("zero_d_nan", np.array(_nan(payload, dtype))),
+        ("empty", np.empty(0, dtype=dtype)),
+        ("empty_2d", np.empty((3, 0), dtype=dtype)),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "label", [label for label, _x in _sigmoid_cases(np.float64)])
+def test_stable_sigmoid_bytes_equal_the_masked_formula(label, dtype):
+    x = dict(_sigmoid_cases(dtype))[label]
+    before = x.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _masked_sigmoid(x)
+        actual = active_backend().stable_sigmoid(x)
+    assert x.tobytes() == before, "input was modified"
+    assert type(actual) is np.ndarray
+    assert actual.dtype == expected.dtype == np.dtype(dtype)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), label
+
+
+# ----------------------------------------------------------------------
 # dtype-policy interaction
 # ----------------------------------------------------------------------
 def test_backend_respects_dtype_policy():
