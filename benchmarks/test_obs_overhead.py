@@ -7,9 +7,9 @@ of histogram observes and span timestamps.  This benchmark trains the
 same tiny world with and without telemetry (best-of-N wall time, like
 ``timeit``) and asserts the relative overhead stays under 5%.
 
-The op profiler is *expected* to be expensive (it wraps every tensor
-op) and is opt-in per run, so it is measured and reported here but not
-held to the 5% bound.
+The pass profiler (``repro train --profile-ops``) times each training
+pass with wrappers patched in for the run; it is opt-in per run, so it
+is measured and reported here but not held to the 5% bound.
 """
 
 import time
@@ -53,7 +53,7 @@ def test_telemetry_overhead_under_five_percent(results_sink):
         instrumented = min(instrumented,
                            _epoch_seconds(split, Telemetry()))
 
-    # The opt-in profiler, for the report only.
+    # The opt-in pass profiler, for the report only.
     trainer = STTransRecTrainer(split, fast_config())
     started = time.perf_counter()
     with profile_ops():
@@ -67,7 +67,7 @@ def test_telemetry_overhead_under_five_percent(results_sink):
         f"  baseline (telemetry=None) : {baseline * 1000:8.2f} ms",
         f"  with Telemetry attached   : {instrumented * 1000:8.2f} ms"
         f"  ({overhead * 100:+.2f}%)",
-        f"  with op profiler (opt-in) : {profiled * 1000:8.2f} ms"
+        f"  pass profiler (opt-in)    : {profiled * 1000:8.2f} ms"
         f"  ({(profiled / baseline - 1) * 100:+.1f}%, 1 round, "
         "not bounded)",
         f"  budget                    : {MAX_OVERHEAD * 100:.0f}%",

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import STTransRecConfig, STTransRecTrainer
 from repro.data import foursquare_like, generate_dataset, make_crossing_city_split
-from repro.transfer import GaussianKernel, mmd_quadratic
+from repro.transfer import GaussianKernel, MMDBatch
 
 
 def topic_alignment(trainer, dataset, target_city, num_topics):
@@ -53,7 +53,7 @@ def final_mmd(trainer):
     src = rng.choice(trainer.source_mmd_pool, size=256)
     tgt = rng.choice(trainer.target_mmd_pool, size=256)
     kernel = GaussianKernel(trainer._kernel.bandwidth)
-    return mmd_quadratic(emb.data[src], emb.data[tgt], kernel).item()
+    return float(MMDBatch(emb.data[src], emb.data[tgt], kernel).loss)
 
 
 def main() -> None:

@@ -2,7 +2,7 @@
 
 A pure-Python implementation of "A Deep Neural Network for Crossing-City
 POI Recommendations" (Li & Gong) with every substrate built from scratch:
-autograd neural networks, a synthetic LBSN data generator, region
+closed-form numpy neural networks, a synthetic LBSN data generator, region
 segmentation and density resampling, MMD transfer, all eight comparison
 baselines, and the full evaluation harness.
 

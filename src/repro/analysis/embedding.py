@@ -17,7 +17,7 @@ import numpy as np
 from repro.data.dataset import CheckinDataset
 from repro.data.vocabulary import DatasetIndex
 from repro.transfer.kernels import GaussianKernel, median_heuristic_bandwidth
-from repro.transfer.mmd import mmd_quadratic
+from repro.transfer.mmd import MMDBatch
 
 
 @dataclass
@@ -151,4 +151,4 @@ def embedding_mmd(space: EmbeddingSpace, city_a: str, city_b: str,
     if bandwidth is None:
         bandwidth = median_heuristic_bandwidth(take_a, take_b)
     kernel = GaussianKernel(bandwidth)
-    return float(mmd_quadratic(take_a, take_b, kernel).item())
+    return float(MMDBatch(take_a, take_b, kernel).loss)

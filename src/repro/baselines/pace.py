@@ -11,25 +11,34 @@ resampling — the geographic context only relates POIs "within a limited
 distance", so nothing aligns distributions across cities.  This is the
 strongest baseline in the paper's figures and the nearest ancestor of
 ST-TransRec's architecture.
+
+A training step is three closed-form numpy passes: the interaction BCE
+through ST-TransRec's :class:`~repro.core.model.TowerPass`, and the
+textual and geographic context terms as two
+:class:`~repro.text.skipgram.SkipgramBatch` (the geographic one with
+the ``poi_context`` table in the word table's place).  Their gradients
+are added in the order an autograd tape over the summed loss adds
+them, so the step carries the tape's bits
+(``tests/test_baselines_tape_free.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.base import BaselineRecommender
+from repro.core.model import LogitBCE, TowerPass, apply_dropout
+from repro.core.trainer import _Grads
 from repro.data.sampling import ContextPairSampler, InteractionSampler
 from repro.data.split import CrossingCitySplit
+from repro.nn.backend import active_backend as _xp
 from repro.nn.layers import MLP, Dropout, Embedding
-from repro.nn.losses import bce_with_logits, negative_sampling_loss
 from repro.nn.module import Module
-from repro.nn.ops import concat, rowwise_dot
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.text.context_graph import TextualContextGraph
-from repro.text.skipgram import skipgram_batch_loss
+from repro.text.skipgram import SkipgramBatch
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive
 
@@ -51,12 +60,57 @@ class _PACENetwork(Module):
         self.tower = MLP(2 * embedding_dim, hidden_sizes,
                          dropout=dropout, rng=rng)
 
-    def interaction_logits(self, users: np.ndarray,
-                           pois: np.ndarray) -> Tensor:
-        joined = concat(
-            [self.user_embeddings(users), self.poi_embeddings(pois)], axis=1
-        )
-        return self.tower(self.dropout(joined))
+    def joined(self, users: np.ndarray, pois: np.ndarray) -> np.ndarray:
+        """The tower input ``[x_u, x_v]`` of (user, POI) pairs."""
+        xp = _xp()
+        return xp.concatenate(
+            [xp.take(self.user_embeddings.weight.data, users, axis=0),
+             xp.take(self.poi_embeddings.weight.data, pois, axis=0)],
+            axis=1)
+
+
+def _step_grads(network: _PACENetwork, users: np.ndarray,
+                pois: np.ndarray, labels: np.ndarray, word_iter,
+                spatial_iter) -> List[Optional[np.ndarray]]:
+    """Every parameter's gradient of one step's summed loss, in
+    ``network.parameters()`` order (``None`` where unreached).
+
+    The terms are the BCE over ``tower(dropout([x_u, x_v]))`` in the
+    network's current mode, the skipgram over the next (POI, word)
+    batch of ``word_iter`` and the skipgram over the next (POI,
+    neighbour) batch of ``spatial_iter`` with the ``poi_context`` table;
+    an exhausted iterator drops its term.  The interaction forward draws
+    its dropout masks before the batches are drawn (the samplers share
+    its generator).  Contributions are added in the terms' order,
+    lookup by lookup.
+    """
+    joined, drop_mask = apply_dropout(network.dropout,
+                                      network.joined(users, pois))
+    tower = TowerPass(network.tower, train=True)
+    logits, cache = tower.forward(joined)
+    bce = LogitBCE(logits, labels)
+    one = _xp().ones_like(bce.loss)
+    g_in, tower_grads = tower.backward(bce.backward(one), cache)
+    if drop_mask is not None:
+        g_in = g_in * drop_mask
+    d = g_in.shape[1] // 2
+    grads = _Grads()
+    grads.add(network.user_embeddings, users, g_in[:, :d])
+    grads.add(network.poi_embeddings, pois, g_in[:, d:])
+    for param, part in zip(network.tower.parameters(), tower_grads):
+        grads.set(param, part)
+    for table, batches in ((network.word_embeddings, word_iter),
+                           (network.poi_context, spatial_iter)):
+        batch = next(batches, None)
+        if batch is None:
+            continue
+        context = SkipgramBatch(network.poi_embeddings.weight.data,
+                                table.weight.data, *batch)
+        g_poi, g_pos, g_neg = context.backward(one)
+        grads.add(network.poi_embeddings, context.poi_idx, g_poi)
+        grads.add(table, context.pos_word_idx, g_pos)
+        grads.add(table, context.neg_word_idx, g_neg)
+    return [grads.value(p) for p in network.parameters()]
 
 
 class PACE(BaselineRecommender):
@@ -160,46 +214,22 @@ class PACE(BaselineRecommender):
         )
 
         network.train()
+        params = network.parameters()
         for _ in range(self.epochs):
             word_iter = word_sampler.epoch(self.batch_size)
             spatial_iter = (spatial_sampler.epoch(self.batch_size)
                             if spatial_sampler else iter(()))
             for sampler in interaction_samplers:
                 for users, pois, labels in sampler.epoch(self.batch_size):
-                    optimizer.zero_grad()
-                    loss = bce_with_logits(
-                        network.interaction_logits(users, pois), labels
-                    )
-                    word_batch = next(word_iter, None)
-                    if word_batch is not None:
-                        p_idx, w_idx, n_idx = word_batch
-                        loss = loss + skipgram_batch_loss(
-                            network.poi_embeddings, network.word_embeddings,
-                            p_idx, w_idx, n_idx,
-                        )
-                    spatial_batch = next(spatial_iter, None)
-                    if spatial_batch is not None:
-                        loss = loss + self._spatial_loss(network,
-                                                         spatial_batch)
-                    loss.backward()
+                    for p, grad in zip(params, _step_grads(
+                            network, users, pois, labels, word_iter,
+                            spatial_iter)):
+                        p.grad = grad
                     optimizer.step()
         network.eval()
         self._network = network
         self._fitted = True
         return self
-
-    @staticmethod
-    def _spatial_loss(network: _PACENetwork, batch) -> Tensor:
-        """Skipgram over POI→neighbour edges with the context table."""
-        poi_idx, ctx_idx, neg_idx = batch
-        center = network.poi_embeddings(poi_idx)
-        positive = network.poi_context(ctx_idx)
-        pos_scores = rowwise_dot(center, positive)
-        b, k = np.asarray(neg_idx).shape
-        negatives = network.poi_context(np.asarray(neg_idx).reshape(-1))
-        center_rep = center.gather_rows(np.repeat(np.arange(b), k))
-        neg_scores = rowwise_dot(center_rep, negatives).reshape(b, k)
-        return negative_sampling_loss(pos_scores, neg_scores)
 
     def score_candidates(self, user_id: int,
                          candidate_poi_ids: Sequence[int]) -> np.ndarray:
@@ -211,5 +241,6 @@ class PACE(BaselineRecommender):
             [self.index.pois.index_of(int(p)) for p in candidate_poi_ids]
         )
         users = np.full(len(rows), u, dtype=np.int64)
-        logits = self._network.interaction_logits(users, rows)
-        return logits.sigmoid().numpy().copy()
+        logits, _ = TowerPass(self._network.tower).forward(
+            self._network.joined(users, rows))
+        return _xp().stable_sigmoid(logits)

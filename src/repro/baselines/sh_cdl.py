@@ -3,7 +3,9 @@
 
 The original unifies a deep belief network over heterogeneous POI
 features with matrix factorization of user preferences.  Reproduced
-here with the same division of labour on our autograd substrate:
+here with the same division of labour, each stage's loss and gradients
+in closed numpy (with the bits of the same losses on an autograd tape,
+``tests/test_baselines_tape_free.py``):
 
 1. A deep **autoencoder** over each POI's heterogeneous feature vector
    (bag of description words ⊕ normalized location) learns a unified
@@ -23,19 +25,20 @@ global part transfers — the weakness the ST-TransRec paper points out.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.base import BaselineRecommender
 from repro.baselines.features import poi_word_matrix
+from repro.core.model import LogitBCE
 from repro.data.sampling import InteractionSampler
 from repro.data.split import CrossingCitySplit
+from repro.nn.backend import active_backend as _xp
+from repro.nn.dtypes import coerce
 from repro.nn.layers import Linear, Sequential, ReLU, Embedding
-from repro.nn.losses import bce_with_logits, mse
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive
 
@@ -55,8 +58,71 @@ class _Autoencoder(Module):
             Linear(hidden, in_features, rng=rng),
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.decoder(self.encoder(x))
+
+def _chain_forward(steps: Sequence[Module], x: np.ndarray
+                   ) -> Tuple[np.ndarray, list]:
+    """Run Linear/ReLU ``steps`` on ``x``: the output and the cache
+    :func:`_chain_backward` reads."""
+    xp = _xp()
+    cache = []
+    for step in steps:
+        if isinstance(step, Linear):
+            cache.append((step, x))
+            x = x @ step.weight.data + step.bias.data
+        else:
+            mask = x > 0
+            cache.append((None, mask))
+            x = xp.where(mask, x, 0.0)
+    return x, cache
+
+
+def _chain_backward(grad: np.ndarray, cache: list) -> List[np.ndarray]:
+    """The steps' parameter gradients, in ``parameters()`` order, for an
+    output gradient ``grad``."""
+    grads: List[np.ndarray] = []
+    for i in reversed(range(len(cache))):
+        layer, saved = cache[i]
+        if layer is None:
+            grad = grad * saved
+            continue
+        grads += [grad.sum(axis=0), saved.swapaxes(-1, -2) @ grad]
+        if i:  # the chain's input needs no gradient
+            grad = grad @ layer.weight.data.swapaxes(-1, -2)
+    grads.reverse()
+    return grads
+
+
+def _reconstruction_grads(autoencoder: _Autoencoder,
+                          x: np.ndarray) -> List[np.ndarray]:
+    """Gradients of the autoencoder's mean squared reconstruction error
+    of ``x``, in ``parameters()`` order."""
+    pred, cache = _chain_forward(
+        autoencoder.encoder.steps + autoencoder.decoder.steps, x)
+    diff = pred - coerce(x, dtype=pred.dtype)
+    part = coerce(1.0 / diff.size, dtype=pred.dtype) * diff
+    return _chain_backward(part + part, cache)
+
+
+def _preference_grads(params: Sequence[Parameter], latents: np.ndarray,
+                      users: np.ndarray, city_rows: np.ndarray,
+                      pois: np.ndarray, labels: np.ndarray
+                      ) -> List[np.ndarray]:
+    """Gradients of the mean BCE of ``σ((u_global + u_city) · h_v +
+    b_v)`` over fixed POI latents ``h``, for ``params`` = (user table,
+    city table, POI bias) looked up at ``users``, ``city_rows`` and
+    ``pois``."""
+    xp = _xp()
+    user_table, city_table, poi_bias = params
+    h = xp.take(latents, pois, axis=0)
+    u = xp.take(user_table.data, users, axis=0) \
+        + xp.take(city_table.data, city_rows, axis=0)
+    bce = LogitBCE((u * h).sum(axis=1)
+                   + xp.take(poi_bias.data, pois, axis=0), labels)
+    g_z = bce.backward(xp.ones_like(bce.loss))
+    g_u = g_z[:, None] * h
+    return [xp.scatter_rows(idx, rows, p.data.shape[0])
+            for p, idx, rows in zip(params, (users, city_rows, pois),
+                                    (g_u, g_u, g_z))]
 
 
 class SHCDL(BaselineRecommender):
@@ -108,19 +174,19 @@ class SHCDL(BaselineRecommender):
 
         # Stage 1: autoencode POI features.
         autoencoder = _Autoencoder(features.shape[1], self.latent_dim, rng)
-        optimizer = Adam(autoencoder.parameters(), lr=self.learning_rate)
+        params = autoencoder.parameters()
+        optimizer = Adam(params, lr=self.learning_rate)
         num_pois = features.shape[0]
         for _ in range(self.ae_epochs):
             order = rng.permutation(num_pois)
             for start in range(0, num_pois, self.batch_size):
                 rows = order[start:start + self.batch_size]
-                batch = Tensor(features[rows])
-                optimizer.zero_grad()
-                loss = mse(autoencoder(batch), features[rows])
-                loss.backward()
+                for p, grad in zip(params, _reconstruction_grads(
+                        autoencoder, features[rows])):
+                    p.grad = grad
                 optimizer.step()
-        autoencoder.eval()
-        self._poi_latents = autoencoder.encoder(Tensor(features)).numpy().copy()
+        self._poi_latents, _ = _chain_forward(autoencoder.encoder.steps,
+                                              features)
 
         # Stage 2: spatial-aware user preference learning against fixed
         # h_v.  Per-user global component plus a per-(user, city)
@@ -138,31 +204,24 @@ class SHCDL(BaselineRecommender):
         user_table = Embedding(num_users, self.latent_dim, rng=rng)
         city_table = Embedding(num_users * len(cities), self.latent_dim,
                                std=1e-4, rng=rng)
-        poi_bias = Tensor(np.zeros(self.index.num_pois), requires_grad=True)
-        optimizer = Adam(
-            list(user_table.parameters())
-            + list(city_table.parameters()) + [poi_bias],
-            lr=self.learning_rate,
-        )
+        poi_bias = Parameter(np.zeros(self.index.num_pois))
+        params = [user_table.weight, city_table.weight, poi_bias]
+        optimizer = Adam(params, lr=self.learning_rate)
         samplers = [
             InteractionSampler(train, self.index, city,
                                num_negatives=self.num_negatives, rng=rng)
             for city in cities
             if train.checkins_in_city(city)
         ]
-        latents = Tensor(self._poi_latents)  # constant, no grad
         num_cities = len(cities)
         for _ in range(self.pref_epochs):
             for sampler in samplers:
                 for users, pois, labels in sampler.epoch(self.batch_size):
-                    optimizer.zero_grad()
-                    u_global = user_table(users)
-                    u_city = city_table(users * num_cities + poi_city[pois])
-                    h = latents.gather_rows(pois)
-                    logits = ((u_global + u_city) * h).sum(axis=1) \
-                        + poi_bias.gather_rows(pois)
-                    loss = bce_with_logits(logits, labels)
-                    loss.backward()
+                    city_rows = users * num_cities + poi_city[pois]
+                    for p, grad in zip(params, _preference_grads(
+                            params, self._poi_latents, users, city_rows,
+                            pois, labels)):
+                        p.grad = grad
                     optimizer.step()
         self._user_factors = user_table.weight.data.copy()
         self._city_factors = city_table.weight.data.copy()

@@ -156,8 +156,8 @@ def cmd_train(args) -> int:
     if args.workers > 1 or args.checkpoint_every or args.resume_from \
             or getattr(args, "precision", "f64") != "f64":
         if args.profile_ops:
-            _progress("--profile-ops instruments in-process tensor ops "
-                      "only; worker replicas run unprofiled")
+            _progress("--profile-ops times the in-process training "
+                      "passes only; worker replicas run unprofiled")
         return _train_resumable(args, split, config, telemetry)
     # The fit runs in this process; batch-sized matmuls are slower on a
     # multi-threaded BLAS pool than on one thread.
@@ -890,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(events.jsonl, metrics.prom, "
                                 "summary.txt) under DIR")
             p.add_argument("--profile-ops", action="store_true",
-                           help="profile per-op autograd time and "
+                           help="profile per-pass training time and "
                                 "allocations (single-process path)")
             p.add_argument("--precision", choices=["f64", "f32"],
                            default="f64",

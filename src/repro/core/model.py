@@ -12,14 +12,16 @@ The transfer-learning layer (MMD between source/target POI embedding
 batches) and the resampling module live in the trainer: they consume the
 same POI embedding table that both paths train.
 
-The interaction path also exists in closed numpy, without a graph:
-:class:`TowerPass` is one pass through the tower, forward and backward;
-:class:`InteractionBCE` is the BCE loss over the logits with every
-parameter's gradient — the trainer's joint step; and
+The interaction path is computed in closed numpy: :class:`TowerPass`
+is one pass through the tower, forward and backward (in eval mode, the
+model's scoring); :class:`LogitBCE` is the BCE loss over logits;
+:class:`InteractionBCE` is that loss over the interaction logits with
+every parameter's gradient — the trainer's joint step; and
 :class:`UserSideBPR` is the BPR gradient with respect to the user rows
 alone — the step the streaming updater folds check-ins in with.  Each
-replays the tape's numpy operations in the tape's order, so its
-results carry the tape's bits.
+replays the numpy operations of the same quantity built from autograd
+tape ops (``tests/oracle/model.py``'s ``interaction_logits``) in the
+tape's order, so its results carry the tape's bits.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from repro.nn.backend import active_backend as _xp
 from repro.nn.dtypes import coerce
 from repro.nn.layers import MLP, Dropout, Embedding, Linear
 from repro.nn.module import Module
-from repro.nn.ops import concat
-from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 from repro.utils.rng import as_rng
 
 
@@ -82,57 +82,14 @@ class STTransRec(Module):
         return self.embedding_dropout._rng
 
     # ------------------------------------------------------------------
-    # Interaction path
-    # ------------------------------------------------------------------
-    def interaction_logits(self, user_idx: np.ndarray,
-                           poi_idx: np.ndarray) -> Tensor:
-        """Pre-sigmoid scores ŷ_uv for (user, POI) index pairs (Eq. 11).
-
-        Dropout is applied to the concatenated embedding (the paper's
-        "dropout on the embedding layer") and inside each hidden layer.
-        """
-        x_u = self.user_embeddings(user_idx)
-        x_v = self.poi_embeddings(poi_idx)
-        if self.config.interaction_features == "concat_product":
-            joined = concat([x_u, x_v, x_u * x_v], axis=1)
-        else:
-            joined = concat([x_u, x_v], axis=1)
-        joined = self.embedding_dropout(joined)
-        bias = self.poi_bias(poi_idx).reshape(-1)
-        return self.tower(joined) + bias
-
-    def predict_scores(self, user_idx: np.ndarray,
-                       poi_idx: np.ndarray) -> np.ndarray:
-        """Sigmoid prediction scores (Eq. 12), eval mode, no graph."""
-        was_training = self.training
-        self.eval()
-        try:
-            logits = self.interaction_logits(user_idx, poi_idx)
-            return logits.sigmoid().numpy().copy()
-        finally:
-            if was_training:
-                self.train()
-
-    def score_pois_for_user(self, user_index: int,
-                            poi_indices: np.ndarray) -> np.ndarray:
-        """Scores of many POIs for one user (recommendation inference)."""
-        poi_indices = np.asarray(poi_indices)
-        users = np.full(len(poi_indices), user_index, dtype=np.int64)
-        return self.predict_scores(users, poi_indices)
-
-    # ------------------------------------------------------------------
     # Embedding access for transfer and diagnostics
     # ------------------------------------------------------------------
-    def poi_embedding_batch(self, poi_idx: np.ndarray) -> Tensor:
-        """POI embedding rows as a graph node (MMD input)."""
-        return self.poi_embeddings(poi_idx)
-
     def poi_vectors(self) -> np.ndarray:
-        """The full POI embedding matrix (copy, no graph)."""
+        """The full POI embedding matrix (a copy)."""
         return self.poi_embeddings.weight.data.copy()
 
     def user_vectors(self) -> np.ndarray:
-        """The full user embedding matrix (copy, no graph)."""
+        """The full user embedding matrix (a copy)."""
         return self.user_embeddings.weight.data.copy()
 
     def __repr__(self) -> str:
@@ -149,18 +106,19 @@ class TowerPass:
     """One pass through the interaction tower (Eq. 11) in closed numpy.
 
     :meth:`forward` and :meth:`backward` run the numpy operations the
-    autograd tape runs for :class:`~repro.nn.layers.MLP`, in the same
-    order: ``x @ W`` then ``+ b``, the ``np.where`` ReLU, and in
+    autograd tape runs for an :class:`~repro.nn.layers.MLP`, in the
+    same order: ``x @ W`` then ``+ b``, the ``np.where`` ReLU, and in
     backward ``g @ W.swapaxes(-1, -2)`` through each layer, so every
     array they return carries the tape's bits.
 
     With ``train=True`` (the trainer's pass) each of the tower's
-    :class:`~repro.nn.layers.Dropout` layers acts as its ``forward``
-    would (a mask drawn from its generator in train mode, the identity
-    in eval mode), and :meth:`backward` also returns the parameters'
-    gradients.  With ``train=False`` the pass is the eval-mode tower
-    with frozen weights: no dropout, whatever the layers' mode, and the
-    input gradient only — the cache then holds just the ReLU masks.
+    :class:`~repro.nn.layers.Dropout` layers acts as in
+    :func:`apply_dropout` (a mask drawn from its generator in train
+    mode, the identity in eval mode), and :meth:`backward` also returns
+    the parameters' gradients.  With ``train=False`` the pass is the
+    eval-mode tower with frozen weights: no dropout, whatever the
+    layers' mode, and the input gradient only — the cache then holds
+    just the ReLU masks.
 
     The weights are read once, at construction; build a new pass after
     the parameters change.
@@ -189,7 +147,7 @@ class TowerPass:
             mask = x > 0
             x = xp.where(mask, x, 0.0)
             relu_masks.append(mask)
-            x, drop_mask = _apply_dropout(drop, x)
+            x, drop_mask = apply_dropout(drop, x)
             drop_masks.append(drop_mask)
         weight, b = self._head
         return ((x @ weight + b).reshape(-1),
@@ -224,13 +182,13 @@ class TowerPass:
         return grad, grads
 
 
-def _apply_dropout(layer: Optional[Dropout], x: np.ndarray
-                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``Dropout.forward`` on an array: ``(output, mask)``.
+def apply_dropout(layer: Optional[Dropout], x: np.ndarray
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Inverted dropout of ``layer`` on an array: ``(output, mask)``.
 
-    The mask is drawn from the layer's generator exactly as the layer
-    draws it; ``None`` (and ``x`` unchanged) when ``layer`` is ``None``,
-    in eval mode or at rate 0.
+    In train mode the mask is drawn from the layer's generator, the
+    survivors scaled by ``1 / (1 - rate)``; ``None`` (and ``x``
+    unchanged) when ``layer`` is ``None``, in eval mode or at rate 0.
     """
     if layer is None or not layer.training or layer.rate == 0.0:
         return x, None
@@ -239,13 +197,44 @@ def _apply_dropout(layer: Optional[Dropout], x: np.ndarray
     return x * mask, mask
 
 
-class InteractionBCE:
-    """Tape-free BCE over the interaction logits (Eqs. 11 and 13).
+class LogitBCE:
+    """Mean binary cross-entropy from logits ``z`` (Eq. 13).
 
-    The loss is ``bce_with_logits(model.interaction_logits(users, pois),
-    labels)``, the mean over the batch, with every parameter on its
-    path differentiated.  Construction runs the forward pass in the
-    model's current mode: in train mode the embedding and hidden
+    ``-(y · log σ(z) + (1 − y) · log σ(−z))`` through ``softplus``, so
+    it is stable for large ``|z|``.  Construction computes :attr:`loss`;
+    :meth:`backward` the logits' gradient.  Both run the tape's
+    ``bce_with_logits`` operations in the tape's order.
+    """
+
+    def __init__(self, z: np.ndarray, labels: np.ndarray) -> None:
+        xp = _xp()
+        dtype = z.dtype
+        self._y = coerce(labels, dtype=dtype)
+        self._not_y = 1.0 - self._y
+        self._sig = xp.stable_sigmoid(z)
+        self._sig_neg = xp.stable_sigmoid(-z)
+        losses = -((-xp.softplus(-z)) * self._y
+                   + (-xp.softplus(z)) * self._not_y)
+        self._mean = coerce(1.0 / z.size, dtype=dtype)
+        #: The mean loss, a 0-d value in the logits' dtype.
+        self.loss = losses.sum() * self._mean
+
+    def backward(self, grad) -> np.ndarray:
+        """The logits' gradient for an upstream loss gradient ``grad``
+        (0-d)."""
+        g = -(grad * self._mean)
+        return (g * self._y) * (1.0 - self._sig) \
+            - (g * self._not_y) * (1.0 - self._sig_neg)
+
+
+class InteractionBCE:
+    """BCE over the interaction logits (Eqs. 11 and 13), with every
+    parameter's gradient.
+
+    The loss is the oracle's ``bce_with_logits(interaction_logits(model,
+    users, pois), labels)``, the mean over the batch, with every
+    parameter on its path differentiated.  Construction runs the forward
+    pass in the model's current mode: in train mode the embedding and hidden
     dropout masks are drawn from :attr:`STTransRec.training_rng` in the
     order the tape draws them.  :meth:`backward` returns the gradients
     the tape sends into each lookup and each tower parameter, with the
@@ -263,23 +252,15 @@ class InteractionBCE:
         self._product = \
             model.config.interaction_features == "concat_product"
         parts = [x_u, x_v, x_u * x_v] if self._product else [x_u, x_v]
-        joined, self._drop_mask = _apply_dropout(
+        joined, self._drop_mask = apply_dropout(
             model.embedding_dropout, xp.concatenate(parts, axis=1))
         bias = xp.take(model.poi_bias.weight.data, pois,
                        axis=0).reshape(-1)
         self._tower = TowerPass(model.tower, train=True)
         logits, self._cache = self._tower.forward(joined)
-        z = logits + bias
-        dtype = z.dtype
-        self._y = coerce(labels, dtype=dtype)
-        self._not_y = 1.0 - self._y
-        self._sig = stable_sigmoid(z)
-        self._sig_neg = stable_sigmoid(-z)
-        losses = -((-softplus(-z)) * self._y
-                   + (-softplus(z)) * self._not_y)
-        self._mean = coerce(1.0 / z.size, dtype=dtype)
+        self._bce = LogitBCE(logits + bias, labels)
         #: The batch's mean loss, a 0-d value in the model's dtype.
-        self.loss = losses.sum() * self._mean
+        self.loss = self._bce.loss
 
     def backward(self, grad) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                       List[np.ndarray]]:
@@ -290,9 +271,7 @@ class InteractionBCE:
         tables at ``users``, ``pois`` and ``pois``, and the tower's
         parameter gradients in ``MLP.parameters()`` order.
         """
-        g = -(grad * self._mean)
-        g_z = (g * self._y) * (1.0 - self._sig) \
-            - (g * self._not_y) * (1.0 - self._sig_neg)
+        g_z = self._bce.backward(grad)
         g_in, tower_grads = self._tower.backward(g_z, self._cache)
         if self._drop_mask is not None:
             g_in = g_in * self._drop_mask
@@ -306,9 +285,9 @@ class InteractionBCE:
 
 
 class UserSideBPR:
-    """Tape-free gradient of the mean BPR loss with respect to user rows.
+    """Gradient of the mean BPR loss with respect to user rows.
 
-    The loss is the one :meth:`STTransRec.interaction_logits` gives as a
+    The loss is the one the oracle's ``interaction_logits`` gives as a
     graph, ``-log_sigmoid(pos_logits - neg_logits).mean()`` over the
     pairs ``(users[i], pos[i])`` against sampled negatives, in eval mode
     (dropout is the identity).  Only the user lookups are
@@ -350,7 +329,7 @@ class UserSideBPR:
         Returns ``(positive branch, negative branch)``, each shaped
         ``(len(users), embedding_dim)``: the gradients the tape sends
         into the user gather of the positive and of the negative
-        :meth:`STTransRec.interaction_logits` call.
+        ``interaction_logits`` call.
         """
         xp = _xp()
         model = self.model
@@ -361,7 +340,8 @@ class UserSideBPR:
         pos_logits, pos_cache = self._forward(x_u, self._pos_v,
                                               self._pos_bias)
         neg_logits, neg_cache = self._forward(x_u, x_neg, neg_bias)
-        grad = self._seed * (1.0 - stable_sigmoid(pos_logits - neg_logits))
+        grad = self._seed * (1.0 - xp.stable_sigmoid(pos_logits
+                                                     - neg_logits))
         return (self._backward(grad, pos_cache, self._pos_v),
                 self._backward(-grad, neg_cache, x_neg))
 

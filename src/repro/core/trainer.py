@@ -17,13 +17,14 @@ The source side pools all source cities (each segmented and resampled
 independently, then concatenated), matching the paper's treatment of
 "the remaining cities as source cities".
 
-Steps build no autograd graph.  Each term's forward and backward runs
-in closed numpy (:class:`~repro.core.model.InteractionBCE`, the
-user-anchor term here, :class:`~repro.text.skipgram.SkipgramBatch`,
+Each term's forward and backward runs in closed numpy
+(:class:`~repro.core.model.InteractionBCE`, the user-anchor term here,
+:class:`~repro.text.skipgram.SkipgramBatch`,
 :class:`~repro.transfer.mmd.MMDBatch`), replaying the operations the
-``repro.nn`` tape runs for the same loss in the tape's order; the
-step then adds each table's per-lookup gradients in the tape's
-topological order and hands Adam one flat gradient vector.  Every
+autograd tape (kept in ``tests/oracle`` as the reference) runs for the
+same loss in the tape's order; the step then adds each table's
+per-lookup gradients in the tape's topological order and hands Adam
+one flat gradient vector.  Every
 parameter, moment and loss value keeps the tape's bits
 (``tests/test_core_trainer.py::TestTapeFreeStep``).
 """

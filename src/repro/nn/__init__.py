@@ -1,36 +1,24 @@
-"""``repro.nn`` — a from-scratch autograd + neural-network substrate.
+"""``repro.nn`` — the neural-network substrate: parameters, layers, Adam.
 
 Replaces the TensorFlow dependency of the original ST-TransRec
-implementation with a numpy-only reverse-mode autodiff engine and the
-layer/optimizer/loss set the paper's architecture requires.
+implementation.  Layers hold numpy parameters; the model's losses and
+scores are closed-form numpy passes that read them (``TowerPass``,
+``InteractionBCE``, ``SkipgramBatch``, ``MMDBatch``), and
+:class:`Adam` applies the gradients those passes return.  The autograd
+tape the passes were derived from lives on in ``tests/oracle`` as the
+reference they are checked against.
 """
 
 from repro.nn.backend import ArrayBackend, active_backend
-from repro.nn.layers import (
-    MLP,
-    Dropout,
-    Embedding,
-    Linear,
-    ReLU,
-    Sequential,
-    Sigmoid,
-)
-from repro.nn.losses import (
-    bce_with_logits,
-    l2_penalty,
-    mse,
-    negative_sampling_loss,
-)
-from repro.nn.module import Module
-from repro.nn.ops import concat, pairwise_sq_dists, rowwise_dot, stack
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.layers import MLP, Dropout, Embedding, Linear, ReLU, Sequential
+from repro.nn.module import Module, Parameter
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.profile import OpProfile, OpStat, profile_ops
-from repro.nn.tensor import Tensor, softplus, stable_sigmoid
 
 __all__ = [
     "ArrayBackend",
     "active_backend",
-    "Tensor",
+    "Parameter",
     "OpProfile",
     "OpStat",
     "profile_ops",
@@ -40,19 +28,7 @@ __all__ = [
     "Dropout",
     "Sequential",
     "ReLU",
-    "Sigmoid",
     "MLP",
-    "SGD",
     "Adam",
     "Optimizer",
-    "bce_with_logits",
-    "negative_sampling_loss",
-    "mse",
-    "l2_penalty",
-    "concat",
-    "stack",
-    "rowwise_dot",
-    "pairwise_sq_dists",
-    "stable_sigmoid",
-    "softplus",
 ]

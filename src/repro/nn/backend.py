@@ -1,6 +1,6 @@
 """The array namespace of the ``repro.nn`` stack.
 
-Every array operation the autograd layer performs routes through one
+Every array operation the training passes perform routes through one
 namespace object, ``xp`` in Array-API parlance, obtained from
 :func:`active_backend`.  The namespace covers the standard surface the
 codebase uses (elementwise math, reductions, ``matmul``, shape
@@ -238,6 +238,6 @@ _INSTANCE = ArrayBackend()
 def active_backend() -> ArrayBackend:
     """The process's one backend instance (the ``xp`` namespace).
 
-    Every ``Tensor`` op calls this, so it stays a plain global read.
+    Every pass calls this, so it stays a plain global read.
     """
     return _INSTANCE

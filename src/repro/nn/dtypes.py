@@ -1,8 +1,8 @@
 """The floating-point dtype policy for the training stack.
 
-The seed promoted every array entering the autograd graph to float64
-(``Tensor.__init__``, ``stable_sigmoid``, ``softplus`` each had their
-own copy of the rule).  This module is now the *single* home of that
+The seed promoted every array entering its autograd graph to float64
+(the tensor constructor, ``stable_sigmoid`` and ``softplus`` each had
+their own copy of the rule).  This module is now the *single* home of that
 promotion rule, and it is configurable: a precision policy of ``"f64"``
 (the reference, bit-identical to the seed) or ``"f32"`` (the fast
 training path — half the bytes through every dense op, optimizer
@@ -10,19 +10,18 @@ moment, and transport payload).
 
 The policy is a process-global default consulted wherever the stack
 must invent a floating dtype — integer/bool coercion in
-:func:`coerce`, parameter initialization in :mod:`repro.nn.init`,
-``Tensor.zeros``/``ones``.  Arrays that are *already* floating keep
-their dtype unless a call site passes an explicit target, so mixing
-policies in one process (e.g. an f64 evaluator next to an f32 trainer)
-stays well-defined: each model's arrays carry their own dtype and the
-ops follow the operands.
+:func:`coerce` and parameter initialization in :mod:`repro.nn.init`.
+Arrays that are *already* floating keep their dtype unless a call site
+passes an explicit target, so mixing policies in one process (e.g. an
+f64 evaluator next to an f32 trainer) stays well-defined: each model's
+arrays carry their own dtype and the operations follow the operands.
 
 NEP 50 note: under numpy's fine-grained promotion, a 0-d *array* is a
 "strong" operand — ``f32_array * np.asarray(2.0)`` silently yields
-float64.  ``Tensor``'s binary ops therefore route scalar operands
-through :func:`coerce` with the tensor's own dtype as the target, which
-is what keeps an f32 graph f32 end-to-end (and is an exact no-op on the
-f64 reference path).
+float64.  The passes therefore route scalar constants through
+:func:`coerce` with their operands' dtype as the target, which is what
+keeps an f32 step f32 end-to-end (and is an exact no-op on the f64
+reference path).
 
 Set the policy per run through
 :class:`repro.perf.PerfConfig(precision=...)`; use
@@ -107,12 +106,12 @@ def using_dtype(precision: PrecisionLike) -> Iterator[np.dtype]:
 
 
 def coerce(value, dtype: PrecisionLike = None) -> np.ndarray:
-    """The one promotion rule for arrays entering the autograd graph.
+    """The one promotion rule for arrays entering a computation.
 
     * With ``dtype`` given, the result has exactly that dtype (cast only
-      when needed) — binary ops pass the tensor operand's dtype here so
-      python scalars and integer arrays follow the graph instead of
-      NEP-50-promoting it to float64.
+      when needed) — the passes give their operands' dtype here so
+      python scalars and integer arrays follow the operands instead of
+      NEP-50-promoting them to float64.
     * Without ``dtype``, floating input keeps its dtype and anything
       else (ints, bools) is promoted to the policy default.
     """

@@ -5,18 +5,20 @@ an embedding layer for users, POIs, and words; a tower of fully connected
 ReLU layers for user–POI interaction modeling (Eq. 11); dropout on the
 embedding layer and each hidden layer (Section 3.2); and a sigmoid
 prediction head (Eq. 12).
+
+A layer holds its parameters, its generator and its train/eval flag.
+The passes that compute with them read those directly:
+:class:`~repro.core.model.TowerPass` runs an :class:`MLP` (its
+``Dropout`` layers drawing masks as described there), and the losses
+gather :class:`Embedding` rows with the backend's ``take``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.nn import init
-from repro.nn.backend import active_backend as _xp
-from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_fraction, check_positive
 
@@ -41,19 +43,11 @@ class Linear(Module):
         check_positive("out_features", out_features)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(
-            init.he_normal((in_features, out_features), rng=rng),
-            requires_grad=True,
+        self.weight = Parameter(
+            init.he_normal((in_features, out_features), rng=rng))
+        self.bias: Optional[Parameter] = (
+            Parameter(init.zeros((out_features,))) if bias else None
         )
-        self.bias: Optional[Tensor] = (
-            Tensor(init.zeros((out_features,)), requires_grad=True) if bias else None
-        )
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
 
     def __repr__(self) -> str:
         return (f"Linear(in_features={self.in_features}, "
@@ -65,8 +59,8 @@ class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors.
 
     The paper randomly initializes embeddings from a Gaussian
-    distribution; rows are gathered with scatter-add gradients so only
-    the rows used in a batch receive updates.
+    distribution; a lookup's gradient is scattered onto the rows it
+    read, so only the rows used in a batch receive updates.
     """
 
     def __init__(self, num_embeddings: int, embedding_dim: int,
@@ -76,48 +70,8 @@ class Embedding(Module):
         check_positive("embedding_dim", embedding_dim)
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        self.weight = Tensor(
-            init.normal((num_embeddings, embedding_dim), std=std, rng=rng),
-            requires_grad=True,
-        )
-
-    def _validate_ids(self, ids: np.ndarray) -> None:
-        """Range-check ``ids`` with a single reduction pass.
-
-        Reinterpreting a signed integer array as unsigned maps negatives
-        to huge values, so one ``max()`` catches both out-of-range
-        directions — the seed's ``ids.min()``/``ids.max()`` pair cost two
-        full passes per lookup on the hottest path.  The trick is only
-        sound when ``num_embeddings`` fits the unsigned range of the id
-        dtype (otherwise a wrapped negative could land back in range),
-        so narrow dtypes with oversized tables fall back to two passes.
-        The error message still reports min/max — that path is cold.
-        """
-        if not ids.size:
-            return
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TypeError(
-                f"embedding ids must be integers, got dtype {ids.dtype}")
-        if np.issubdtype(ids.dtype, np.signedinteger) and \
-                self.num_embeddings <= int(np.iinfo(ids.dtype).max) + 1:
-            bad = int(ids.view(f"u{ids.dtype.itemsize}").max()) \
-                >= self.num_embeddings
-        else:
-            bad = ids.min() < 0 or ids.max() >= self.num_embeddings
-        if bad:
-            raise IndexError(
-                f"embedding ids out of range [0, {self.num_embeddings}): "
-                f"min={ids.min()}, max={ids.max()}"
-            )
-
-    def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids)
-        self._validate_ids(ids)
-        return self.weight.gather_rows(ids)
-
-    def all_vectors(self) -> Tensor:
-        """The full embedding matrix as a graph node (for MMD batches)."""
-        return self.weight
+        self.weight = Parameter(
+            init.normal((num_embeddings, embedding_dim), std=std, rng=rng))
 
     def __repr__(self) -> str:
         return (f"Embedding(num_embeddings={self.num_embeddings}, "
@@ -140,28 +94,16 @@ class Dropout(Module):
         self.rate = rate
         self._rng = as_rng(rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        mask = _xp().dropout_mask(self._rng, x.shape, keep, x.data.dtype)
-        return x * Tensor(mask)
-
     def __repr__(self) -> str:
         return f"Dropout(rate={self.rate})"
 
 
 class Sequential(Module):
-    """Apply modules in order."""
+    """Modules applied in order."""
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         self.steps = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for step in self.steps:
-            x = step(x)
-        return x
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -172,16 +114,6 @@ class Sequential(Module):
 
 class ReLU(Module):
     """Rectified linear activation as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sigmoid(Module):
-    """Logistic activation as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
 
 
 class MLP(Module):
@@ -221,11 +153,6 @@ class MLP(Module):
             width = size
         self.tower = Sequential(*steps)
         self.head = Linear(width, 1, rng=generator)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Return pre-sigmoid logits of shape ``(batch,)``."""
-        hidden = self.tower(x)
-        return self.head(hidden).reshape(-1)
 
     @property
     def depth(self) -> int:

@@ -1,24 +1,34 @@
-"""Module base class: parameter registration, train/eval mode, state dict.
+"""Parameters and the module container: registration, train/eval mode,
+state dict.
 
 Mirrors the familiar torch-style container protocol so the model code in
 ``repro.core`` reads like the paper's TensorFlow/Keras description:
 modules own named parameters and sub-modules, expose ``parameters()`` for
-the optimizer, and toggle ``train()``/``eval()`` for dropout.
+the optimizer, and toggle ``train()``/``eval()`` for dropout.  Modules
+compute nothing themselves: the closed-form passes (``TowerPass``,
+``InteractionBCE``, ...) read their parameters' arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+
+class Parameter:
+    """A trainable array: ``data``, and the ``grad`` a step leaves for
+    the optimizer (``None`` until a step reaches the parameter)."""
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data: np.ndarray = data
+        self.grad: Optional[np.ndarray] = None
 
 
 class Module:
     """Base class for all neural network components.
 
-    Subclasses assign :class:`Tensor` attributes (parameters) and
+    Subclasses assign :class:`Parameter` attributes and
     :class:`Module` attributes (sub-modules) in ``__init__``; both are
     discovered automatically by attribute scanning, so there is no
     explicit registration step.
@@ -30,19 +40,14 @@ class Module:
     # ------------------------------------------------------------------
     # Discovery
     # ------------------------------------------------------------------
-    def _is_parameter(self, value) -> bool:
-        return isinstance(value, Tensor) and value.requires_grad
-
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
-        """Yield ``(dotted_name, tensor)`` for every parameter.
-
-        A parameter is a tensor attribute with ``requires_grad=True``.
-        """
+    def named_parameters(self, prefix: str = ""
+                         ) -> Iterator[Tuple[str, Parameter]]:
+        """Yield ``(dotted_name, parameter)`` for every parameter."""
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
             full = f"{prefix}{name}"
-            if self._is_parameter(value):
+            if isinstance(value, Parameter):
                 yield full, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(prefix=f"{full}.")
@@ -50,10 +55,10 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(prefix=f"{full}.{i}.")
-                    elif self._is_parameter(item):
+                    elif isinstance(item, Parameter):
                         yield f"{full}.{i}", item
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[Parameter]:
         """Return all trainable parameters (for the optimizer)."""
         return [p for _, p in self.named_parameters()]
 
@@ -95,11 +100,11 @@ class Module:
     def zero_grad(self) -> None:
         """Clear gradients on all parameters."""
         for param in self.parameters():
-            param.zero_grad()
+            param.grad = None
 
     def num_parameters(self) -> int:
         """Total number of scalar trainable parameters."""
-        return sum(p.size for p in self.parameters())
+        return sum(p.data.size for p in self.parameters())
 
     # ------------------------------------------------------------------
     # Serialization
@@ -126,10 +131,3 @@ class Module:
                     f"expected {target.data.shape}, got {value.shape}"
                 )
             target.data[...] = value
-
-    # Subclasses implement forward; __call__ dispatches to it.
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)

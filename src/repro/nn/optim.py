@@ -1,9 +1,9 @@
-"""Gradient-based optimizers: SGD and Adam.
+"""Gradient-based optimization: Adam.
 
 The paper optimizes ST-TransRec with Adam, searching the learning rate in
 ``{1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3}``; Adam here follows Kingma & Ba
 with bias correction.  All updates are in-place on parameter ``.data`` so
-the tensors registered with modules keep their identity.
+the arrays registered with modules keep their identity.
 """
 
 from __future__ import annotations
@@ -13,25 +13,22 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.nn.backend import active_backend as _xp
-from repro.nn.tensor import Tensor
+from repro.nn.module import Parameter
 from repro.utils.validation import check_non_negative, check_positive
 
 
 class Optimizer:
     """Base optimizer over a fixed parameter list."""
 
-    def __init__(self, params: Iterable[Tensor]) -> None:
-        self.params: List[Tensor] = list(params)
+    def __init__(self, params: Iterable[Parameter]) -> None:
+        self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
-        for p in self.params:
-            if not p.requires_grad:
-                raise ValueError("all optimized tensors must require grad")
 
     def zero_grad(self) -> None:
         """Clear gradients on all registered parameters."""
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self) -> None:
         raise NotImplementedError
@@ -61,7 +58,7 @@ class Optimizer:
         return arrays
 
 
-def _flat_zeros(params: List[Tensor]):
+def _flat_zeros(params: List[Parameter]):
     """``(flat, views)``: one zero buffer and a per-parameter view of it.
 
     Parameters of mixed dtypes get separate arrays and ``flat=None``.
@@ -75,44 +72,6 @@ def _flat_zeros(params: List[Tensor]):
         views.append(flat[start:start + p.data.size].reshape(p.data.shape))
         start += p.data.size
     return flat, views
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(params)
-        check_positive("lr", lr)
-        check_non_negative("momentum", momentum)
-        check_non_negative("weight_decay", weight_decay)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, vel in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                update = vel
-            else:
-                update = grad
-            p.data -= self.lr * update
-
-    def state_dict(self) -> dict:
-        return {"velocity": [v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        velocity = self._check_state_arrays("velocity", state["velocity"])
-        for own, saved in zip(self._velocity, velocity):
-            own[...] = saved
 
 
 class Adam(Optimizer):
@@ -132,7 +91,7 @@ class Adam(Optimizer):
     step.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0) -> None:
         super().__init__(params)

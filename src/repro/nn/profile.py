@@ -1,34 +1,24 @@
-"""Opt-in autograd op profiler: per-op forward/backward time + allocations.
+"""Opt-in pass profiler: per-pass forward/backward time + allocations.
 
-:func:`profile_ops` patches the :class:`~repro.nn.tensor.Tensor` op set
+The trainer's joint step is a handful of closed-form numpy passes
+(:data:`PROFILED_PASSES`).  :func:`profile_ops` patches each pass class
 with timing wrappers for the duration of a ``with`` block and restores
-the originals afterwards — when no profile is active the tensor code
-runs untouched, so the hook costs nothing unless armed.
+the originals afterwards — when no profile is active the passes run
+untouched, so the hook costs nothing unless armed.
 
-Attribution is *self time*: ops that are implemented in terms of other
-ops (``mean`` = ``sum`` + ``__mul__``, ``sqrt`` = ``__pow__``) report
-only the time not already attributed to their callees, so the table's
-forward column sums to the real instrumented wall time instead of
-double counting.  Backward time is captured by wrapping each produced
-node's ``_backward`` closure; allocations count the true bytes of
-every forward output array *and* every gradient array the backward
-closures produce — an f32 run therefore reports half the footprint of
-the f64 reference, not a dtype-blind element count.
-
-The trainer's joint step runs no tensor ops: each term is a closed-form
-numpy pass (:data:`PROFILED_PASSES`).  The profiler counts each pass as
-one op named after its class: construction is its forward, its
-``backward`` method its backward, and its allocations are the arrays
-that ``backward`` returns.
+The profiler counts each pass as one op named after its class:
+construction is its forward, its ``backward`` method its backward, and
+its allocations are the true bytes of the arrays that ``backward``
+returns — an f32 run therefore reports half the footprint of the f64
+reference.
 
 The profiler is designed for the single-threaded training hot path; do
-not arm it while another thread is running tensor ops.
+not arm it while another thread is running the passes.
 
     from repro.nn.profile import profile_ops
 
     with profile_ops() as prof:
-        loss = model(...)
-        loss.backward()
+        trainer.train_epoch()
     print(prof.report())
 """
 
@@ -41,20 +31,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+__all__ = ["OpStat", "OpProfile", "profile_ops", "PROFILED_PASSES"]
 
-__all__ = ["OpStat", "OpProfile", "profile_ops", "PROFILED_OPS",
-           "PROFILED_PASSES"]
-
-# Every differentiable op the tensor exposes; each gets a timing wrapper.
-PROFILED_OPS = (
-    "__add__", "__sub__", "__rsub__", "__mul__", "__truediv__",
-    "__rtruediv__", "__neg__", "__pow__", "__matmul__", "__getitem__",
-    "exp", "log", "tanh", "relu", "sigmoid", "log_sigmoid", "clip",
-    "abs", "sum", "mean", "max", "reshape", "transpose", "gather_rows",
-)
-
-# The tape-free passes of the trainer's joint step, as (module, class).
+# The closed-form passes of the trainer's joint step, as (module, class).
 PROFILED_PASSES = (
     ("repro.core.model", "InteractionBCE"),
     ("repro.core.trainer", "_AnchorTerm"),
@@ -64,7 +43,7 @@ PROFILED_PASSES = (
 
 
 class OpStat:
-    """Accumulated cost of one op kind."""
+    """Accumulated cost of one pass kind."""
 
     __slots__ = ("op", "calls", "forward_seconds", "backward_calls",
                  "backward_seconds", "bytes_allocated")
@@ -88,12 +67,10 @@ class OpStat:
 
 
 class OpProfile:
-    """Mutable op → :class:`OpStat` table filled while armed."""
+    """Mutable pass → :class:`OpStat` table filled while armed."""
 
     def __init__(self) -> None:
         self.stats: Dict[str, OpStat] = {}
-        # Per-frame accumulator of child op time, for self-time math.
-        self._frames: List[float] = []
 
     def _stat(self, op: str) -> OpStat:
         stat = self.stats.get(op)
@@ -120,13 +97,13 @@ class OpProfile:
                       key=lambda s: s.total_seconds, reverse=True)
 
     def report(self, top: Optional[int] = None) -> str:
-        """Table of per-op forward/backward self time and allocations."""
+        """Table of per-pass forward/backward time and allocations."""
         rows = self.by_total_time()
         if top is not None:
             rows = rows[:top]
         lines = [
-            "autograd op profile  (self time; allocations are forward "
-            "outputs + backward gradients)",
+            "training pass profile  (allocations are backward "
+            "gradients)",
             f"{'op':<16}{'calls':>8}{'fwd ms':>10}{'bwd ms':>10}"
             f"{'total ms':>10}{'alloc MB':>10}",
         ]
@@ -158,46 +135,19 @@ class OpProfile:
                 stat.bytes_allocated)
 
 
-def _wrap_forward(orig: Callable, op: str, profile: OpProfile) -> Callable:
+def _wrap_init(orig: Callable, op: str, profile: OpProfile) -> Callable:
     @functools.wraps(orig)
     def timed(self, *args, **kwargs):
-        frames = profile._frames
-        frames.append(0.0)
         started = time.perf_counter()
-        out = orig(self, *args, **kwargs)
-        elapsed = time.perf_counter() - started
-        child_time = frames.pop()
-        if frames:
-            frames[-1] += elapsed
+        orig(self, *args, **kwargs)
         stat = profile._stat(op)
         stat.calls += 1
-        stat.forward_seconds += elapsed - child_time
-        if isinstance(out, Tensor):
-            stat.bytes_allocated += out.data.nbytes
-            if out._backward is not None:
-                out._backward = _wrap_backward(out._backward, op, profile)
-        return out
+        stat.forward_seconds += time.perf_counter() - started
 
     return timed
 
 
-def _wrap_backward(orig: Callable, op: str, profile: OpProfile) -> Callable:
-    def timed_backward(grad):
-        started = time.perf_counter()
-        result = orig(grad)
-        elapsed = time.perf_counter() - started
-        stat = profile._stat(op)
-        stat.backward_calls += 1
-        stat.backward_seconds += elapsed
-        for g in result:
-            if g is not None:
-                stat.bytes_allocated += g.nbytes
-        return result
-
-    return timed_backward
-
-
-def _wrap_pass_backward(orig: Callable, op: str,
+def _wrap_backward(orig: Callable, op: str,
                         profile: OpProfile) -> Callable:
     @functools.wraps(orig)
     def timed(self, *args, **kwargs):
@@ -216,10 +166,11 @@ def _wrap_pass_backward(orig: Callable, op: str,
 
 
 class profile_ops:
-    """Context manager arming the op profiler (reusable, not reentrant).
+    """Context manager arming the pass profiler (reusable, not
+    reentrant).
 
-    Patches every op in :data:`PROFILED_OPS` on entry and restores the
-    original methods on exit, even when the block raises.
+    Patches every pass in :data:`PROFILED_PASSES` on entry and restores
+    the original methods on exit, even when the block raises.
     """
 
     def __init__(self) -> None:
@@ -229,13 +180,11 @@ class profile_ops:
     def __enter__(self) -> OpProfile:
         if self._originals:
             raise RuntimeError("profile_ops is not reentrant")
-        for op in PROFILED_OPS:
-            self._patch(Tensor, op, _wrap_forward, op)
         for module, name in PROFILED_PASSES:
             cls = getattr(importlib.import_module(module), name)
             op = name.lstrip("_")
-            self._patch(cls, "__init__", _wrap_forward, op)
-            self._patch(cls, "backward", _wrap_pass_backward, op)
+            self._patch(cls, "__init__", _wrap_init, op)
+            self._patch(cls, "backward", _wrap_backward, op)
         return self.profile
 
     def _patch(self, cls: type, attr: str, wrap: Callable, op: str) -> None:

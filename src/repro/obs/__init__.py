@@ -23,9 +23,8 @@ The observability layer every other subsystem reports into:
   by :class:`SloTracker` with multi-window burn-rate alerts.
 * :mod:`repro.obs.trace_report` — cross-process trace reconstruction
   and hop-category p99 attribution (``repro trace-report``).
-* :mod:`repro.nn.profile` — the opt-in autograd op profiler the
-  telemetry layer reports from (lives in ``repro.nn`` because it
-  instruments the tensor op set directly).
+* :mod:`repro.nn.profile` — the opt-in training pass profiler the
+  telemetry layer reports from (``repro train --profile-ops``).
 
 See ``docs/observability.md`` for the metric naming scheme and the
 exporter formats.

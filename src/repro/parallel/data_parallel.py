@@ -22,10 +22,11 @@ One flat vector
 A step moves and applies the gradient as one contiguous vector in
 parameter order, the layout of :class:`~repro.perf.transport.
 GradientLayout` (TensorFlow's all-reduce exchanges such a fused
-buffer).  A replica's step builds no autograd graph: it runs
+buffer).  A replica's step runs
 :class:`~repro.core.model.InteractionBCE` (the interaction loss's
-forward and backward in closed numpy, with the tape's bits) and
-scatters the lookup rows as the joint trainer does.  Each worker packs
+forward and backward in closed numpy, with the bits of the autograd
+tape kept in ``tests/oracle``) and scatters the lookup rows as the
+joint trainer does.  Each worker packs
 the result into that vector — the word table, which the interaction
 loss never reaches, as zeros — in its shared-memory slot or through
 its pipe.  The master then does per step what it used to do per
@@ -153,11 +154,13 @@ def _interaction_batch_stream(trainer: STTransRecTrainer):
 def _replica_grads(model, users: np.ndarray, pois: np.ndarray,
                    labels: np.ndarray
                    ) -> Tuple[Dict[str, Optional[np.ndarray]], float]:
-    """One replica's step: the interaction loss's gradient, tape-free.
+    """One replica's step: the interaction loss's gradient.
 
-    Returns ``({parameter name: gradient}, loss)`` for
-    ``bce_with_logits(model.interaction_logits(users, pois), labels)``
-    in the model's current mode, with the bits a tape backward gives:
+    Returns ``({parameter name: gradient}, loss)`` for the oracle's
+    ``bce_with_logits(interaction_logits(model, users, pois), labels)``
+    (``tests/oracle``) in the model's current mode, with the bits its
+    tape backward gives
+    (``tests/test_parallel_equivalence.py::TestReplicaStep``):
     the user, POI and ``poi_bias`` rows scattered as the joint trainer
     scatters them, the tower's gradients as computed.  The word table
     is not reached, so its gradient is ``None`` (packed as zeros).

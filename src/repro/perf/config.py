@@ -22,7 +22,7 @@ class PerfConfig:
     precision:
         Floating-point policy for the whole training stack (see
         :mod:`repro.nn.dtypes`): ``"f64"`` is the bit-exact reference;
-        ``"f32"`` initializes parameters, optimizer moments, autograd
+        ``"f32"`` initializes parameters, optimizer moments, pass
         intermediates, and transport payloads in float32 — half the
         bytes through every dense op.  f32 is *not* bit-identical to
         f64; it is guarded by the eval-metric parity harness in

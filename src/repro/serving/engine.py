@@ -1,12 +1,13 @@
 """Frozen batched inference engine: the one scoring path.
 
-The model's own scoring (:meth:`STTransRec.score_pois_for_user`) walks
-the autograd graph one user at a time: every request re-gathers
-embedding rows into graph nodes, re-concatenates the
-``[x_u, x_v, x_u ⊙ x_v]`` feature block, and re-runs the full first
-tower layer — kept as the parity reference, far too slow for serving.
-Serving, the offline :class:`~repro.core.recommend.Recommender` and
-evaluation all score through this engine instead.
+The model's scores (Eq. 12) as a plain pass would compute them —
+gather each (user, POI) pair's rows, concatenate the
+``[x_u, x_v, x_u ⊙ x_v]`` feature block and run the full tower per pair
+— re-do the catalogue's share of the work for every request.  Serving,
+the offline :class:`~repro.core.recommend.Recommender` and evaluation
+all score through this engine instead; the same scores on the autograd
+tape (``tests/oracle``'s ``score_pois_for_user``) are its parity
+reference.
 
 :class:`InferenceEngine` freezes a trained model into contiguous numpy
 buffers and restructures the computation around what serving actually
@@ -14,9 +15,8 @@ does: score *one catalogue* (the target city's POIs) for *many users*.
 
 Three properties make the hot path fast:
 
-* **No graph.**  All arithmetic is plain ``numpy`` on pre-copied
-  parameter buffers; nothing allocates autograd nodes or backward
-  closures.
+* **Frozen buffers.**  All arithmetic is plain ``numpy`` on pre-copied
+  parameter buffers.
 * **Catalogue-side precomputation.**  The first tower layer consumes
   ``[x_u, x_v, x_u ⊙ x_v] @ W1``; splitting ``W1`` by input block turns
   it into ``x_u @ W1_u + x_v @ W1_v (+ (x_v ⊙ x_u) @ W1_p)``.  The
@@ -413,8 +413,8 @@ class InferenceEngine:
 
         Returns an array of shape ``(len(user_indices),
         catalogue_size)``; row ``i`` matches
-        ``model.score_pois_for_user(user_indices[i],
-        catalogue_poi_indices)``.
+        :meth:`score_pois_for_user` for ``user_indices[i]`` over
+        ``catalogue_poi_indices``.
 
         ``lo``/``hi`` restrict scoring to the contiguous catalogue slice
         ``[lo, hi)`` — the fleet's partial-top-K fanout path.  The slice
@@ -486,7 +486,7 @@ class InferenceEngine:
 
     def score_pois_for_user(self, user_index: int,
                             poi_indices: Sequence[int]) -> np.ndarray:
-        """Drop-in equivalent of :meth:`STTransRec.score_pois_for_user`.
+        """Sigmoid scores of many POIs for one user (Eq. 12).
 
         Accepts arbitrary POI indices (not just the catalogue); this is
         how :meth:`repro.core.recommend.Recommender.score_candidates`

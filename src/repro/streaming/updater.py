@@ -15,21 +15,22 @@ in two tiers:
    O(history).  Its Adam carries moments for exactly the replayed
    users and never writes the rest of the table.
 
-Both tiers differentiate only the path to the user table, and neither
-builds an autograd graph.  Each step is one
-:class:`repro.core.model.UserSideBPR` call: a closed-form numpy
+Both tiers differentiate only the path to the user table.  Each step
+is one :class:`repro.core.model.UserSideBPR` call: a closed-form numpy
 forward/backward of the mean BPR loss through the interaction tower,
 with the POI table, ``poi_bias`` and the tower held constant.  It runs
-the numpy operations the tape runs, in the same order, and the steps
-apply its rows with the tape's own kernels: ``scatter_rows`` for the
-fold-in's dense gradient, a first-occurrence coalesce and
-``adam_update`` for the retrain.  So the updated rows are
-bit-identical to a backward through every parameter followed by the
-same SGD step, or, for the retrain, to a tape backward over one lookup
-of the concatenated pairs, then Adam.  Everything fixed for
-a round is built once per :meth:`ingest`, :meth:`fold_in_user` or
-:meth:`retrain` call: the positive POI rows and biases, the unique
-users, and a boolean visited table over (user, negative-pool POI).
+the numpy operations the autograd tape runs for the same loss (the
+reference in ``tests/oracle``), in the same order, and the steps apply
+its rows with the backend's ``scatter_rows`` for the fold-in's dense
+gradient, a first-occurrence coalesce and ``adam_update`` for the
+retrain.  So the updated rows are bit-identical to a tape backward
+through every parameter followed by the same SGD step, or, for the
+retrain, to a tape backward over one lookup of the concatenated pairs,
+then Adam (``tests/test_streaming_updater.py::TestFrozenBackward``).
+Everything fixed for a round is built once per :meth:`ingest`,
+:meth:`fold_in_user` or :meth:`retrain` call: the positive POI rows
+and biases, the unique users, and a boolean visited table over (user,
+negative-pool POI).
 
 Negative sampling mirrors
 :meth:`repro.data.sampling.InteractionSampler.sample_negatives_batch`
@@ -361,8 +362,8 @@ class IncrementalUpdater:
         step's gradient coalesces the positive branch's per-pair rows
         ahead of the negative branch's, summing duplicates in
         first-occurrence order, and ``adam_update`` applies it: the
-        bits of a tape backward over one lookup of the concatenated
-        pairs (positives, then negatives), then
+        bits of a tape backward (``tests/oracle``) over one lookup of
+        the concatenated pairs (positives, then negatives), then
         :class:`repro.nn.optim.Adam`.
         The ``streaming.retrain_rows`` gauge records the pairs replayed
         per step: replayed rows × ``num_negatives``.

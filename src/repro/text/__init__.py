@@ -1,14 +1,13 @@
-"""``repro.text`` — textual context graph and skipgram objectives."""
+"""``repro.text`` — textual context graph and the skipgram objective."""
 
 from repro.text.context_graph import (
     TextualContextGraph,
     build_city_context_graph,
 )
-from repro.text.skipgram import pretrain_poi_embeddings, skipgram_batch_loss
+from repro.text.skipgram import SkipgramBatch
 
 __all__ = [
     "TextualContextGraph",
     "build_city_context_graph",
-    "skipgram_batch_loss",
-    "pretrain_poi_embeddings",
+    "SkipgramBatch",
 ]

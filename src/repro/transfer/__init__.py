@@ -1,23 +1,15 @@
-"""``repro.transfer`` — kernels and MMD estimators for embedding transfer."""
+"""``repro.transfer`` — kernels and the MMD estimator for transfer."""
 
 from repro.transfer.kernels import (
     GaussianKernel,
     MultiGaussianKernel,
     median_heuristic_bandwidth,
 )
-from repro.transfer.mmd import (
-    mmd_between_embeddings,
-    mmd_linear,
-    mmd_quadratic,
-    mmd_unbiased,
-)
+from repro.transfer.mmd import MMDBatch
 
 __all__ = [
     "GaussianKernel",
     "MultiGaussianKernel",
     "median_heuristic_bandwidth",
-    "mmd_quadratic",
-    "mmd_unbiased",
-    "mmd_linear",
-    "mmd_between_embeddings",
+    "MMDBatch",
 ]

@@ -6,11 +6,11 @@ provide the multi-bandwidth mixture popularized by deep-transfer work
 (the paper's MMD reference [16]) and a median-heuristic bandwidth
 selector, both useful in practice and exercised by ablation benches.
 
-All kernels operate on autograd :class:`~repro.nn.tensor.Tensor` inputs
-so the MMD loss back-propagates into the POI embeddings.  Each kernel's
-:meth:`gram` is the same Gram matrix on plain arrays with its backward
-in closed numpy (:class:`Gram`), bit-identical to the tape; the
-trainer's joint step uses it.
+A kernel's :meth:`gram` is its Gram matrix on two sample arrays, with
+the backward in closed numpy (:class:`Gram`) that carries the MMD loss's
+gradient into the POI embeddings; :class:`~repro.transfer.mmd.MMDBatch`
+builds on it.  Every array carries the bits of the same kernel built
+from autograd-tape ops (the reference in ``tests/oracle/mmd.py``).
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.nn.backend import active_backend as _xp
 from repro.nn.dtypes import coerce
-from repro.nn.ops import PairwiseSqDists, pairwise_sq_dists
-from repro.nn.tensor import Tensor
 from repro.utils.validation import check_positive
 
 
@@ -38,13 +37,9 @@ class GaussianKernel:
         check_positive("bandwidth", bandwidth)
         self.bandwidth = float(bandwidth)
 
-    def __call__(self, x: Tensor, y: Tensor) -> Tensor:
-        """Gram matrix ``K[i, j] = k(x_i, y_j)`` of shape ``(n, m)``."""
-        gamma = 1.0 / (2.0 * self.bandwidth**2)
-        return (pairwise_sq_dists(x, y) * (-gamma)).exp()
-
     def gram(self, x: np.ndarray, y: np.ndarray) -> "Gram":
-        """:meth:`__call__` on arrays, with its closed-form backward."""
+        """Gram matrix ``K[i, j] = k(x_i, y_j)`` of shape ``(n, m)``,
+        with its closed-form backward."""
         return Gram(x, y, [self.bandwidth])
 
     def __repr__(self) -> str:
@@ -70,32 +65,66 @@ class MultiGaussianKernel:
             base_bandwidth * factor ** (i - center) for i in range(num_kernels)
         ]
 
-    def __call__(self, x: Tensor, y: Tensor) -> Tensor:
-        sq = pairwise_sq_dists(x, y)
-        total = None
-        for bw in self.bandwidths:
-            gamma = 1.0 / (2.0 * bw**2)
-            term = (sq * (-gamma)).exp()
-            total = term if total is None else total + term
-        return total * (1.0 / len(self.bandwidths))
-
     def gram(self, x: np.ndarray, y: np.ndarray) -> "Gram":
-        """:meth:`__call__` on arrays, with its closed-form backward."""
+        """The mixture's Gram matrix, with its closed-form backward."""
         return Gram(x, y, self.bandwidths, mixture=True)
 
     def __repr__(self) -> str:
         return f"MultiGaussianKernel(bandwidths={self.bandwidths})"
 
 
+class PairwiseSqDists:
+    """All-pairs squared Euclidean distances ``||x_i - y_j||²`` of
+    ``(n, d)`` and ``(m, d)`` samples, with the backward.
+
+    Clipped at zero against negative values from floating-point
+    cancellation.  The forward and :meth:`backward` run the tape's
+    numpy operations in the tape's order: the unfactorised ``|x|² +
+    |y|² − 2 x·yᵀ``, the ``np.where`` clip at zero, and in backward
+    ``g @ y`` and ``(xᵀ @ g)ᵀ`` for the cross term, so every array
+    carries the tape's bits.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        self.x, self.y = x, y
+        self._two = coerce(2.0, dtype=x.dtype)
+        x_sq = (x * x).sum(axis=1, keepdims=True)
+        y_sq = (y * y).sum(axis=1, keepdims=True).T
+        cross = x @ y.T
+        cross *= self._two
+        d = x_sq + y_sq
+        d -= cross
+        self._mask = d > 0
+        #: The ``(n, m)`` squared distances.
+        self.out = _xp().where(self._mask, d, 0.0)
+
+    def backward(self, grad: np.ndarray
+                 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """The gradient contributions to ``x`` and to ``y``.
+
+        Each list holds the three terms the tape adds into its operand,
+        in the tape's order: two from the squared norm's ``v * v`` and
+        one from the cross product.  When ``x`` and ``y`` are the same
+        node the tape's order over both lists is ``x[:2] + y[:2] +
+        [x[2], y[2]]``.  (In-place updates and ``g * -2`` for the tape's
+        ``(-g) * 2`` are the same IEEE operations, hence the same bits.)
+        """
+        grad = grad * self._mask
+        g_cross = grad * -self._two
+        t_x = grad.sum(axis=1, keepdims=True) * self.x
+        t_y = grad.sum(axis=0, keepdims=True).T * self.y
+        return ([t_x, t_x, g_cross @ self.y],
+                [t_y, t_y, (self.x.T @ g_cross).T])
+
+
 class Gram:
     """A Gaussian Gram matrix ``K`` (or a mixture of them) and its backward.
 
-    ``K = exp(-γ d²)`` over :class:`~repro.nn.ops.PairwiseSqDists` for
-    one bandwidth; with ``mixture=True``, the mean of one such term per
-    bandwidth, summed in bandwidth order.  The operations are those of
-    :class:`GaussianKernel` and :class:`MultiGaussianKernel` on the
-    tape, in the tape's order, so ``K`` and :meth:`backward` carry the
-    tape's bits.
+    ``K = exp(-γ d²)`` over :class:`PairwiseSqDists` for one bandwidth;
+    with ``mixture=True``, the mean of one such term per bandwidth,
+    summed in bandwidth order.  The operations are those of the kernel
+    on the tape, in the tape's order, so ``K`` and :meth:`backward`
+    carry the tape's bits.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray,

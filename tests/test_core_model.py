@@ -1,10 +1,16 @@
-"""ST-TransRec network tests."""
+"""ST-TransRec network tests (its graph on the tape, ``tests/oracle``)."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
+from tests.oracle import (
+    interaction_logits,
+    poi_embedding_batch,
+    predict_scores,
+    score_pois_for_user,
+)
 
 
 @pytest.fixture(scope="module")
@@ -15,31 +21,32 @@ def model():
 
 class TestForward:
     def test_logits_shape(self, model):
-        logits = model.interaction_logits(np.array([0, 1]), np.array([2, 3]))
+        logits = interaction_logits(model, np.array([0, 1]), np.array([2, 3]))
         assert logits.shape == (2,)
 
     def test_scores_in_unit_interval(self, model):
-        scores = model.predict_scores(np.array([0, 1, 2]),
+        scores = predict_scores(model, np.array([0, 1, 2]),
                                       np.array([0, 1, 2]))
         assert ((scores >= 0) & (scores <= 1)).all()
 
     def test_predict_restores_training_mode(self, model):
         model.train()
-        model.predict_scores(np.array([0]), np.array([0]))
+        predict_scores(model, np.array([0]), np.array([0]))
         assert model.training
         model.eval()
-        model.predict_scores(np.array([0]), np.array([0]))
+        predict_scores(model, np.array([0]), np.array([0]))
         assert not model.training
 
     def test_score_pois_for_user(self, model):
-        scores = model.score_pois_for_user(2, np.arange(10))
+        scores = score_pois_for_user(model, 2, np.arange(10))
         assert scores.shape == (10,)
 
     def test_poi_bias_shifts_logits(self, model):
         model.eval()
-        base = model.interaction_logits(np.array([0]), np.array([5])).item()
+        base = interaction_logits(model, np.array([0]), np.array([5])).item()
         model.poi_bias.weight.data[5, 0] += 3.0
-        shifted = model.interaction_logits(np.array([0]), np.array([5])).item()
+        shifted = interaction_logits(model, np.array([0]),
+                                     np.array([5])).item()
         np.testing.assert_allclose(shifted - base, 3.0, atol=1e-9)
         model.poi_bias.weight.data[5, 0] -= 3.0
 
@@ -59,7 +66,8 @@ class TestFeatureModes:
         cfg = STTransRecConfig(embedding_dim=8,
                                interaction_features="concat")
         m = STTransRec(4, 4, 4, cfg)
-        assert m.interaction_logits(np.array([0]), np.array([1])).shape == (1,)
+        logits = interaction_logits(m, np.array([0]), np.array([1]))
+        assert logits.shape == (1,)
 
 
 class TestEmbeddingAccess:
@@ -69,7 +77,7 @@ class TestEmbeddingAccess:
         assert model.poi_embeddings.weight.data[0, 0] != 999.0
 
     def test_poi_embedding_batch_in_graph(self, model):
-        batch = model.poi_embedding_batch(np.array([0, 1]))
+        batch = poi_embedding_batch(model, np.array([0, 1]))
         assert batch.requires_grad
 
     def test_deterministic_init_per_seed(self):

@@ -8,11 +8,16 @@ import pytest
 from repro.core.config import STTransRecConfig
 from repro.core.trainer import EpochStats, STTransRecTrainer
 from repro.nn.dtypes import using_dtype
-from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
-from repro.text.skipgram import skipgram_batch_loss
-from repro.transfer.mmd import mmd_between_embeddings
+from tests.oracle import (
+    Tensor,
+    bce_with_logits,
+    forward,
+    interaction_logits,
+    mmd_between_embeddings,
+    poi_embedding_batch,
+    skipgram_batch_loss,
+)
 
 
 def fast_config(**overrides):
@@ -250,11 +255,11 @@ def full_graph_step(trainer, users, pois, labels, ctx):
     cfg = trainer.config
     model = trainer.model
     trainer.optimizer.zero_grad()
-    loss = bce_with_logits(model.interaction_logits(users, pois), labels)
+    loss = bce_with_logits(interaction_logits(model, users, pois), labels)
     interaction = loss.item()
     if cfg.user_anchor > 0:
         unique_users = np.unique(users)
-        diff = model.user_embeddings(unique_users) \
+        diff = forward(model.user_embeddings, unique_users) \
             - Tensor(trainer._anchors[unique_users])
         loss = loss + (diff * diff).mean() * cfg.user_anchor
     context = mmd_value = None
@@ -269,8 +274,8 @@ def full_graph_step(trainer, users, pois, labels, ctx):
         tgt_idx = trainer._sample_pool(trainer.target_mmd_pool,
                                        cfg.mmd_batch_size)
         mmd = mmd_between_embeddings(
-            model.poi_embedding_batch(src_idx),
-            model.poi_embedding_batch(tgt_idx),
+            poi_embedding_batch(model, src_idx),
+            poi_embedding_batch(model, tgt_idx),
             kernel=trainer._kernel, estimator=cfg.mmd_estimator)
         mmd_value = mmd.item()
         loss = loss + mmd * cfg.lambda_mmd

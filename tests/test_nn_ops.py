@@ -1,11 +1,9 @@
-"""Multi-input functional ops: concat, stack, rowwise_dot, distances."""
+"""The tape's multi-input functional ops: concat, rowwise_dot, distances."""
 
 import numpy as np
 import pytest
 
-from repro.nn.ops import concat, pairwise_sq_dists, rowwise_dot, stack
-from repro.nn.tensor import Tensor
-
+from tests.oracle import Tensor, concat, pairwise_sq_dists, rowwise_dot
 from tests.test_nn_tensor import assert_grad_matches
 
 
@@ -39,24 +37,6 @@ class TestConcat:
         assert_grad_matches(
             lambda: (concat(parts, axis=1) ** 2).sum(), *parts
         )
-
-
-class TestStack:
-    def test_values_and_shape(self):
-        a = Tensor(np.ones(3))
-        b = Tensor(np.zeros(3))
-        out = stack([a, b], axis=0)
-        assert out.shape == (2, 3)
-
-    def test_grad(self):
-        rng = np.random.default_rng(2)
-        a = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        assert_grad_matches(lambda: (stack([a, b]) ** 2).sum(), a, b)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            stack([])
 
 
 class TestRowwiseDot:

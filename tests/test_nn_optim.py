@@ -1,118 +1,71 @@
-"""Optimizer tests: convergence, momentum, weight decay, validation."""
+"""Optimizer tests: convergence, weight decay, state, fused steps."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Tensor
+from repro.nn.module import Parameter
+from repro.nn.optim import Adam
 
 
-def quadratic_loss(param: Tensor) -> Tensor:
-    """Convex bowl with minimum at 3.0 per coordinate."""
-    diff = param - 3.0
-    return (diff * diff).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = Tensor(np.zeros(4), requires_grad=True)
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            quadratic_loss(p).backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, 3.0, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = Tensor(np.zeros(1), requires_grad=True)
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                quadratic_loss(p).backward()
-                opt.step()
-            return abs(p.data[0] - 3.0)
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks_solution(self):
-        def run(weight_decay):
-            p = Tensor(np.zeros(1), requires_grad=True)
-            opt = SGD([p], lr=0.1, weight_decay=weight_decay)
-            for _ in range(300):
-                opt.zero_grad()
-                quadratic_loss(p).backward()
-                opt.step()
-            return p.data[0]
-        assert run(1.0) < run(0.0)
-
-    def test_none_grad_skipped(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        SGD([p], lr=0.1).step()  # no backward yet: must not crash
-        np.testing.assert_array_equal(p.data, 1.0)
-
-    def test_validation(self):
-        p = Tensor(np.ones(1), requires_grad=True)
-        with pytest.raises(ValueError):
-            SGD([p], lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-        with pytest.raises(ValueError):
-            SGD([Tensor(np.ones(1))], lr=0.1)  # no requires_grad
+def quadratic_grad(param: Parameter) -> None:
+    """Set the gradient of ``sum((param - 3)²)``, a convex bowl with its
+    minimum at 3.0 per coordinate."""
+    param.grad = 2.0 * (param.data - 3.0)
 
 
 class TestAdam:
     def test_converges_on_quadratic(self):
-        p = Tensor(np.zeros(4), requires_grad=True)
+        p = Parameter(np.zeros(4))
         opt = Adam([p], lr=0.1)
         for _ in range(300):
             opt.zero_grad()
-            quadratic_loss(p).backward()
+            quadratic_grad(p)
             opt.step()
         np.testing.assert_allclose(p.data, 3.0, atol=1e-3)
 
     def test_bias_correction_first_step(self):
         # After one step with gradient g, Adam moves by ~lr * sign(g).
-        p = Tensor(np.array([0.0]), requires_grad=True)
+        p = Parameter(np.array([0.0]))
         opt = Adam([p], lr=0.1)
         opt.zero_grad()
-        quadratic_loss(p).backward()
+        quadratic_grad(p)
         opt.step()
         np.testing.assert_allclose(abs(p.data[0]), 0.1, rtol=1e-4)
 
     def test_invalid_betas(self):
-        p = Tensor(np.ones(1), requires_grad=True)
+        p = Parameter(np.ones(1))
         with pytest.raises(ValueError):
             Adam([p], betas=(1.0, 0.999))
         with pytest.raises(ValueError):
             Adam([p], betas=(0.9, -0.1))
 
     def test_weight_decay_pulls_toward_zero(self):
-        p = Tensor(np.full(1, 5.0), requires_grad=True)
+        p = Parameter(np.full(1, 5.0))
         opt = Adam([p], lr=0.05, weight_decay=10.0)
         for _ in range(200):
             opt.zero_grad()
             # loss that is flat: only decay acts
-            (p * 0.0).sum().backward()
+            p.grad = np.zeros_like(p.data)
             opt.step()
         assert abs(p.data[0]) < 1.0
 
     def test_zero_grad_clears(self):
-        p = Tensor(np.zeros(1), requires_grad=True)
+        p = Parameter(np.zeros(1))
         opt = Adam([p])
-        quadratic_loss(p).backward()
+        quadratic_grad(p)
         opt.zero_grad()
         assert p.grad is None
 
 
 def quadratic_step(opt, p):
     opt.zero_grad()
-    quadratic_loss(p).backward()
+    quadratic_grad(p)
     opt.step()
 
 
 class TestStateDict:
     def test_adam_round_trip_bit_identical(self):
-        p1 = Tensor(np.array([3.0, -2.0]), requires_grad=True)
+        p1 = Parameter(np.array([3.0, -2.0]))
         opt1 = Adam([p1], lr=0.1)
         for _ in range(5):
             quadratic_step(opt1, p1)
@@ -121,14 +74,14 @@ class TestStateDict:
         quadratic_step(opt1, p1)
         expected = p1.data.copy()
 
-        p2 = Tensor(saved_params.copy(), requires_grad=True)
+        p2 = Parameter(saved_params.copy())
         opt2 = Adam([p2], lr=0.1)
         opt2.load_state_dict(saved_state)
         quadratic_step(opt2, p2)
         np.testing.assert_array_equal(p2.data, expected)
 
     def test_adam_state_dict_copies(self):
-        p = Tensor(np.ones(2), requires_grad=True)
+        p = Parameter(np.ones(2))
         opt = Adam([p])
         quadratic_step(opt, p)
         state = opt.state_dict()
@@ -136,34 +89,18 @@ class TestStateDict:
         assert not np.any(opt._m[0] == 99.0)
 
     def test_adam_shape_mismatch_rejected(self):
-        p = Tensor(np.ones(2), requires_grad=True)
+        p = Parameter(np.ones(2))
         opt = Adam([p])
         bad = {"step_count": 1, "m": [np.zeros(3)], "v": [np.zeros(2)]}
         with pytest.raises(ValueError, match="shape"):
             opt.load_state_dict(bad)
 
     def test_adam_count_mismatch_rejected(self):
-        p = Tensor(np.ones(2), requires_grad=True)
+        p = Parameter(np.ones(2))
         opt = Adam([p])
         bad = {"step_count": 1, "m": [], "v": []}
         with pytest.raises(ValueError, match="expected 1 arrays"):
             opt.load_state_dict(bad)
-
-    def test_sgd_velocity_round_trip(self):
-        p1 = Tensor(np.array([2.0]), requires_grad=True)
-        opt1 = SGD([p1], lr=0.1, momentum=0.9)
-        for _ in range(3):
-            quadratic_step(opt1, p1)
-        saved_state = opt1.state_dict()
-        saved_params = p1.data.copy()
-        quadratic_step(opt1, p1)
-        expected = p1.data.copy()
-
-        p2 = Tensor(saved_params.copy(), requires_grad=True)
-        opt2 = SGD([p2], lr=0.1, momentum=0.9)
-        opt2.load_state_dict(saved_state)
-        quadratic_step(opt2, p2)
-        np.testing.assert_array_equal(p2.data, expected)
 
 
 SHAPES = [(6, 4), (4, 3), (3,), (5, 1)]
@@ -171,8 +108,8 @@ SHAPES = [(6, 4), (4, 3), (3,), (5, 1)]
 
 def _params(seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.standard_normal(shape).astype(dtype),
-                   requires_grad=True) for shape in SHAPES]
+    return [Parameter(rng.standard_normal(shape).astype(dtype))
+            for shape in SHAPES]
 
 
 def _grad_vectors(steps, dtype=np.float64, seed=1):
@@ -249,7 +186,7 @@ class TestFusedAdam:
             _set_grads(params, flat, tiled=True)
             opt.step()
 
-        resumed = [Tensor(d.copy(), requires_grad=True)
+        resumed = [Parameter(d.copy())
                    for d in saved_params]
         opt2 = Adam(resumed, lr=1e-2, weight_decay=1e-3)
         opt2.load_state_dict(saved)
@@ -264,8 +201,8 @@ class TestFusedAdam:
             _bytes(opt.state_dict()["m"])
 
     def test_mixed_dtypes_keep_separate_moments(self):
-        params = [Tensor(np.ones(3), requires_grad=True),
-                  Tensor(np.ones(2, dtype=np.float32), requires_grad=True)]
+        params = [Parameter(np.ones(3)),
+                  Parameter(np.ones(2, dtype=np.float32))]
         opt = Adam(params)
         assert opt._m_flat is None
         assert opt._m[1].dtype == np.float32

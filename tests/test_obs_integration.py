@@ -353,7 +353,8 @@ class TestCliTelemetry:
                      "--telemetry-dir", str(tel_dir)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "autograd op profile" in out
+        assert "training pass profile" in out
+        assert "InteractionBCE" in out
         assert (tel_dir / "op_profile.txt").exists()
         assert "nn_op_calls" in (tel_dir / PROM_FILE).read_text()
 

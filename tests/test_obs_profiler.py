@@ -1,22 +1,39 @@
-"""Autograd op profiler: patching, attribution, restoration."""
+"""Training pass profiler: patching, attribution, restoration."""
+
+import importlib
 
 import numpy as np
 import pytest
 
-from repro.nn.profile import PROFILED_OPS, OpProfile, profile_ops
-from repro.nn.tensor import Tensor
+from repro.nn.profile import PROFILED_PASSES, OpProfile, profile_ops
 from repro.obs.metrics import MetricsRegistry
+from repro.text.skipgram import SkipgramBatch
 
 
 def _originals():
-    return {op: Tensor.__dict__[op] for op in PROFILED_OPS}
+    out = {}
+    for module, name in PROFILED_PASSES:
+        cls = getattr(importlib.import_module(module), name)
+        out[name] = (cls.__dict__["__init__"], cls.__dict__["backward"])
+    return out
+
+
+def _skipgram_step(rows=16):
+    """One SkipgramBatch forward and backward on fixed tables."""
+    rng = np.random.default_rng(0)
+    pois = rng.standard_normal((20, 8))
+    words = rng.standard_normal((30, 8))
+    batch = SkipgramBatch(pois, words, np.arange(rows) % 20,
+                          np.arange(rows) % 30,
+                          (np.arange(3 * rows) % 30).reshape(rows, 3))
+    return batch.loss, batch.backward(np.ones(()))
 
 
 class TestPatching:
     def test_ops_restored_after_block(self):
         before = _originals()
         with profile_ops():
-            (Tensor(np.ones(3)) * 2.0).sum()
+            _skipgram_step()
         assert _originals() == before
 
     def test_ops_restored_after_exception(self):
@@ -34,63 +51,47 @@ class TestPatching:
 
     def test_unprofiled_runs_are_untouched(self):
         with profile_ops() as profile:
-            (Tensor(np.ones(2)) + 1.0).sum()
+            _skipgram_step()
         calls_inside = sum(s.calls for s in profile.stats.values())
-        (Tensor(np.ones(2)) + 1.0).sum()  # outside: must not record
+        _skipgram_step()  # outside: must not record
         assert sum(s.calls for s in profile.stats.values()) == calls_inside
 
 
 class TestAttribution:
     def test_forward_ops_recorded(self):
         with profile_ops() as profile:
-            a = Tensor(np.ones((4, 4)))
-            b = Tensor(np.ones((4, 4)))
-            (a @ b).relu().sum()
-        assert profile.stats["__matmul__"].calls == 1
-        assert profile.stats["relu"].calls == 1
-        assert profile.stats["sum"].calls == 1
-        assert profile.stats["__matmul__"].bytes_allocated > 0
+            _skipgram_step()
+            _skipgram_step()
+        stat = profile.stats["SkipgramBatch"]
+        assert stat.calls == 2 and stat.forward_seconds > 0.0
+        assert set(profile.stats) == {"SkipgramBatch"}
 
     def test_backward_time_attributed(self):
         with profile_ops() as profile:
-            x = Tensor(np.ones(5), requires_grad=True)
-            (x * 3.0).sum().backward()
-        assert profile.stats["__mul__"].backward_calls >= 1
-        assert profile.stats["sum"].backward_calls >= 1
-
-    def test_composite_ops_report_self_time(self):
-        # mean is implemented via sum + mul; total forward time must not
-        # double count — the sum across ops equals instrumented time.
-        with profile_ops() as profile:
-            Tensor(np.ones(1000)).mean()
-        fwd = {name: stat.forward_seconds
-               for name, stat in profile.stats.items()}
-        assert "mean" in fwd and "sum" in fwd
-        for seconds in fwd.values():
-            assert seconds >= 0.0
+            _skipgram_step(rows=32)
+        stat = profile.stats["SkipgramBatch"]
+        assert stat.backward_calls == 1 and stat.backward_seconds > 0.0
+        # The POI, positive-word and negative-word gradient rows.
+        assert stat.bytes_allocated == (32 + 32 + 96) * 8 * 8
 
     def test_gradients_match_unprofiled_run(self):
-        def grad():
-            x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-            ((x * x).sum()).backward()
-            return x.grad.copy()
-
-        expected = grad()
+        loss, grads = _skipgram_step()
         with profile_ops():
-            profiled = grad()
-        np.testing.assert_allclose(profiled, expected)
+            profiled_loss, profiled = _skipgram_step()
+        assert profiled_loss.tobytes() == loss.tobytes()
+        for got, want in zip(profiled, grads):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestReporting:
     def _profiled(self):
         with profile_ops() as profile:
-            x = Tensor(np.ones((8, 8)), requires_grad=True)
-            (x @ x).sum().backward()
+            _skipgram_step()
         return profile
 
     def test_report_table(self):
         report = self._profiled().report()
-        assert "__matmul__" in report
+        assert "SkipgramBatch" in report
         assert "TOTAL" in report
 
     def test_report_top_limits_rows(self):
@@ -102,9 +103,9 @@ class TestReporting:
     def test_to_registry_exports_labelled_series(self):
         registry = MetricsRegistry()
         self._profiled().to_registry(registry)
-        assert registry.counter("nn.op.calls", op="__matmul__").value == 1
+        assert registry.counter("nn.op.calls", op="SkipgramBatch").value == 1
         assert registry.counter("nn.op.alloc_bytes",
-                                op="__matmul__").value > 0
+                                op="SkipgramBatch").value > 0
 
     def test_empty_profile_totals_are_zero(self):
         profile = OpProfile()

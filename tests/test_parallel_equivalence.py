@@ -13,8 +13,6 @@ import pytest
 from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec
 from repro.nn.dtypes import using_dtype
-from repro.nn.losses import bce_with_logits
-from repro.nn.tensor import Tensor
 from repro.parallel.data_parallel import (
     DataParallelTrainer,
     _replica_grads,
@@ -22,6 +20,7 @@ from repro.parallel.data_parallel import (
 )
 from repro.perf.transport import GradientLayout
 
+from tests.oracle import Tensor, bce_with_logits, interaction_logits
 from tests.test_core_trainer import fast_config
 
 
@@ -33,7 +32,7 @@ def small_model(seed=0):
 def batch_gradients(model, users, pois, labels):
     """Gradient dict for one batch, leaving the model unchanged."""
     model.zero_grad()
-    loss = bce_with_logits(model.interaction_logits(users, pois), labels)
+    loss = bce_with_logits(interaction_logits(model, users, pois), labels)
     loss.backward()
     return {name: p.grad.copy() if p.grad is not None
             else np.zeros_like(p.data)
@@ -44,7 +43,7 @@ def tape_replica_grads(model, users, pois, labels):
     """A replica's step through the autograd tape: the reference for the
     trainer's tape-free ``_replica_grads``, with its signature."""
     model.zero_grad()
-    loss = bce_with_logits(model.interaction_logits(users, pois), labels)
+    loss = bce_with_logits(interaction_logits(model, users, pois), labels)
     loss.backward()
     return ({name: p.grad for name, p in model.named_parameters()},
             loss.item())

@@ -13,6 +13,7 @@ from repro.core.model import STTransRec
 from repro.core.recommend import Recommender
 from repro.serving import engine as engine_module
 from repro.serving.engine import Exclusions, InferenceEngine
+from tests.oracle import score_pois_for_user
 
 
 def make_model(index, *, embedding_dim=16, dropout=0.2, seed=0,
@@ -34,7 +35,8 @@ def world(tiny_split):
 
 
 class TestScoreParity:
-    """Engine scores must match ``STTransRec.score_pois_for_user``."""
+    """Engine scores must match the tape's
+    (``tests.oracle.score_pois_for_user``)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("features", ["concat", "concat_product"])
@@ -52,8 +54,8 @@ class TestScoreParity:
         users = list(range(min(6, index.num_users)))
         batched = engine.score_catalogue(users)
         for i, u in enumerate(users):
-            expected = restored.score_pois_for_user(
-                u, engine.catalogue_poi_indices)
+            expected = score_pois_for_user(
+                restored, u, engine.catalogue_poi_indices)
             np.testing.assert_allclose(batched[i], expected, atol=1e-6)
 
     def test_parity_ignores_training_mode(self, world):
@@ -64,7 +66,8 @@ class TestScoreParity:
         model.train()
         engine = InferenceEngine.from_model(model, index, dataset,
                                             "shelbyville")
-        expected = model.score_pois_for_user(0, engine.catalogue_poi_indices)
+        expected = score_pois_for_user(model, 0,
+                                       engine.catalogue_poi_indices)
         np.testing.assert_allclose(engine.score_catalogue([0])[0],
                                    expected, atol=1e-6)
 
@@ -76,14 +79,15 @@ class TestScoreParity:
         subset = np.arange(index.num_pois)[::3]
         np.testing.assert_allclose(
             engine.score_pois_for_user(1, subset),
-            model.score_pois_for_user(1, subset), atol=1e-6)
+            score_pois_for_user(model, 1, subset), atol=1e-6)
 
     def test_float32_engine_close(self, world):
         dataset, index = world
         model = make_model(index)
         engine = InferenceEngine.from_model(model, index, dataset,
                                             "shelbyville", dtype=np.float32)
-        expected = model.score_pois_for_user(0, engine.catalogue_poi_indices)
+        expected = score_pois_for_user(model, 0,
+                                       engine.catalogue_poi_indices)
         np.testing.assert_allclose(engine.score_catalogue([0])[0],
                                    expected, atol=1e-4)
 
@@ -402,7 +406,8 @@ class TestRefresh:
         assert not np.allclose(after, before)
         np.testing.assert_allclose(
             after,
-            model.score_pois_for_user(0, engine.catalogue_poi_indices),
+            score_pois_for_user(model, 0,
+                                engine.catalogue_poi_indices),
             atol=1e-6)
 
     def test_refresh_user_leaves_others_untouched(self, world):
@@ -425,7 +430,8 @@ class TestRefresh:
         engine.refresh()
         np.testing.assert_allclose(
             engine.score_catalogue([0])[0],
-            model.score_pois_for_user(0, engine.catalogue_poi_indices),
+            score_pois_for_user(model, 0,
+                                engine.catalogue_poi_indices),
             atol=1e-6)
 
 
@@ -456,7 +462,8 @@ class TestConstruction:
                                                  "shelbyville")
         np.testing.assert_allclose(
             engine.score_catalogue([0])[0],
-            model.score_pois_for_user(0, engine.catalogue_poi_indices),
+            score_pois_for_user(model, 0,
+                                engine.catalogue_poi_indices),
             atol=1e-6)
 
     def test_stats_counters(self, world):

@@ -10,6 +10,7 @@ from repro.core.recommend import Recommender
 from repro.data.dataset import CheckinDataset
 from repro.data.records import CheckinRecord
 from repro.serving.service import RecommendationService
+from tests.oracle import score_pois_for_user
 
 
 def make_model(index, seed=0):
@@ -147,8 +148,8 @@ class TestFoldIn:
         user_index = service.index.users.index_of(user)
         np.testing.assert_allclose(
             service.engine.score_catalogue([user_index])[0],
-            service.model.score_pois_for_user(
-                user_index, service.engine.catalogue_poi_indices),
+            score_pois_for_user(service.model, user_index,
+                                service.engine.catalogue_poi_indices),
             atol=1e-6)
 
     def test_fold_in_unknown_user_raises(self, service):
@@ -182,9 +183,9 @@ class TestFoldIn:
         u = index.users.index_of(user)
         catalogue = service.engine.catalogue_poi_indices
         observed = [0, 1]
-        before = service.model.score_pois_for_user(u, catalogue)
+        before = score_pois_for_user(service.model, u, catalogue)
         service.fold_in(user, service.engine.catalogue_poi_ids[observed])
-        after = service.model.score_pois_for_user(u, catalogue)
+        after = score_pois_for_user(service.model, u, catalogue)
         # BPR optimizes relative ordering: the observed POIs must gain
         # against the candidate average.
         assert after[observed].mean() - after.mean() > \

@@ -7,9 +7,9 @@ from repro.core.config import STTransRecConfig
 from repro.core.model import STTransRec, UserSideBPR
 from repro.nn.dtypes import using_dtype
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming import CheckinEvent, IncrementalUpdater
+from tests.oracle import Tensor, interaction_logits
 
 TARGET = "shelbyville"
 
@@ -328,8 +328,8 @@ class TestTouchedTracking:
 # ----------------------------------------------------------------------
 def full_graph_loss(model, users, pos, neg):
     model.zero_grad()
-    pos_logits = model.interaction_logits(users, pos)
-    neg_logits = model.interaction_logits(users, neg)
+    pos_logits = interaction_logits(model, users, pos)
+    neg_logits = interaction_logits(model, users, neg)
     return -(pos_logits - neg_logits).log_sigmoid().mean()
 
 
@@ -363,7 +363,7 @@ def full_graph_retrain(updater):
     for _ in range(updater.retrain_steps):
         neg = updater._sample_negatives(users)
         model.zero_grad()
-        logits = model.interaction_logits(pairs, np.concatenate([pos, neg]))
+        logits = interaction_logits(model, pairs, np.concatenate([pos, neg]))
         (-(logits[:n] - logits[n:]).log_sigmoid().mean()).backward()
         optimizer.step()
     model.zero_grad()

@@ -5,10 +5,11 @@ import pytest
 
 from repro.data.records import POI
 from repro.data.vocabulary import DatasetIndex
+from repro.nn.backend import active_backend
 from repro.nn.layers import Embedding
 from repro.nn.optim import Adam
 from repro.text.context_graph import TextualContextGraph, build_city_context_graph
-from repro.text.skipgram import pretrain_poi_embeddings, skipgram_batch_loss
+from repro.text.skipgram import SkipgramBatch
 from repro.data.sampling import ContextPairSampler
 
 
@@ -21,6 +22,29 @@ def word_world():
     index = DatasetIndex(user_ids=[], poi_ids=[0, 1, 2],
                          words=["casino", "green", "museum", "park"])
     return pois, index
+
+
+def train_skipgram(sampler, poi_emb, word_emb, optimizer, epochs,
+                   batch_size):
+    """Skipgram-only Adam epochs; returns per-epoch mean losses."""
+    xp = active_backend()
+    history = []
+    for _ in range(epochs):
+        losses = []
+        for batch in sampler.epoch(batch_size):
+            step = SkipgramBatch(poi_emb.weight.data, word_emb.weight.data,
+                                 *batch)
+            g_poi, g_pos, g_neg = step.backward(xp.ones_like(step.loss))
+            words = word_emb.num_embeddings
+            poi_emb.weight.grad = xp.scatter_rows(step.poi_idx, g_poi,
+                                                  poi_emb.num_embeddings)
+            word_emb.weight.grad = \
+                xp.scatter_rows(step.pos_word_idx, g_pos, words) \
+                + xp.scatter_rows(step.neg_word_idx, g_neg, words)
+            optimizer.step()
+            losses.append(float(step.loss))
+        history.append(float(np.mean(losses)))
+    return history
 
 
 class TestContextGraph:
@@ -78,13 +102,13 @@ class TestSkipgram:
     def test_loss_shape_and_finite(self):
         poi_emb = Embedding(5, 8, rng=0)
         word_emb = Embedding(6, 8, rng=1)
-        loss = skipgram_batch_loss(
-            poi_emb, word_emb,
+        batch = SkipgramBatch(
+            poi_emb.weight.data, word_emb.weight.data,
             poi_idx=np.array([0, 1]),
             pos_word_idx=np.array([2, 3]),
             neg_word_idx=np.array([[0, 1], [4, 5]]),
         )
-        assert np.isfinite(loss.item())
+        assert batch.loss.shape == () and np.isfinite(batch.loss)
 
     def test_training_reduces_loss(self):
         pois, index = word_world()
@@ -94,8 +118,8 @@ class TestSkipgram:
         poi_emb = Embedding(3, 8, rng=0)
         word_emb = Embedding(4, 8, rng=1)
         opt = Adam(poi_emb.parameters() + word_emb.parameters(), lr=0.05)
-        history = pretrain_poi_embeddings(sampler, poi_emb, word_emb, opt,
-                                          epochs=30, batch_size=8)
+        history = train_skipgram(sampler, poi_emb, word_emb, opt,
+                                 epochs=30, batch_size=8)
         assert history[-1] < history[0]
 
     def test_shared_context_pois_converge(self):
@@ -108,8 +132,8 @@ class TestSkipgram:
         poi_emb = Embedding(3, 8, rng=0)
         word_emb = Embedding(4, 8, rng=1)
         opt = Adam(poi_emb.parameters() + word_emb.parameters(), lr=0.05)
-        pretrain_poi_embeddings(sampler, poi_emb, word_emb, opt,
-                                epochs=120, batch_size=8)
+        train_skipgram(sampler, poi_emb, word_emb, opt,
+                       epochs=120, batch_size=8)
         e = poi_emb.weight.data
         e = e / np.linalg.norm(e, axis=1, keepdims=True)
         sim_01 = e[0] @ e[1]
