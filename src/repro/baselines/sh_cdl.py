@@ -35,7 +35,7 @@ from repro.core.model import LogitBCE
 from repro.data.sampling import InteractionSampler
 from repro.data.split import CrossingCitySplit
 from repro.nn.backend import active_backend as _xp
-from repro.nn.dtypes import coerce
+from repro.nn.dtypes import coerce, default_dtype
 from repro.nn.layers import Linear, Sequential, ReLU, Embedding
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
@@ -170,7 +170,9 @@ class SHCDL(BaselineRecommender):
                 locations[v] = poi.location
         span = np.maximum(locations.max(axis=0) - locations.min(axis=0), 1e-9)
         locations = (locations - locations.min(axis=0)) / span
-        features = np.concatenate([words, locations], axis=1)
+        # In the policy dtype, so the latents and activations are too.
+        features = coerce(np.concatenate([words, locations], axis=1),
+                          dtype=default_dtype())
 
         # Stage 1: autoencode POI features.
         autoencoder = _Autoencoder(features.shape[1], self.latent_dim, rng)
@@ -204,7 +206,8 @@ class SHCDL(BaselineRecommender):
         user_table = Embedding(num_users, self.latent_dim, rng=rng)
         city_table = Embedding(num_users * len(cities), self.latent_dim,
                                std=1e-4, rng=rng)
-        poi_bias = Parameter(np.zeros(self.index.num_pois))
+        poi_bias = Parameter(np.zeros(self.index.num_pois,
+                                      dtype=default_dtype()))
         params = [user_table.weight, city_table.weight, poi_bias]
         optimizer = Adam(params, lr=self.learning_rate)
         samplers = [

@@ -180,6 +180,13 @@ def _build_model(manifest, state, dtype) -> Tuple[STTransRec, DatasetIndex]:
     from repro.nn.dtypes import using_dtype
 
     config_dict = dict(manifest["config"])
+    # Files written before the per-tower decay was dropped carry it as
+    # null; one that set it trained with a decay this model cannot apply.
+    if config_dict.pop("tower_weight_decay", None) is not None:
+        raise ValueError(
+            f"checkpoint sets tower_weight_decay="
+            f"{manifest['config']['tower_weight_decay']!r}; that field is "
+            f"gone (weight_decay applies to every parameter)")
     # Tuples serialize as lists; restore the fields that need tuples.
     if config_dict.get("grid_shape") is not None:
         config_dict["grid_shape"] = tuple(config_dict["grid_shape"])

@@ -37,16 +37,12 @@ class STTransRecConfig:
     learning_rate:
         Adam learning rate.
     weight_decay:
-        L2 coupling added to gradients of embeddings and biases
-        (0 disables).
-    tower_weight_decay:
-        Separate decay for the MLP tower's weights; ``None`` uses
-        ``weight_decay``.  With Adam, decay acts like a constant-rate
-        pull toward zero, and the tower's data gradient is much smaller
-        than the embeddings' — a decay that merely regularizes
-        embeddings can drive the tower exactly to zero (degenerating
-        the model to a popularity ranker), so the tower usually needs a
-        smaller value.
+        L2 coupling added to every parameter's gradient (0 disables);
+        one Adam fits all of Eq. 3 with it.  With Adam, decay acts like
+        a constant-rate pull toward zero, and the tower's data gradient
+        is much smaller than the embeddings' — a decay that merely
+        regularizes embeddings can drive the tower to zero
+        (degenerating the model to a popularity ranker).
     batch_size:
         Mini-batch size (paper: 128).
     epochs:
@@ -118,7 +114,6 @@ class STTransRecConfig:
     dropout: float = 0.1
     learning_rate: float = 5e-3
     weight_decay: float = 0.0
-    tower_weight_decay: Optional[float] = None
     batch_size: int = 128
     epochs: int = 12
     patience: Optional[int] = None
@@ -150,9 +145,6 @@ class STTransRecConfig:
         if self.patience is not None:
             check_positive("patience", self.patience)
         check_non_negative("weight_decay", self.weight_decay)
-        if self.tower_weight_decay is not None:
-            check_non_negative("tower_weight_decay",
-                               self.tower_weight_decay)
         check_non_negative("min_loss_delta", self.min_loss_delta)
         check_positive("num_negatives", self.num_negatives)
         check_positive("num_context_negatives", self.num_context_negatives)

@@ -36,6 +36,7 @@ from repro.nn.dtypes import coerce
 from repro.nn.layers import MLP, Dropout, Embedding, Linear
 from repro.nn.module import Module
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_ids
 
 
 class STTransRec(Module):
@@ -68,6 +69,9 @@ class STTransRec(Module):
         # Per-POI bias absorbing popularity, so embedding directions are
         # free to encode topical structure (see DESIGN.md).
         self.poi_bias = Embedding(num_pois, 1, std=0.0 + 1e-8, rng=rng)
+        # Pack once: every parameter is a view of one flat buffer that
+        # Adam, the joint step and the data-parallel exchange share.
+        self.parameter_store()
 
     @property
     def training_rng(self) -> "np.random.Generator":
@@ -244,6 +248,8 @@ class InteractionBCE:
     def __init__(self, model: STTransRec, users: np.ndarray,
                  pois: np.ndarray, labels: np.ndarray) -> None:
         xp = _xp()
+        check_ids("users", users, model.user_embeddings.num_embeddings)
+        check_ids("pois", pois, model.poi_embeddings.num_embeddings)
         self.users = users
         self.pois = pois
         x_u = xp.take(model.user_embeddings.weight.data, users, axis=0)
@@ -308,6 +314,8 @@ class UserSideBPR:
     def __init__(self, model: STTransRec, users: np.ndarray,
                  pos: np.ndarray) -> None:
         xp = _xp()
+        check_ids("users", users, model.user_embeddings.num_embeddings)
+        check_ids("pos", pos, model.poi_embeddings.num_embeddings)
         self.model = model
         self.users = users
         self.pos = pos
@@ -333,6 +341,7 @@ class UserSideBPR:
         """
         xp = _xp()
         model = self.model
+        check_ids("neg", neg, model.poi_embeddings.num_embeddings)
         x_u = xp.take(model.user_embeddings.weight.data, self.users, axis=0)
         x_neg = xp.take(model.poi_embeddings.weight.data, neg, axis=0)
         neg_bias = xp.take(model.poi_bias.weight.data, neg,

@@ -23,8 +23,8 @@ Each term's forward and backward runs in closed numpy
 :class:`~repro.transfer.mmd.MMDBatch`), replaying the operations the
 autograd tape (kept in ``tests/oracle`` as the reference) runs for the
 same loss in the tape's order; the step then adds each table's
-per-lookup gradients in the tape's topological order and hands Adam
-one flat gradient vector.  Every
+per-lookup gradients in the tape's topological order straight into the
+parameter store's gradient vector, which Adam steps whole.  Every
 parameter, moment and loss value keeps the tape's bits
 (``tests/test_core_trainer.py::TestTapeFreeStep``).
 """
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,26 +60,12 @@ from repro.transfer.mmd import MMDBatch
 from repro.obs.telemetry import Telemetry, span as _span
 from repro.utils.logging import get_logger
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_ids
 
 logger = get_logger("core.trainer")
 
 # Epoch durations: 10 ms .. ~1.5 h, then +Inf.
 _EPOCH_SECONDS_BUCKETS = [0.01 * 2.0 ** i for i in range(20)]
-
-
-class _OptimizerGroup:
-    """Several optimizers stepped together (per-group hyper-parameters)."""
-
-    def __init__(self, optimizers: Sequence[Adam]) -> None:
-        self.optimizers = list(optimizers)
-
-    def zero_grad(self) -> None:
-        for optimizer in self.optimizers:
-            optimizer.zero_grad()
-
-    def step(self) -> None:
-        for optimizer in self.optimizers:
-            optimizer.step()
 
 
 class _AnchorTerm:
@@ -90,6 +76,7 @@ class _AnchorTerm:
     def __init__(self, model: STTransRec, anchors: np.ndarray,
                  users: np.ndarray) -> None:
         self.users = np.unique(users)
+        check_ids("users", self.users, anchors.shape[0])
         diff = _xp().take(model.user_embeddings.weight.data, self.users,
                           axis=0) - anchors[self.users]
         self._diff = diff
@@ -132,9 +119,6 @@ class _Grads:
 
     def set(self, param, grad: np.ndarray) -> None:
         self._parts.setdefault(id(param), []).append(grad)
-
-    def reached(self, param) -> bool:
-        return id(param) in self._parts
 
     def value(self, param, out: Optional[np.ndarray] = None
               ) -> Optional[np.ndarray]:
@@ -237,35 +221,16 @@ class STTransRecTrainer:
         self._kernel = self._build_kernel()
         self._profile_rows = self._build_profile_rows()
         self._anchors: Optional[np.ndarray] = None
-        # Per-optimizer views of a flat gradient buffer (_grad_views).
-        self._grad_flats: Dict[int, Optional[List[np.ndarray]]] = {}
 
     # ------------------------------------------------------------------
     # Component construction
     # ------------------------------------------------------------------
-    def _build_optimizer(self):
-        """Adam over all parameters, with per-group weight decay.
-
-        Tower weights get ``tower_weight_decay`` (default: same as
-        ``weight_decay``); see the config docstring for why the groups
-        need different values under Adam.
-        """
+    def _build_optimizer(self) -> Adam:
+        """One Adam over the model's parameter store, as the paper fits
+        all of Eq. 3."""
         cfg = self.config
-        tower_decay = (cfg.weight_decay if cfg.tower_weight_decay is None
-                       else cfg.tower_weight_decay)
-        if tower_decay == cfg.weight_decay:
-            return Adam(self.model.parameters(), lr=cfg.learning_rate,
-                        weight_decay=cfg.weight_decay)
-        tower_params = [p for name, p in self.model.named_parameters()
-                        if name.startswith("tower.")]
-        other_params = [p for name, p in self.model.named_parameters()
-                        if not name.startswith("tower.")]
-        return _OptimizerGroup([
-            Adam(other_params, lr=cfg.learning_rate,
-                 weight_decay=cfg.weight_decay),
-            Adam(tower_params, lr=cfg.learning_rate,
-                 weight_decay=tower_decay),
-        ])
+        return Adam(self.model.parameters(), lr=cfg.learning_rate,
+                    weight_decay=cfg.weight_decay)
 
     def _build_interaction_samplers(self) -> None:
         cfg = self.config
@@ -619,44 +584,15 @@ class STTransRecTrainer:
         grads.add(self.model.word_embeddings, context.neg_word_idx, g_neg)
 
     def _set_grads(self, grads: "_Grads") -> None:
-        """Hand the step's gradients to the optimizer.
+        """Write the step's gradients into the parameter store's
+        gradient views, so :meth:`Adam.step` steps one flat vector.
 
         A parameter the step did not reach keeps ``grad=None``, so Adam
         skips it and leaves its moments alone, as after a tape step.
-        When every parameter of an :class:`~repro.nn.optim.Adam` has a
-        gradient, the gradients are written as views of one flat vector
-        laid out like its moments, so :meth:`Adam.step` runs one fused
-        ``adam_update`` over it.
         """
-        for optimizer in getattr(self.optimizer, "optimizers",
-                                 [self.optimizer]):
-            params = optimizer.params
-            views = self._grad_views(optimizer)
-            if views is None or not all(grads.reached(p) for p in params):
-                for p in params:
-                    p.grad = grads.value(p)
-                continue
-            for p, view in zip(params, views):
-                p.grad = grads.value(p, out=view)
-
-    def _grad_views(self, optimizer) -> Optional[List[np.ndarray]]:
-        """Per-parameter views of one reusable flat gradient vector laid
-        out like ``optimizer``'s moments; ``None`` for mixed dtypes."""
-        key = id(optimizer)
-        if key not in self._grad_flats:
-            params = optimizer.params
-            dtypes = {p.data.dtype for p in params}
-            views = None
-            if len(dtypes) == 1:
-                flat = np.empty(sum(p.data.size for p in params),
-                                dtype=dtypes.pop())
-                views, start = [], 0
-                for p in params:
-                    views.append(flat[start:start + p.data.size]
-                                 .reshape(p.data.shape))
-                    start += p.data.size
-            self._grad_flats[key] = views
-        return self._grad_flats[key]
+        store = self.optimizer.store
+        for p, out in zip(store.params, store.grads):
+            p.grad = grads.value(p, out=out)
 
     def fit(self, epochs: Optional[int] = None,
             epoch_callback=None) -> TrainResult:

@@ -22,7 +22,7 @@ layer instead of corrupting every sibling's scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -72,10 +72,9 @@ class ServingParameterBlock:
 
     def __init__(self, state: Dict[str, np.ndarray], dtype,
                  generation: int = 0) -> None:
-        specs: Tuple[Tuple[str, Tuple[int, ...], str], ...] = tuple(
-            (name, tuple(arr.shape), str(arr.dtype))
-            for name, arr in state.items())
-        self._transport = ShmTransport(specs, num_slots=0)
+        layout = GradientLayout.build(
+            [(name, arr.shape, arr.dtype) for name, arr in state.items()])
+        self._transport = ShmTransport(layout, num_slots=0)
         self._transport.write_params(state)
         self.manifest = FleetManifest(self._transport.layout,
                                       str(np.dtype(dtype)),

@@ -15,14 +15,21 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.store import ParameterStore
+
 
 class Parameter:
     """A trainable array: ``data``, and the ``grad`` a step leaves for
-    the optimizer (``None`` until a step reaches the parameter)."""
+    the optimizer (``None`` until a step reaches the parameter).
+
+    Once packed, ``data`` is a view of its
+    :class:`~repro.nn.store.ParameterStore`'s flat buffer (``_store``).
+    """
 
     def __init__(self, data: np.ndarray) -> None:
         self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
+        self._store: Optional[ParameterStore] = None
 
 
 class Module:
@@ -61,6 +68,11 @@ class Module:
     def parameters(self) -> list[Parameter]:
         """Return all trainable parameters (for the optimizer)."""
         return [p for _, p in self.named_parameters()]
+
+    def parameter_store(self) -> ParameterStore:
+        """The flat buffer every parameter is a view of, packed on first
+        use (see :class:`~repro.nn.store.ParameterStore`)."""
+        return ParameterStore.of(self.named_parameters())
 
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all sub-modules, depth-first."""

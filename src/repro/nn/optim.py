@@ -2,18 +2,19 @@
 
 The paper optimizes ST-TransRec with Adam, searching the learning rate in
 ``{1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3}``; Adam here follows Kingma & Ba
-with bias correction.  All updates are in-place on parameter ``.data`` so
-the arrays registered with modules keep their identity.
+with bias correction.  All updates are in place on the parameters' flat
+store, so every ``Parameter.data`` stays a view of it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from repro.nn.backend import active_backend as _xp
 from repro.nn.module import Parameter
+from repro.nn.store import ParameterStore
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -58,37 +59,24 @@ class Optimizer:
         return arrays
 
 
-def _flat_zeros(params: List[Parameter]):
-    """``(flat, views)``: one zero buffer and a per-parameter view of it.
-
-    Parameters of mixed dtypes get separate arrays and ``flat=None``.
-    """
-    dtypes = {p.data.dtype for p in params}
-    if len(dtypes) != 1:
-        return None, [np.zeros_like(p.data) for p in params]
-    flat = np.zeros(sum(p.data.size for p in params), dtype=dtypes.pop())
-    views, start = [], 0
-    for p in params:
-        views.append(flat[start:start + p.data.size].reshape(p.data.shape))
-        start += p.data.size
-    return flat, views
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015) with bias correction.
 
     Parameters match the common defaults; ``weight_decay`` applies plain
     L2 coupling (added to the gradient before the moment updates).
 
-    Fused step
-    ----------
-    ``m`` and ``v`` are per-parameter views of one flat buffer each, in
-    parameter order.  When every gradient is a dense view of one flat
-    vector in that same order — the data-parallel master averages its
-    replicas into exactly that — :meth:`step` runs a single
-    ``adam_update`` over the whole vector instead of one per parameter.
-    Adam is elementwise, so the bits are those of the per-parameter
-    step.
+    One flat step
+    -------------
+    The parameters live in one :class:`~repro.nn.store.ParameterStore`
+    (:attr:`store`; the model's own when they are a model's, in its
+    order), and ``m`` and ``v`` are flat buffers of its layout.  When
+    every parameter has a gradient, :meth:`step` gathers them into the
+    store's gradient buffer — a gradient already written into its view
+    there is not copied — and runs one ``adam_update`` over the whole
+    vector, in place on the store's data.  Adam is elementwise, so the
+    bits are those of a step per parameter.  A parameter the step did
+    not reach keeps ``grad=None``: the others are stepped one slice at
+    a time and its moments stay as they were.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
@@ -106,77 +94,51 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m_flat, self._m = _flat_zeros(self.params)
-        self._v_flat, self._v = _flat_zeros(self.params)
+        self.store = ParameterStore.of(
+            (f"param{i}", p) for i, p in enumerate(self.params))
+        self._m = np.zeros_like(self.store.data)
+        self._v = np.zeros_like(self.store.data)
+        self._m_views = self.store.layout.views(self._m)
+        self._v_views = self.store.layout.views(self._v)
 
     def step(self) -> None:
+        store = self.store.fresh()
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        flat = self._tiled_grad()
-        if flat is not None:
-            self._step_fused(flat, bias1, bias2)
+        grads = [p.grad for p in self.params]
+        if all(g is not None for g in grads):
+            for g, view in zip(grads, store.grads):
+                if g is not view:
+                    view[...] = g
+            store.data -= _xp().adam_update(
+                self._m, self._v, store.grad, self.lr, self.beta1,
+                self.beta2, self.eps, bias1, bias2,
+                weight_decay=self.weight_decay, param=store.data)
             return
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        for p, g, m, v in zip(self.params, grads, self._m_views,
+                              self._v_views):
+            if g is None:
                 continue
             p.data -= _xp().adam_update(
-                m, v, p.grad, self.lr, self.beta1, self.beta2, self.eps,
+                m, v, g, self.lr, self.beta1, self.beta2, self.eps,
                 bias1, bias2, weight_decay=self.weight_decay, param=p.data)
-
-    def _tiled_grad(self) -> Optional[np.ndarray]:
-        """The flat vector the gradients are views of, if they tile one.
-
-        Each ``p.grad`` must be a contiguous view of the same 1-D array,
-        in parameter order, laid out exactly like the moment buffers.
-        """
-        flat = getattr(self.params[0].grad, "base", None)
-        if self._m_flat is None or not isinstance(flat, np.ndarray) \
-                or flat.shape != self._m_flat.shape \
-                or flat.dtype != self._m_flat.dtype:
-            return None
-        address = flat.__array_interface__["data"][0]
-        for p in self.params:
-            g = p.grad
-            if not isinstance(g, np.ndarray) or g.base is not flat \
-                    or g.shape != p.data.shape \
-                    or not g.flags.c_contiguous \
-                    or g.__array_interface__["data"][0] != address:
-                return None
-            address += g.nbytes
-        return flat
-
-    def _step_fused(self, flat: np.ndarray, bias1: float,
-                    bias2: float) -> None:
-        """One ``adam_update`` over the whole tiled gradient vector."""
-        param = None
-        if self.weight_decay:
-            param = np.concatenate([p.data.reshape(-1)
-                                    for p in self.params])
-        update = _xp().adam_update(
-            self._m_flat, self._v_flat, flat, self.lr, self.beta1,
-            self.beta2, self.eps, bias1, bias2,
-            weight_decay=self.weight_decay, param=param)
-        start = 0
-        for p in self.params:
-            p.data -= update[start:start + p.data.size].reshape(p.data.shape)
-            start += p.data.size
 
     def state_dict(self) -> dict:
         """Moment arrays + step count — everything resume needs for
         bit-identical continuation of the update sequence."""
         return {
             "step_count": self._step_count,
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
+            "m": [m.copy() for m in self._m_views],
+            "v": [v.copy() for v in self._v_views],
         }
 
     def load_state_dict(self, state: dict) -> None:
         m = self._check_state_arrays("m", state["m"])
         v = self._check_state_arrays("v", state["v"])
-        for own, saved in zip(self._m, m):
+        for own, saved in zip(self._m_views, m):
             own[...] = saved
-        for own, saved in zip(self._v, v):
+        for own, saved in zip(self._v_views, v):
             own[...] = saved
         self._step_count = int(state["step_count"])

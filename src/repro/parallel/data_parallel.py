@@ -19,25 +19,20 @@ exactly the property Table 2 demonstrates.
 
 One flat vector
 ---------------
-A step moves and applies the gradient as one contiguous vector in
-parameter order, the layout of :class:`~repro.perf.transport.
-GradientLayout` (TensorFlow's all-reduce exchanges such a fused
-buffer).  A replica's step runs
-:class:`~repro.core.model.InteractionBCE` (the interaction loss's
-forward and backward in closed numpy, with the bits of the autograd
-tape kept in ``tests/oracle``) and scatters the lookup rows as the
-joint trainer does.  Each worker packs
-the result into that vector — the word table, which the interaction
-loss never reaches, as zeros — in its shared-memory slot or through
-its pipe.  The master then does per step what it used to do per
-parameter: one ``isfinite`` guards a contribution, one
-``np.stack(usable).mean(axis=0)`` averages the usable ones
-(elementwise, hence bit-identical to averaging each parameter), each
-``param.grad`` becomes a view of the mean, and
-:class:`~repro.nn.optim.Adam` steps the whole vector with one
-``adam_update``.  The in-process replica of a one-worker run guards and
-steps its own vector the same way.  With shared memory, workers are
-woken for a step through a :class:`~repro.parallel.supervisor.
+Each model keeps its parameters in a :class:`~repro.nn.store.
+ParameterStore`, one flat vector with a gradient buffer alike (the
+fused buffer TensorFlow's all-reduce exchanges), and a step moves just
+those.  The master broadcasts its store's data with one copy; each
+worker loads it with one copy, runs :class:`~repro.core.model.
+InteractionBCE` (closed numpy, with the bits of the autograd tape kept
+in ``tests/oracle``) and writes the gradient straight into its slot —
+the word table, which the interaction loss never reaches, as zeros.
+The master guards each contribution with one ``isfinite``, averages
+the usable ones with one stack-mean into its store's gradient buffer
+(elementwise, hence bit-identical to averaging each parameter), and
+:class:`~repro.nn.optim.Adam` steps it whole.  A one-worker run writes
+its replica gradient into that buffer directly.  With shared memory,
+workers are woken through a :class:`~repro.parallel.supervisor.
 StepWake` instead of a pipe message (see that module for why).
 
 Fault tolerance
@@ -61,7 +56,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -80,7 +75,6 @@ from repro.core.trainer import (
 from repro.data.split import CrossingCitySplit
 from repro.nn.backend import active_backend as _xp
 from repro.nn.dtypes import set_default_dtype, using_dtype
-from repro.nn.optim import Adam
 from repro.obs.metrics import MetricsRegistry, exponential_buckets
 from repro.obs.telemetry import Telemetry, span as _span
 from repro.parallel.supervisor import (
@@ -91,11 +85,7 @@ from repro.parallel.supervisor import (
     WorkerSupervisor,
 )
 from repro.perf.config import PerfConfig
-from repro.perf.transport import (
-    GradientLayout,
-    ShmTransport,
-    WorkerTransportClient,
-)
+from repro.perf.transport import ShmTransport, WorkerTransportClient
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guards import GradientGuard, TrainingDiverged
 from repro.utils.blas import limit_blas_threads
@@ -152,24 +142,27 @@ def _interaction_batch_stream(trainer: STTransRecTrainer):
 
 
 def _replica_grads(model, users: np.ndarray, pois: np.ndarray,
-                   labels: np.ndarray
-                   ) -> Tuple[Dict[str, Optional[np.ndarray]], float]:
-    """One replica's step: the interaction loss's gradient.
+                   labels: np.ndarray, out: np.ndarray) -> float:
+    """One replica's step: the interaction loss's gradient, into ``out``.
 
-    Returns ``({parameter name: gradient}, loss)`` for the oracle's
-    ``bce_with_logits(interaction_logits(model, users, pois), labels)``
-    (``tests/oracle``) in the model's current mode, with the bits its
-    tape backward gives
-    (``tests/test_parallel_equivalence.py::TestReplicaStep``):
-    the user, POI and ``poi_bias`` rows scattered as the joint trainer
+    ``out`` is a flat vector in the layout of the model's parameter
+    store (its gradient buffer, or a worker's shared-memory slot).  It
+    receives the gradient of the oracle's ``bce_with_logits(
+    interaction_logits(model, users, pois), labels)`` (``tests/oracle``)
+    in the model's current mode, with the bits its tape backward gives
+    (``tests/test_parallel_equivalence.py::TestReplicaStep``): the
+    user, POI and ``poi_bias`` rows scattered as the joint trainer
     scatters them, the tower's gradients as computed.  The word table
-    is not reached, so its gradient is ``None`` (packed as zeros).
+    is not reached, so its part is written as zeros.  Returns the loss.
     """
     step = InteractionBCE(model, users, pois, labels)
     grads = _Grads()
     grads.add_interaction(model, step, _xp().ones_like(step.loss))
-    return ({name: grads.value(p) for name, p in model.named_parameters()},
-            float(step.loss))
+    store = model.parameter_store()
+    for p, view in zip(store.params, store.layout.views(out)):
+        if grads.value(p, out=view) is None:
+            view[...] = 0.0
+    return float(step.loss)
 
 
 def _worker_loop(pipe, split, config, worker_seed: int,
@@ -181,10 +174,10 @@ def _worker_loop(pipe, split, config, worker_seed: int,
                  wake: Optional[StepWake] = None) -> None:
     """Worker process: recompute gradients for each parameter broadcast.
 
-    Protocol: the master sends ``(step, state_dict)`` per training step
+    Protocol: the master sends ``(step, params)`` per training step
     and ``None`` to shut down; the worker replies ``(grads, loss,
-    telemetry)`` where ``grads`` is one flat vector in parameter order
-    (see :class:`~repro.perf.transport.GradientLayout`) and
+    telemetry)`` where ``params`` and ``grads`` are flat vectors in the
+    layout of the model's :class:`~repro.nn.store.ParameterStore` and
     ``telemetry`` names the worker/incarnation and carries a cumulative
     :class:`~repro.obs.metrics.MetricsRegistry` snapshot (per-step
     compute-time histogram and step counter).  Because snapshots are
@@ -201,7 +194,7 @@ def _worker_loop(pipe, split, config, worker_seed: int,
     arrives through ``wake`` (a :class:`~repro.parallel.supervisor.
     StepWake`) rather than the pipe: parameters are read from the params
     block and the reply is sent as ``(None, loss, telemetry)`` after the
-    gradient is written to this worker's slot.  The pipe ordering makes
+    gradient is written into this worker's slot.  The pipe ordering makes
     the slot handoff race-free (see :mod:`repro.perf.transport`).
     """
     limit_blas_threads()
@@ -215,15 +208,10 @@ def _worker_loop(pipe, split, config, worker_seed: int,
     trainer = STTransRecTrainer(split, worker_config)
     model = trainer.model
     model.train()
-    params = dict(model.named_parameters())
+    store = model.parameter_store()
     transport = None
-    layout = transport_layout
     if transport_layout is not None:
         transport = WorkerTransportClient(transport_layout, worker_id)
-    else:
-        layout = GradientLayout.build(
-            [(name, p.data.shape, str(p.data.dtype))
-             for name, p in params.items()])
     stream = _interaction_batch_stream(trainer)
     registry = MetricsRegistry()
     step_hist = registry.histogram("worker.step_time_ms",
@@ -239,14 +227,13 @@ def _worker_loop(pipe, split, config, worker_seed: int,
         if message is None:
             pipe.close()
             return
-        step, state = message
+        step, params = message
         started = time.perf_counter()
-        if state is None:
-            # Copied straight out of the block: the master rewrites it
-            # only after this step's reply.
-            state = transport.read_params(copy=False)
-        for name in state:
-            params[name].data[...] = state[name]
+        # The master rewrites the params block only after this step's
+        # reply, so it is copied out without an intermediate.
+        store.data[...] = (transport.params_vector() if params is None
+                           else params)
+        params = None
         while consumed < step:          # fast-forward after respawn/resume
             next(stream)
             consumed += 1
@@ -255,9 +242,9 @@ def _worker_loop(pipe, split, config, worker_seed: int,
         if fault_plan is not None:
             fault_plan.execute_pre_step(worker_id, step)
         _reseed_dropout(model, worker_seed, step)
-        grads, loss = _replica_grads(model, users, pois, labels)
-        flat = transport.write_grads(grads) if transport is not None \
-            else layout.pack_grads(grads)
+        flat = (transport.grad_vector() if transport is not None
+                else store.grad)
+        loss = _replica_grads(model, users, pois, labels, flat)
         if fault_plan is not None and \
                 fault_plan.wants_nan_gradients(worker_id, step):
             flat.fill(np.nan)
@@ -268,7 +255,7 @@ def _worker_loop(pipe, split, config, worker_seed: int,
         reply = (None if transport is not None else flat, loss, telemetry)
         # Views of the shared blocks must not outlive the client that
         # maps them, or its close at exit fails.
-        state = flat = None
+        flat = None
         try:
             pipe.send(reply)
         except (BrokenPipeError, OSError):
@@ -331,10 +318,7 @@ class DataParallelTrainer:
         with using_dtype(self.perf.precision):
             self._master = STTransRecTrainer(split, config)
             self.model = self._master.model
-            self._params = dict(self.model.named_parameters())
-            self.optimizer = Adam(list(self._params.values()),
-                                  lr=config.learning_rate,
-                                  weight_decay=config.weight_decay)
+            self.optimizer = self._master.optimizer
         self._examples_per_epoch = self._count_epoch_examples()
         self._guard = GradientGuard()
         self._global_step = 0
@@ -343,9 +327,6 @@ class DataParallelTrainer:
         self._supervisor: Optional[WorkerSupervisor] = None
         self._local_stream = None
         self._transport: Optional[ShmTransport] = None
-        self._layout = GradientLayout.build(
-            [(name, p.data.shape, str(p.data.dtype))
-             for name, p in self._params.items()])
         if num_workers > 1:
             self._transport = self._create_transport()
             self._supervisor = WorkerSupervisor(
@@ -365,10 +346,9 @@ class DataParallelTrainer:
         """
         if self.perf.transport == "pipe":
             return None
-        specs = [(slot.name, slot.shape, slot.dtype)
-                 for slot in self._layout.slots]
         try:
-            return ShmTransport(specs, self.num_workers)
+            return ShmTransport(self.optimizer.store.layout,
+                                self.num_workers)
         except Exception as exc:
             if self.perf.transport == "shm":
                 raise
@@ -418,23 +398,22 @@ class DataParallelTrainer:
         The average runs over however many finite contributions arrived,
         so a degraded replica set still yields an unbiased update.
 
-        Every contribution is one flat vector in parameter order: one
-        ``isfinite`` pass guards it, one stack-mean averages the usable
-        ones (elementwise, so bit-identical to averaging parameter by
-        parameter), and each ``param.grad`` becomes a view of the mean,
-        which lets Adam step the whole vector at once.
+        Every contribution is one flat vector in the parameter store's
+        layout: one ``isfinite`` pass guards it, and one stack-mean
+        averages the usable ones into the store's gradient buffer
+        (elementwise, so bit-identical to averaging parameter by
+        parameter), which Adam steps whole.
         """
         step = self._global_step
         tel = self.telemetry
         transport = self._transport
+        store = self.optimizer.store.fresh()
         with _span(tel, "broadcast"):
             if transport is not None:
-                transport.write_params(
-                    {name: p.data for name, p in self._params.items()})
+                transport.write_params_vector(store.data)
                 payload = (step, None)
             else:
-                payload = (step,
-                           {name: p.data for name, p in self._params.items()})
+                payload = (step, store.data)
             expected = self._supervisor.broadcast(payload, step)
         with _span(tel, "gather"):
             replies = self._supervisor.gather(expected, step)
@@ -448,7 +427,7 @@ class DataParallelTrainer:
                     and telemetry is not None:
                 grads = transport.read_grads(telemetry["worker"])
             if grads is not None and np.isfinite(loss) \
-                    and self._guard.check(grads, loss, self._layout):
+                    and self._guard.check(grads, loss, store.layout):
                 usable.append(grads)
                 losses.append(loss)
             else:
@@ -461,14 +440,15 @@ class DataParallelTrainer:
             faults.record(f"step {step} skipped: no usable gradients")
             return None
         with _span(tel, "apply"):
-            self._apply(np.stack(usable).mean(axis=0))
+            np.stack(usable).mean(axis=0, out=store.grad)
+            self._apply(store)
         return float(np.mean(losses))
 
-    def _apply(self, flat: np.ndarray) -> None:
-        """One Adam step over a flat gradient vector: each
-        ``param.grad`` becomes a view of it, so Adam fuses the step."""
-        for slot, param in zip(self._layout.slots, self._params.values()):
-            param.grad = slot.view(flat)
+    def _apply(self, store) -> None:
+        """One Adam step over the store's gradient buffer: each
+        ``param.grad`` is its view there, so Adam steps it whole."""
+        for param, grad in zip(store.params, store.grads):
+            param.grad = grad
         self.optimizer.step()
         self.optimizer.zero_grad()
 
@@ -481,19 +461,19 @@ class DataParallelTrainer:
                     time.sleep(fault.seconds)
         users, pois, labels = next(self._local_stream)
         _reseed_dropout(self.model, self.config.seed, step)
-        grads, loss = _replica_grads(self.model, users, pois, labels)
-        flat = self._layout.pack_grads(grads)
+        store = self.optimizer.store.fresh()
+        loss = _replica_grads(self.model, users, pois, labels, store.grad)
         if self.fault_plan is not None and \
                 self.fault_plan.wants_nan_gradients(0, step):
-            flat.fill(np.nan)
-        if not self._guard.check(flat, loss, self._layout):
+            store.grad.fill(np.nan)
+        if not self._guard.check(store.grad, loss, store.layout):
             faults.nonfinite_contributions += 1
             faults.skipped_steps += 1
             faults.record(
                 f"step {step} skipped: non-finite "
                 f"{self._guard.last_bad_names[:3]}")
             return None
-        self._apply(flat)
+        self._apply(store)
         if self.telemetry is not None:
             self.telemetry.histogram(
                 "worker.step_time_ms", bounds=_STEP_TIME_BUCKETS_MS,
@@ -683,8 +663,7 @@ class DataParallelTrainer:
             raise ValueError(
                 "checkpoint entity index does not match the training "
                 "split; resume requires the same dataset")
-        for name, value in model.state_dict().items():
-            self._params[name].data[...] = value
+        self.model.load_state_dict(model.state_dict())
         self.optimizer.load_state_dict(tstate.optimizer_state)
         self._global_step = tstate.global_step
         self._epochs_completed = tstate.epochs_completed

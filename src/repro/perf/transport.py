@@ -1,25 +1,20 @@
 """Shared-memory gradient transport for the data-parallel trainer.
 
-The seed protocol pickled a full parameter ``state_dict`` to every
-worker and a full gradient dict back from every worker, every step —
-two serialization passes plus pipe copies over megabytes of float64 per
-replica.  This module replaces the *bulk* payloads with preallocated
+Pickling every parameter to every worker and every gradient back, each
+step, costs two serialization passes plus pipe copies per replica.
+This module moves the *bulk* payloads through preallocated
 ``multiprocessing.shared_memory`` blocks described by a one-time
-:class:`GradientLayout` manifest:
+:class:`~repro.nn.store.GradientLayout` manifest — for training, the
+layout of the model's :class:`~repro.nn.store.ParameterStore`:
 
-* one **params block** — the master writes current parameter values
-  before each broadcast; workers copy them out when woken for a step;
-* one **gradient block per worker slot** — each worker writes its
-  step's gradient into its own slot; the master reads a slot only
-  after that worker's pipe reply arrives.
-
-Both kinds of block share one layout: every parameter, in parameter
-order, densely packed.  A gradient slot is therefore **one flat vector**
-— the fused buffer TensorFlow's all-reduce exchanges — and the master
-guards, averages and Adam-steps it as a single array instead of one
-small tensor at a time.  A parameter the step never touched is written
-as zeros.  The broadcast already moves every parameter every step, so
-the gradient bytes per step are the same as the broadcast's.
+* one **params block**, one flat vector: the master copies its store's
+  data into it before each broadcast, and each worker copies it into
+  its own store when woken for a step;
+* one **gradient block per worker slot**, one flat vector: each worker
+  writes its step's gradient straight into its slot (a parameter the
+  step never touched as zeros); the master reads a slot only after
+  that worker's pipe reply arrives, and guards, averages and
+  Adam-steps it as a single array.
 
 The existing pipe stays as the control channel: workers reply ``(None,
 loss, telemetry)``, so all supervision semantics (deadlines, crash/hang
@@ -45,124 +40,33 @@ segment through a read-only ``memoryview``, so every array view handed
 out is non-writeable at the numpy level — a buggy shard that assigns
 into a parameter raises ``ValueError`` instead of corrupting the block
 every other shard serves from — and :meth:`~WorkerTransportClient.
-write_grads` raises :class:`ReadOnlyTransportError` outright.
+grad_vector` raises :class:`ReadOnlyTransportError` outright.
 ``read_params(copy=False)`` returns zero-copy views, which is what
 lets N shard processes share a single physical copy of the
 user/POI embedding tables.  A params-only block may mix dtypes (the
-serving state carries int64 catalogue ids); gradient slots need one
-dtype, since a slot is a single vector.
+serving state carries int64 catalogue ids; the fleet builds its own
+layout for it and writes it by name); gradient slots need one dtype,
+since a slot is a single vector.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.nn.store import GradientLayout
 from repro.utils.logging import get_logger
+
+__all__ = ["GradientLayout", "ReadOnlyTransportError", "ShmTransport",
+           "WorkerTransportClient"]
 
 logger = get_logger("perf.transport")
 
 
 class ReadOnlyTransportError(RuntimeError):
     """A write was attempted through a read-only transport attachment."""
-
-
-@dataclass(frozen=True)
-class ParamSlot:
-    """Where one parameter sits in the params block and each grad slot."""
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-    offset: int                 # bytes from the start of the block
-    size: int                   # elements
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * np.dtype(self.dtype).itemsize
-
-    @property
-    def start(self) -> int:
-        """First element of this parameter in a flat vector."""
-        return self.offset // np.dtype(self.dtype).itemsize
-
-    def view(self, flat: np.ndarray) -> np.ndarray:
-        """This parameter's part of a flat vector, in its own shape."""
-        return flat[self.start:self.start + self.size].reshape(self.shape)
-
-
-@dataclass(frozen=True)
-class GradientLayout:
-    """One-time manifest describing both kinds of shared block.
-
-    Pickled to every worker at spawn; contains byte offsets only (plus
-    the segment names), so attaching is a pure ``numpy.frombuffer``
-    view construction with zero per-step negotiation.
-    """
-
-    slots: Tuple[ParamSlot, ...]
-    nbytes: int
-    params_name: str = ""
-    grad_names: Tuple[str, ...] = ()
-
-    @staticmethod
-    def build(param_specs: Sequence[Tuple[str, Tuple[int, ...], str]]
-              ) -> "GradientLayout":
-        slots: List[ParamSlot] = []
-        offset = 0
-        for name, shape, dtype in param_specs:
-            size = int(np.prod(shape, dtype=np.int64))
-            slots.append(ParamSlot(name, tuple(shape), str(np.dtype(dtype)),
-                                   offset, size))
-            offset += slots[-1].nbytes
-        return GradientLayout(slots=tuple(slots), nbytes=offset)
-
-    def with_names(self, params_name: str,
-                   grad_names: Sequence[str]) -> "GradientLayout":
-        return GradientLayout(self.slots, self.nbytes,
-                              params_name, tuple(grad_names))
-
-    @functools.cached_property
-    def dtype(self) -> np.dtype:
-        """The one dtype of a flat gradient vector."""
-        dtypes = {slot.dtype for slot in self.slots}
-        if len(dtypes) != 1:
-            raise ValueError(
-                f"a flat gradient vector needs one dtype, got "
-                f"{sorted(dtypes)}")
-        return np.dtype(dtypes.pop())
-
-    @functools.cached_property
-    def size(self) -> int:
-        """Elements of a flat gradient vector."""
-        return sum(slot.size for slot in self.slots)
-
-    def pack_grads(self, grads: Mapping[str, Optional[np.ndarray]],
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Write ``{name: grad}`` into one flat vector in parameter order.
-
-        A missing or ``None`` gradient is written as zeros.  ``out`` is
-        filled in place when given.
-        """
-        if out is None:
-            out = np.empty(self.size, dtype=self.dtype)
-        for slot in self.slots:
-            grad = grads.get(slot.name)
-            dst = slot.view(out)
-            if grad is None:
-                dst[...] = 0.0
-            else:
-                dst[...] = grad
-        return out
-
-    def nonfinite_names(self, flat: np.ndarray) -> List[str]:
-        """Names of the parameters whose part of ``flat`` is not finite."""
-        return [slot.name for slot in self.slots
-                if not np.isfinite(slot.view(flat)).all()]
 
 
 class ShmTransport:
@@ -173,12 +77,9 @@ class ShmTransport:
     shape — many readers, one writer, nothing flowing back.
     """
 
-    def __init__(self,
-                 param_specs: Sequence[Tuple[str, Tuple[int, ...], str]],
-                 num_slots: int) -> None:
+    def __init__(self, layout: GradientLayout, num_slots: int) -> None:
         if num_slots < 0:
             raise ValueError(f"num_slots must be >= 0, got {num_slots}")
-        layout = GradientLayout.build(param_specs)
         if num_slots:
             layout.dtype                # grad slots need one dtype
         self._params_shm = shared_memory.SharedMemory(
@@ -197,12 +98,17 @@ class ShmTransport:
         self._closed = False
 
     # -- master side ----------------------------------------------------
-    def write_params(self, state: Dict[str, np.ndarray]) -> None:
+    def write_params(self, state: Mapping[str, np.ndarray]) -> None:
+        """Write ``{name: array}`` into the params block, by name."""
         buf = self._params_shm.buf
         for slot in self.layout.slots:
             view = np.frombuffer(buf, dtype=slot.dtype, count=slot.size,
                                  offset=slot.offset)
             view[...] = state[slot.name].reshape(-1)
+
+    def write_params_vector(self, flat: np.ndarray) -> None:
+        """Copy one flat parameter vector into the params block."""
+        self.layout.vector(self._params_shm.buf)[...] = flat
 
     def read_grads(self, slot_index: int) -> np.ndarray:
         """One worker's flat gradient vector, as a zero-copy view.
@@ -210,8 +116,7 @@ class ShmTransport:
         Valid until the next broadcast: the worker rewrites its slot
         only after it is woken for the following step.
         """
-        return np.frombuffer(self._grad_shms[slot_index].buf,
-                             dtype=self.layout.dtype, count=self.layout.size)
+        return self.layout.vector(self._grad_shms[slot_index].buf)
 
     def close(self) -> None:
         """Release and unlink both blocks (idempotent; master only)."""
@@ -262,7 +167,7 @@ class WorkerTransportClient:
         Serving-consumer mode: the params block is mapped through a
         read-only ``memoryview``, so every view handed out by
         :meth:`read_params` is non-writeable (assignment raises
-        ``ValueError``), and :meth:`write_grads` raises
+        ``ValueError``), and :meth:`grad_vector` raises
         :class:`ReadOnlyTransportError`.  A slot cannot be claimed in
         this mode — a reader has nothing to write.
     """
@@ -314,17 +219,18 @@ class WorkerTransportClient:
             out[slot.name] = view.copy() if copy else view
         return out
 
-    def write_grads(self, grads: Mapping[str, Optional[np.ndarray]]
-                    ) -> np.ndarray:
-        """Pack ``{name: grad}`` into this worker's slot; returns the slot
-        vector (see :meth:`GradientLayout.pack_grads`)."""
+    def params_vector(self) -> np.ndarray:
+        """The params block as one flat vector, zero-copy."""
+        return self.layout.vector(self._params_buf())
+
+    def grad_vector(self) -> np.ndarray:
+        """This worker's gradient slot as one flat vector, zero-copy:
+        the replica writes its gradient straight into it."""
         if self._grad_shm is None:
             raise ReadOnlyTransportError(
                 "cannot write gradients through a read-only "
                 "(params-only) transport attachment")
-        slot = np.frombuffer(self._grad_shm.buf, dtype=self.layout.dtype,
-                             count=self.layout.size)
-        return self.layout.pack_grads(grads, out=slot)
+        return self.layout.vector(self._grad_shm.buf)
 
     def close(self) -> None:
         # BufferError: zero-copy views (read_params(copy=False)) may

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.nn.backend import active_backend as _xp
 from repro.nn.dtypes import coerce
+from repro.utils.validation import check_ids
 
 
 class SkipgramBatch:
@@ -42,6 +43,9 @@ class SkipgramBatch:
                  neg_word_idx: np.ndarray) -> None:
         xp = _xp()
         neg_word_idx = np.asarray(neg_word_idx)
+        check_ids("poi_idx", poi_idx, poi_table.shape[0])
+        check_ids("pos_word_idx", pos_word_idx, word_table.shape[0])
+        check_ids("neg_word_idx", neg_word_idx, word_table.shape[0])
         batch, k = neg_word_idx.shape
         self.poi_idx = poi_idx
         self.pos_word_idx = pos_word_idx

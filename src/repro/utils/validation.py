@@ -1,12 +1,16 @@
 """Argument validation helpers shared across the library.
 
-All helpers raise ``ValueError`` with a message naming the offending
-parameter, which keeps constructor bodies flat and error messages uniform.
+The scalar helpers raise ``ValueError`` with a message naming the
+offending parameter, which keeps constructor bodies flat and error
+messages uniform; :func:`check_ids` raises ``IndexError``, as indexing
+does.
 """
 
 from __future__ import annotations
 
 from typing import Union
+
+import numpy as np
 
 Number = Union[int, float]
 
@@ -37,3 +41,12 @@ def check_in_range(name: str, value: Number, low: Number, high: Number) -> Numbe
     if not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
     return value
+
+
+def check_ids(name: str, ids: np.ndarray, num_rows: int) -> None:
+    """Require every id in ``[0, num_rows)``: the passes gather table
+    rows with ``take``, which would wrap a negative id silently."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_rows):
+        raise IndexError(f"{name} out of range [0, {num_rows}): "
+                         f"min={ids.min()}, max={ids.max()}")

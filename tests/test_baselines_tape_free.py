@@ -224,3 +224,11 @@ class TestSHCDLTapeFree:
         for attr in ("_poi_latents", "_user_factors", "_city_factors",
                      "_poi_bias"):
             _bytes_equal(getattr(got, attr), getattr(want, attr), attr)
+
+    def test_f32_policy_covers_every_array(self, tiny_split):
+        """Under f32 the POI features, hence the latents, and the POI
+        bias follow the policy, so one Adam store holds each stage."""
+        fitted = _shcdl_fit(tiny_split, "f32")
+        for attr in ("_poi_latents", "_user_factors", "_city_factors",
+                     "_poi_bias"):
+            assert getattr(fitted, attr).dtype == np.float32, attr

@@ -204,3 +204,51 @@ class TestFormatV2:
 
         _m, _i, state = load_training_checkpoint(path)
         assert state is not None
+
+
+def _rewrite_config(path, **fields):
+    """Set manifest config ``fields`` in a saved checkpoint."""
+    import json
+
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    manifest = json.loads(bytes(arrays["__manifest__"]).decode("utf-8"))
+    manifest["config"].update(fields)
+    arrays["__manifest__"] = np.frombuffer(
+        json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+class TestRemovedTowerDecay:
+    """Files written while the config had ``tower_weight_decay`` store
+    it (null unless set): null loads, a value is refused."""
+
+    def test_null_field_serves_and_resumes(self, tiny_split, tmp_path):
+        from repro.parallel.data_parallel import DataParallelTrainer
+
+        path, legacy = tmp_path / "v3.npz", tmp_path / "legacy.npz"
+        with DataParallelTrainer(tiny_split, fast_config()) as trainer:
+            trainer.train(epochs=1, checkpoint_every=1,
+                          checkpoint_path=path)
+        legacy.write_bytes(path.read_bytes())
+        _rewrite_config(legacy, tower_weight_decay=None)
+
+        model, index = load_checkpoint(legacy)
+        recommender = Recommender(model, index, tiny_split.train,
+                                  tiny_split.target_city)
+        user = tiny_split.test_users[0]
+        assert len(recommender.recommend(user, k=3)) == 3
+
+        finals = []
+        for source in (path, legacy):
+            with DataParallelTrainer(tiny_split, fast_config()) as trainer:
+                trainer.train(epochs=2, resume_from=source)
+                finals.append(trainer.optimizer.store.data.tobytes())
+        assert finals[0] == finals[1]
+
+    def test_set_field_is_refused(self, trained, tmp_path):
+        path = tmp_path / "decay.npz"
+        save_checkpoint(trained.model, trained.index, path)
+        _rewrite_config(path, tower_weight_decay=1e-4)
+        with pytest.raises(ValueError, match="tower_weight_decay=0.0001"):
+            load_checkpoint(path)

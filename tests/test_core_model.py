@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import STTransRecConfig
-from repro.core.model import STTransRec
+from repro.core.model import InteractionBCE, STTransRec, UserSideBPR
+from repro.core.trainer import _AnchorTerm
+from repro.text.skipgram import SkipgramBatch
 from tests.oracle import (
     interaction_logits,
     poi_embedding_batch,
@@ -89,3 +91,50 @@ class TestEmbeddingAccess:
 
     def test_repr(self, model):
         assert "STTransRec" in repr(model)
+
+
+def _pair(bad):
+    return np.array([0, bad])
+
+
+# Each pass's entry, with ``bad`` in one id array: (table rows, call).
+_ENTRIES = {
+    "interaction-users": (6, lambda m, bad: InteractionBCE(
+        m, _pair(bad), np.array([0, 1]), np.array([1.0, 0.0]))),
+    "interaction-pois": (10, lambda m, bad: InteractionBCE(
+        m, np.array([0, 1]), _pair(bad), np.array([1.0, 0.0]))),
+    "anchor-users": (6, lambda m, bad: _AnchorTerm(
+        m, np.zeros((6, 8)), _pair(bad))),
+    "skipgram-pois": (10, lambda m, bad: SkipgramBatch(
+        m.poi_embeddings.weight.data, m.word_embeddings.weight.data,
+        _pair(bad), np.array([0, 1]), np.array([[0], [1]]))),
+    "skipgram-pos-words": (12, lambda m, bad: SkipgramBatch(
+        m.poi_embeddings.weight.data, m.word_embeddings.weight.data,
+        np.array([0, 1]), _pair(bad), np.array([[0], [1]]))),
+    "skipgram-neg-words": (12, lambda m, bad: SkipgramBatch(
+        m.poi_embeddings.weight.data, m.word_embeddings.weight.data,
+        np.array([0, 1]), np.array([0, 1]), _pair(bad)[:, None])),
+    "bpr-users": (6, lambda m, bad: UserSideBPR(
+        m, _pair(bad), np.array([0, 1]))),
+    "bpr-pos": (10, lambda m, bad: UserSideBPR(
+        m, np.array([0, 1]), _pair(bad))),
+    "bpr-neg": (10, lambda m, bad: UserSideBPR(
+        m, np.array([0, 1]), np.array([0, 1])).grads(_pair(bad))),
+}
+
+
+class TestIdRange:
+    """The passes gather with ``take``, which wraps negative ids; each
+    checks its id arrays where it enters instead."""
+
+    @pytest.mark.parametrize("edge", ["negative", "num_rows"])
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_out_of_range_ids_raise(self, model, entry, edge):
+        rows, call = _ENTRIES[entry]
+        with pytest.raises(IndexError, match=f"out of range \\[0, {rows}\\)"):
+            call(model, -1 if edge == "negative" else rows)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_last_row_is_in_range(self, model, entry):
+        rows, call = _ENTRIES[entry]
+        call(model, rows - 1)

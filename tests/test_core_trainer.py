@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.config import STTransRecConfig
 from repro.core.trainer import EpochStats, STTransRecTrainer
+from repro.nn.backend import ArrayBackend
 from repro.nn.dtypes import using_dtype
-from repro.nn.optim import Adam
 from tests.oracle import (
     Tensor,
     bce_with_logits,
@@ -352,10 +352,6 @@ def full_graph_skipgram(trainer, epochs):
             user_emb[u] = poi_emb[rows].mean(axis=0)
 
 
-def _optimizers(trainer):
-    return getattr(trainer.optimizer, "optimizers", [trainer.optimizer])
-
-
 def _stats_fields(stats):
     fields = dataclasses.asdict(stats)
     del fields["seconds"]              # wall clock
@@ -379,12 +375,11 @@ def assert_same_training(split, config):
                                  ref.model.named_parameters()):
         assert p.data.dtype == q.data.dtype
         assert p.data.tobytes() == q.data.tobytes(), name
-    for mine, theirs in zip(_optimizers(got), _optimizers(ref)):
-        a, b = mine.state_dict(), theirs.state_dict()
-        assert a["step_count"] == b["step_count"] > 0
-        for key in ("m", "v"):
-            for x, y in zip(a[key], b[key]):
-                assert x.tobytes() == y.tobytes(), key
+    a, b = got.optimizer.state_dict(), ref.optimizer.state_dict()
+    assert a["step_count"] == b["step_count"] > 0
+    for key in ("m", "v"):
+        for x, y in zip(a[key], b[key]):
+            assert x.tobytes() == y.tobytes(), key
     return got
 
 
@@ -413,9 +408,8 @@ class TestTapeFreeStep:
 
     @pytest.mark.parametrize("overrides", [
         dict(use_text=False), dict(use_mmd=False), dict(user_anchor=0.0),
-        dict(dropout=0.0), dict(tower_weight_decay=1e-4)],
-        ids=["no-text", "no-mmd", "no-anchor", "no-dropout",
-             "tower-decay"])
+        dict(dropout=0.0)],
+        ids=["no-text", "no-mmd", "no-anchor", "no-dropout"])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_switches_bit_identical(self, tiny_split, precision, overrides):
         with using_dtype(precision):
@@ -446,13 +440,17 @@ class TestTapeFreeStep:
     def test_joint_step_takes_the_fused_adam_path(self, tiny_split,
                                                   monkeypatch):
         trainer = STTransRecTrainer(tiny_split, matrix_config())
+        store = trainer.optimizer.store
+        assert store is trainer.model.parameter_store()
         fused = []
-        real = Adam._step_fused
-        monkeypatch.setattr(Adam, "_step_fused",
-                            lambda self, *a: fused.append(1) or
-                            real(self, *a))
+        real = ArrayBackend.adam_update
+        monkeypatch.setattr(
+            ArrayBackend, "adam_update",
+            lambda self, m, v, grad, *a, **k: fused.append(
+                grad is store.grad) or real(self, m, v, grad, *a, **k))
         trainer.train_epoch()
-        assert fused and len(fused) == trainer.optimizer._step_count
+        assert fused == [True] * trainer.optimizer._step_count
+        assert fused
 
     def test_fit_never_builds_a_graph(self, tiny_split, monkeypatch):
         def refuse(self, grad=None):

@@ -1,8 +1,11 @@
 """Optimizer tests: convergence, weight decay, state, fused steps."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.nn.backend import ArrayBackend
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
 
@@ -120,13 +123,17 @@ def _grad_vectors(steps, dtype=np.float64, seed=1):
     return [row.copy() for row in vectors]
 
 
-def _set_grads(params, flat, tiled: bool):
-    """Point every ``p.grad`` at its part of ``flat`` (views when tiled,
-    private copies otherwise)."""
+def _set_grads(params, flat, store=None):
+    """Give every ``p.grad`` its part of ``flat``: written into its view
+    of ``store``'s gradient buffer when given, else a private copy."""
     start = 0
-    for p in params:
+    for i, p in enumerate(params):
         part = flat[start:start + p.data.size].reshape(p.data.shape)
-        p.grad = part if tiled else part.copy()
+        if store is None:
+            p.grad = part.copy()
+        else:
+            p.grad = store.grads[i]
+            p.grad[...] = part
         start += p.data.size
 
 
@@ -134,79 +141,123 @@ def _bytes(arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
+@contextlib.contextmanager
+def _fused_calls(store):
+    """Record, per ``adam_update`` call, whether it stepped ``store``'s
+    whole gradient buffer (the fused path)."""
+    calls = []
+    real = ArrayBackend.adam_update
+
+    def spy(self, m, v, grad, *args, **kwargs):
+        calls.append(grad is store.grad)
+        return real(self, m, v, grad, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ArrayBackend, "adam_update", spy)
+        yield calls
+
+
 class TestFusedAdam:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
     def test_fused_step_byte_equal_to_per_parameter(self, dtype,
                                                     weight_decay):
+        """One ``adam_update`` over the store, with the gradients in its
+        buffer or copied in from private arrays, gives the bytes of one
+        Adam per parameter."""
+        vectors = _grad_vectors(5, dtype)
         runs = {}
-        for tiled in (True, False):
+        for in_store in (True, False):
             params = _params(dtype=dtype)
             opt = Adam(params, lr=1e-2, weight_decay=weight_decay)
-            fused = []
-            original = opt._step_fused
-            opt._step_fused = lambda *a: (fused.append(1), original(*a))
-            for flat in _grad_vectors(5, dtype):
-                _set_grads(params, flat, tiled)
-                opt.step()
-            assert len(fused) == (5 if tiled else 0)
+            with _fused_calls(opt.store) as fused:
+                for flat in vectors:
+                    _set_grads(params, flat,
+                               opt.store if in_store else None)
+                    opt.step()
+            assert fused == [True] * 5
             state = opt.state_dict()
-            runs[tiled] = (_bytes(p.data for p in params),
-                           _bytes(state["m"]), _bytes(state["v"]))
-        assert runs[True] == runs[False]
+            runs[in_store] = (_bytes(p.data for p in params),
+                              _bytes(state["m"]), _bytes(state["v"]))
+        params = _params(dtype=dtype)
+        single = [Adam([p], lr=1e-2, weight_decay=weight_decay)
+                  for p in params]
+        for flat in vectors:
+            _set_grads(params, flat)
+            for opt in single:
+                opt.step()
+        states = [opt.state_dict() for opt in single]
+        per_parameter = (_bytes(p.data for p in params),
+                         _bytes(s["m"][0] for s in states),
+                         _bytes(s["v"][0] for s in states))
+        assert runs[True] == runs[False] == per_parameter
 
     def test_moments_are_views_of_one_buffer(self):
         params = _params()
         opt = Adam(params)
-        for m, v, p in zip(opt._m, opt._v, params):
-            assert m.base is opt._m_flat and v.base is opt._v_flat
+        start = 0
+        for m, v, p in zip(opt._m_views, opt._v_views, params):
+            assert m.base is opt._m and v.base is opt._v
             assert m.shape == p.data.shape
+            assert p.data.base is opt.store.data
+            assert np.shares_memory(p.data, opt.store.data[start:])
+            start += p.data.size
+        assert opt._m.shape == opt.store.data.shape
 
-    def test_out_of_order_views_take_the_per_parameter_path(self):
-        params = _params()
-        opt = Adam(params)
-        flat = _grad_vectors(1)[0]
-        _set_grads(params, flat, tiled=True)
-        params[0].grad, params[1].grad = \
-            params[0].grad.copy(), params[1].grad.copy()
-        assert opt._tiled_grad() is None
-        _set_grads(params, flat, tiled=True)
-        assert opt._tiled_grad() is flat
+    def test_unreached_parameter_keeps_its_moments(self):
+        """A partial step updates only the reached parameters' slices:
+        the same bytes as stepping those alone."""
+        params, alone = _params(), _params()
+        opt = Adam(params, lr=1e-2, weight_decay=1e-3)
+        solo = Adam(alone[1:], lr=1e-2, weight_decay=1e-3)
+        untouched = params[0].data.copy()
+        with _fused_calls(opt.store) as fused:
+            for flat in _grad_vectors(3):
+                _set_grads(params, flat, opt.store)
+                _set_grads(alone, flat)
+                params[0].grad = alone[0].grad = None
+                opt.step()
+                solo.step()
+        assert fused and True not in fused
+        assert params[0].data.tobytes() == untouched.tobytes()
+        assert not opt.state_dict()["m"][0].any()
+        assert _bytes(p.data for p in params[1:]) == \
+            _bytes(p.data for p in alone[1:])
+        assert _bytes(opt.state_dict()["v"][1:]) == \
+            _bytes(solo.state_dict()["v"])
 
     def test_state_dict_round_trip_keeps_fused_resume_bit_exact(self):
         vectors = _grad_vectors(6)
         params = _params()
         opt = Adam(params, lr=1e-2, weight_decay=1e-3)
         for flat in vectors[:3]:
-            _set_grads(params, flat, tiled=True)
+            _set_grads(params, flat, opt.store)
             opt.step()
         saved = opt.state_dict()
         saved_params = [p.data.copy() for p in params]
         for flat in vectors[3:]:
-            _set_grads(params, flat, tiled=True)
+            _set_grads(params, flat, opt.store)
             opt.step()
 
         resumed = [Parameter(d.copy())
                    for d in saved_params]
         opt2 = Adam(resumed, lr=1e-2, weight_decay=1e-3)
         opt2.load_state_dict(saved)
-        for m in opt2._m:
-            assert m.base is opt2._m_flat     # loaded into the buffer
-        for flat in vectors[3:]:
-            _set_grads(resumed, flat, tiled=True)
-            opt2.step()
+        for m in opt2._m_views:
+            assert m.base is opt2._m          # loaded into the buffer
+        with _fused_calls(opt2.store) as fused:
+            for flat in vectors[3:]:
+                _set_grads(resumed, flat, opt2.store)
+                opt2.step()
+        assert fused == [True] * 3
         assert _bytes(p.data for p in resumed) == \
             _bytes(p.data for p in params)
         assert _bytes(opt2.state_dict()["m"]) == \
             _bytes(opt.state_dict()["m"])
 
-    def test_mixed_dtypes_keep_separate_moments(self):
+    def test_mixed_dtypes_are_refused(self):
         params = [Parameter(np.ones(3)),
                   Parameter(np.ones(2, dtype=np.float32))]
-        opt = Adam(params)
-        assert opt._m_flat is None
-        assert opt._m[1].dtype == np.float32
-        for p in params:
-            p.grad = np.ones_like(p.data)
-        opt.step()
-        assert np.all(params[0].data < 1.0)
+        with pytest.raises(ValueError,
+                           match="param0: float64, param1: float32"):
+            Adam(params)

@@ -18,7 +18,6 @@ from repro.parallel.data_parallel import (
     _replica_grads,
     _reseed_dropout,
 )
-from repro.perf.transport import GradientLayout
 
 from tests.oracle import Tensor, bce_with_logits, interaction_logits
 from tests.test_core_trainer import fast_config
@@ -39,14 +38,20 @@ def batch_gradients(model, users, pois, labels):
             for name, p in model.named_parameters()}
 
 
-def tape_replica_grads(model, users, pois, labels):
+def tape_replica_grads(model, users, pois, labels, out):
     """A replica's step through the autograd tape: the reference for the
-    trainer's tape-free ``_replica_grads``, with its signature."""
+    trainer's tape-free ``_replica_grads``, with its signature.  Writes
+    each parameter's gradient into its part of the flat vector ``out``,
+    in parameter order (zeros where the tape did not reach)."""
     model.zero_grad()
     loss = bce_with_logits(interaction_logits(model, users, pois), labels)
     loss.backward()
-    return ({name: p.grad for name, p in model.named_parameters()},
-            loss.item())
+    start = 0
+    for p in model.parameters():
+        part = out[start:start + p.data.size]
+        part[...] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        start += p.data.size
+    return loss.item()
 
 
 class TestGradientAveraging:
@@ -100,9 +105,7 @@ class TestReplicaStep:
             model = STTransRec(num_users=7, num_pois=9, num_words=5,
                                config=config)
             model.train()
-            layout = GradientLayout.build(
-                [(name, p.data.shape, str(p.data.dtype))
-                 for name, p in model.named_parameters()])
+            layout = model.parameter_store().layout
             rng = np.random.default_rng(3)
             users = rng.integers(0, 7, size=24)
             pois = rng.integers(0, 9, size=24)
@@ -110,8 +113,9 @@ class TestReplicaStep:
             runs = []
             for step in (_replica_grads, tape_replica_grads):
                 _reseed_dropout(model, 11, 4)
-                grads, loss = step(model, users, pois, labels)
-                runs.append((layout.pack_grads(grads), loss,
+                flat = np.full(layout.size, np.nan, dtype=layout.dtype)
+                loss = step(model, users, pois, labels, flat)
+                runs.append((flat, loss,
                              model.training_rng.bit_generator.state))
         (flat, loss, rng_after), (ref_flat, ref_loss, ref_rng_after) = runs
         assert flat.dtype == ref_flat.dtype == layout.dtype

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import repro.parallel.data_parallel as dp
-from repro.parallel.data_parallel import DataParallelTrainer
+from repro.core.config import STTransRecConfig
+from repro.core.model import STTransRec
+from repro.parallel.data_parallel import DataParallelTrainer, _reseed_dropout
 from repro.perf.config import PerfConfig
 from repro.perf.transport import (
     GradientLayout,
@@ -27,6 +29,7 @@ SPECS = [
     ("tower.weight", (4, 3), "float64"),
     ("tower.bias", (3,), "float64"),
 ]
+LAYOUT = GradientLayout.build(SPECS)
 
 
 class TestGradientLayout:
@@ -64,8 +67,9 @@ class TestGradientLayout:
     def test_flat_vector_needs_one_dtype(self):
         mixed = [("a", (2,), "float64"), ("ids", (3,), "int64")]
         with pytest.raises(ValueError, match="one dtype"):
-            ShmTransport(mixed, num_slots=1)
-        with ShmTransport(mixed, num_slots=0) as transport:
+            ShmTransport(GradientLayout.build(mixed), num_slots=1)
+        with ShmTransport(GradientLayout.build(mixed),
+                          num_slots=0) as transport:
             assert transport.num_slots == 0      # params-only may mix
 
     def test_nonfinite_names_from_the_layout(self):
@@ -80,6 +84,22 @@ class TestGradientLayout:
 def _unpack(layout, flat):
     """``{name: copy}`` of each parameter's part of a flat vector."""
     return {slot.name: slot.view(flat).copy() for slot in layout.slots}
+
+
+def _pack(grads):
+    """``{name: grad}`` as one flat vector in :data:`LAYOUT` order."""
+    return np.concatenate([grads[slot.name].reshape(-1)
+                           for slot in LAYOUT.slots])
+
+
+def _replica_setup():
+    """A small model and one interaction batch for a replica step."""
+    config = STTransRecConfig(embedding_dim=4, hidden_sizes=[4], seed=0)
+    model = STTransRec(num_users=5, num_pois=6, num_words=4, config=config)
+    model.train()
+    batch = (np.array([0, 1, 2, 1]), np.array([3, 4, 5, 3]),
+             np.array([1.0, 0.0, 1.0, 0.0]))
+    return model, model.parameter_store().layout, batch
 
 
 def _assert_bytes_equal(a, b):
@@ -98,10 +118,10 @@ class TestShmRoundtrip:
         }
 
     def _roundtrip(self, grads):
-        with ShmTransport(SPECS, num_slots=1) as transport:
+        with ShmTransport(LAYOUT, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
-                client.write_grads(grads)
+                client.grad_vector()[...] = _pack(grads)
                 back = _unpack(transport.layout, transport.read_grads(0))
             finally:
                 client.close()
@@ -114,56 +134,62 @@ class TestShmRoundtrip:
             _assert_bytes_equal(back[name], grads[name])
 
     def test_missing_grad_is_written_as_zeros(self):
-        """Over the previous step's values: a slot is reused."""
-        grads = self._grads()
-        grads["tower.weight"] = None
-        del grads["tower.bias"]
-        with ShmTransport(SPECS, num_slots=1) as transport:
+        """Over the previous step's values: a slot is reused, and the
+        replica step writes the table it never reaches as zeros."""
+        model, layout, batch = _replica_setup()
+        with ShmTransport(layout, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
-                client.write_grads(self._grads(seed=5))
-                client.write_grads(grads)
+                slot = client.grad_vector()
+                slot[...] = 7.0
+                dp._replica_grads(model, *batch, slot)
+                del slot
                 back = _unpack(transport.layout, transport.read_grads(0))
             finally:
                 client.close()
-        _assert_bytes_equal(back["tower.weight"], np.zeros((4, 3)))
-        _assert_bytes_equal(back["tower.bias"], np.zeros(3))
-        _assert_bytes_equal(back["emb.weight"], grads["emb.weight"])
+        _assert_bytes_equal(back["word_embeddings.weight"], np.zeros((4, 4)))
+        assert back["user_embeddings.weight"].any()
+        assert not back["user_embeddings.weight"][[3, 4]].any()
 
     def test_pipe_vector_equals_slot(self):
-        grads = self._grads(seed=4)
-        layout = GradientLayout.build(SPECS)
-        with ShmTransport(SPECS, num_slots=1) as transport:
+        """The pipe sends the replica's store gradient buffer; the same
+        step written into a shared slot has its bytes."""
+        model, layout, batch = _replica_setup()
+        with ShmTransport(layout, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
-                client.write_grads(grads)
+                _reseed_dropout(model, 1, 0)
+                dp._replica_grads(model, *batch, client.grad_vector())
                 slot = transport.read_grads(0).copy()
             finally:
                 client.close()
-        _assert_bytes_equal(layout.pack_grads(grads), slot)
+        store = model.parameter_store()
+        _reseed_dropout(model, 1, 0)
+        dp._replica_grads(model, *batch, store.grad)
+        _assert_bytes_equal(store.grad, slot)
 
     def test_read_grads_is_a_zero_copy_view(self):
-        with ShmTransport(SPECS, num_slots=1) as transport:
+        with ShmTransport(LAYOUT, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
                 view = transport.read_grads(0)
-                client.write_grads(self._grads(seed=2))
+                client.grad_vector()[...] = _pack(self._grads(seed=2))
                 first = view.copy()
-                client.write_grads(self._grads(seed=3))
+                client.grad_vector()[...] = _pack(self._grads(seed=3))
                 assert not np.array_equal(view, first)
                 np.testing.assert_array_equal(
-                    view, transport.layout.pack_grads(self._grads(seed=3)))
+                    view, _pack(self._grads(seed=3)))
             finally:
                 del view
                 client.close()
 
     def test_slots_are_independent(self):
-        with ShmTransport(SPECS, num_slots=2) as transport:
+        with ShmTransport(LAYOUT, num_slots=2) as transport:
             c0 = WorkerTransportClient(transport.layout, 0)
             c1 = WorkerTransportClient(transport.layout, 1)
             try:
-                c0.write_grads(self._grads(seed=1))
-                c1.write_grads(self._grads(seed=2))
+                c0.grad_vector()[...] = _pack(self._grads(seed=1))
+                c1.grad_vector()[...] = _pack(self._grads(seed=2))
                 back0 = _unpack(transport.layout, transport.read_grads(0))
                 back1 = _unpack(transport.layout, transport.read_grads(1))
             finally:
@@ -178,19 +204,22 @@ class TestShmRoundtrip:
         rng = np.random.default_rng(3)
         state = {name: rng.standard_normal(shape)
                  for name, shape, _ in SPECS}
-        with ShmTransport(SPECS, num_slots=1) as transport:
+        with ShmTransport(LAYOUT, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
                 transport.write_params(state)
                 back = client.read_params()
+                transport.write_params_vector(-_pack(state))
+                vector = client.params_vector().copy()
             finally:
                 client.close()
         for name in state:
             np.testing.assert_array_equal(back[name], state[name])
+        _assert_bytes_equal(vector, -_pack(state))
 
     def test_read_params_copies(self):
         state = {name: np.zeros(shape) for name, shape, _ in SPECS}
-        with ShmTransport(SPECS, num_slots=1) as transport:
+        with ShmTransport(LAYOUT, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
                 transport.write_params(state)
@@ -202,13 +231,13 @@ class TestShmRoundtrip:
             np.testing.assert_array_equal(first["emb.weight"], 0.0)
 
     def test_close_is_idempotent(self):
-        transport = ShmTransport(SPECS, num_slots=1)
+        transport = ShmTransport(LAYOUT, num_slots=1)
         transport.close()
         transport.close()
 
     def test_invalid_num_slots(self):
         with pytest.raises(ValueError):
-            ShmTransport(SPECS, num_slots=-1)
+            ShmTransport(LAYOUT, num_slots=-1)
 
 
 class TestReadOnlyAttach:
@@ -221,7 +250,7 @@ class TestReadOnlyAttach:
 
     def test_params_only_block_roundtrip(self):
         state = self._state()
-        with ShmTransport(SPECS, num_slots=0) as transport:
+        with ShmTransport(LAYOUT, num_slots=0) as transport:
             assert transport.num_slots == 0
             client = WorkerTransportClient(transport.layout,
                                            read_only=True)
@@ -234,19 +263,17 @@ class TestReadOnlyAttach:
             np.testing.assert_array_equal(back[name], state[name])
 
     def test_read_only_client_rejects_grad_writes(self):
-        with ShmTransport(SPECS, num_slots=0) as transport:
+        with ShmTransport(LAYOUT, num_slots=0) as transport:
             client = WorkerTransportClient(transport.layout,
                                            read_only=True)
             try:
                 with pytest.raises(ReadOnlyTransportError):
-                    client.write_grads(
-                        {name: np.zeros(shape)
-                         for name, shape, _ in SPECS})
+                    client.grad_vector()
             finally:
                 client.close()
 
     def test_read_only_views_are_not_writable(self):
-        with ShmTransport(SPECS, num_slots=0) as transport:
+        with ShmTransport(LAYOUT, num_slots=0) as transport:
             transport.write_params(self._state())
             client = WorkerTransportClient(transport.layout,
                                            read_only=True)
@@ -263,7 +290,7 @@ class TestReadOnlyAttach:
 
     def test_zero_copy_view_tracks_republished_params(self):
         state = self._state()
-        with ShmTransport(SPECS, num_slots=0) as transport:
+        with ShmTransport(LAYOUT, num_slots=0) as transport:
             transport.write_params(state)
             client = WorkerTransportClient(transport.layout,
                                            read_only=True)
@@ -277,14 +304,13 @@ class TestReadOnlyAttach:
                 client.close()
 
     def test_client_constructor_validation(self):
-        layout = GradientLayout.build(SPECS)
         with pytest.raises(ValueError, match="slot"):
-            WorkerTransportClient(layout, 0, read_only=True)
+            WorkerTransportClient(LAYOUT, 0, read_only=True)
         with pytest.raises(ValueError, match="slot"):
-            WorkerTransportClient(layout)
+            WorkerTransportClient(LAYOUT)
 
     def test_grad_slots_rejected_on_params_only_block(self):
-        with ShmTransport(SPECS, num_slots=0) as transport:
+        with ShmTransport(LAYOUT, num_slots=0) as transport:
             with pytest.raises(IndexError):
                 transport.read_grads(0)
 
@@ -429,10 +455,12 @@ def _run_with_moments(split, perf, workers, weight_decay,
         moments = trainer.optimizer.state_dict()
         faults = trainer.last_fault_stats
         engaged = trainer._transport is not None
+        grad = trainer.optimizer.store.grad
     finally:
         trainer.close()
     return losses, state, moments, (faults.crashes,
-                                    faults.nonfinite_contributions), engaged
+                                    faults.nonfinite_contributions), \
+        engaged, grad
 
 
 class TestFlatExchangeMatrix:
@@ -452,7 +480,7 @@ class TestFlatExchangeMatrix:
     def test_matches_reference(self, tiny_split, monkeypatch, transport,
                                product_features, precision, workers,
                                weight_decay):
-        from repro.nn.optim import Adam
+        from repro.nn.backend import ArrayBackend
 
         key = (product_features, precision, workers, weight_decay)
         if key not in _REFERENCE_RUNS:
@@ -462,18 +490,19 @@ class TestFlatExchangeMatrix:
                     PerfConfig(transport="pipe", precision=precision),
                     workers, weight_decay, product_features)
         reference = _REFERENCE_RUNS[key]
-        # The averaged gradient must tile Adam's flat moments: a layout
-        # drift between GradientLayout and Adam would silently fall back
-        # to the per-parameter step.
-        fused = []
-        step_fused = Adam._step_fused
+        # The master averages into its parameter store's gradient
+        # buffer, and Adam steps that buffer whole.
+        stepped = []
+        adam_update = ArrayBackend.adam_update
         monkeypatch.setattr(
-            Adam, "_step_fused",
-            lambda self, *args: fused.append(1) or step_fused(self, *args))
+            ArrayBackend, "adam_update",
+            lambda self, m, v, grad, *args, **kwargs: stepped.append(grad)
+            or adam_update(self, m, v, grad, *args, **kwargs))
         perf = PerfConfig(transport=transport, precision=precision)
         run = _run_with_moments(tiny_split, perf, workers, weight_decay,
                                 product_features)
-        assert len(fused) == run[2]["step_count"] > 0
+        assert len(stepped) == run[2]["step_count"] > 0
+        assert all(grad is run[5] for grad in stepped)
         assert run[4] == (transport == "shm")
         assert run[3] == reference[3] == (1, 1)
         _assert_bytes_equal(np.asarray(run[0]), np.asarray(reference[0]))
