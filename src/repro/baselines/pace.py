@@ -97,7 +97,7 @@ def _step_grads(network: _PACENetwork, users: np.ndarray,
     grads = _Grads()
     grads.add(network.user_embeddings, users, g_in[:, :d])
     grads.add(network.poi_embeddings, pois, g_in[:, d:])
-    for param, part in zip(network.tower.parameters(), tower_grads):
+    for param, part in zip(tower.params, tower_grads):
         grads.set(param, part)
     for table, batches in ((network.word_embeddings, word_iter),
                            (network.poi_context, spatial_iter)):

@@ -21,7 +21,11 @@ every parameter's gradient — the trainer's joint step; and
 alone — the step the streaming updater folds check-ins in with.  Each
 replays the numpy operations of the same quantity built from autograd
 tape ops (``tests/oracle/model.py``'s ``interaction_logits``) in the
-tape's order, so its results carry the tape's bits.
+tape's order, so its results carry the tape's bits.  The trainer's
+joint step scatters these rows together with the other terms' lookups
+in one pass per table, so the step as a whole matches the tape within
+the band of ``docs/performance.md``; a data-parallel replica reaches
+each table once, and its gradient keeps the bits.
 """
 
 from __future__ import annotations
@@ -125,19 +129,24 @@ class TowerPass:
     just the ReLU masks.
 
     The weights are read once, at construction; build a new pass after
-    the parameters change.
+    the parameters change.  :attr:`params` lists the tower's parameters
+    in ``MLP.parameters()`` order, read on the same walk.
     """
 
     def __init__(self, mlp: MLP, train: bool = False) -> None:
         self._train = train
         self._layers: List[list] = []
+        #: The tower's parameters, in :meth:`backward`'s gradient order.
+        self.params = []
         for step in mlp.tower.steps:
             if isinstance(step, Linear):
                 self._layers.append([step.weight.data, step.bias.data,
                                      None])
+                self.params += [step.weight, step.bias]
             elif isinstance(step, Dropout) and train:
                 self._layers[-1][2] = step
         self._head = (mlp.head.weight.data, mlp.head.bias.data)
+        self.params += [mlp.head.weight, mlp.head.bias]
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, tuple]:
         """Pre-sigmoid logits of shape ``(batch,)`` and the pass's cache
@@ -263,6 +272,8 @@ class InteractionBCE:
         bias = xp.take(model.poi_bias.weight.data, pois,
                        axis=0).reshape(-1)
         self._tower = TowerPass(model.tower, train=True)
+        #: The tower's parameters, in :meth:`backward`'s order.
+        self.tower_params = self._tower.params
         logits, self._cache = self._tower.forward(joined)
         self._bce = LogitBCE(logits + bias, labels)
         #: The batch's mean loss, a 0-d value in the model's dtype.

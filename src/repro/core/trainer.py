@@ -20,13 +20,14 @@ independently, then concatenated), matching the paper's treatment of
 Each term's forward and backward runs in closed numpy
 (:class:`~repro.core.model.InteractionBCE`, the user-anchor term here,
 :class:`~repro.text.skipgram.SkipgramBatch`,
-:class:`~repro.transfer.mmd.MMDBatch`), replaying the operations the
-autograd tape (kept in ``tests/oracle`` as the reference) runs for the
-same loss in the tape's order; the step then adds each table's
-per-lookup gradients in the tape's topological order straight into the
-parameter store's gradient vector, which Adam steps whole.  Every
-parameter, moment and loss value keeps the tape's bits
-(``tests/test_core_trainer.py::TestTapeFreeStep``).
+:class:`~repro.transfer.mmd.MMDBatch`); the step then scatters each
+table's lookups in one pass straight into the parameter store's
+gradient vector, which Adam steps whole.  Every parameter, moment and
+loss value matches the same step on the autograd tape (kept in
+``tests/oracle`` as the reference) within the band of
+``docs/performance.md`` ("The tape contract"), not bit for bit: the
+fused scatter, Gram backwards and skipgram negatives add in another
+order than the tape (``tests/test_core_trainer.py::TestTapeFreeStep``).
 """
 
 from __future__ import annotations
@@ -90,53 +91,56 @@ class _AnchorTerm:
 
 
 class _Grads:
-    """A step's gradient contributions, per parameter, in arrival order.
+    """A step's gradient contributions, per parameter.
 
-    :meth:`add` scatters one lookup's rows into a dense table image
-    (the tape's ``gather_rows`` backward); :meth:`value` adds a
-    parameter's images left to right, as the tape accumulates them.
+    :meth:`add` records one table lookup's ``(ids, rows)`` (1-D ids)
+    and :meth:`set` a dense gradient.  :meth:`value` scatters all of a
+    table's lookups in one pass, over their ids and rows concatenated in
+    arrival order: each row is added into its cell in that order, with
+    no dense image per lookup.
     """
 
     def __init__(self) -> None:
-        self._parts: Dict[int, List[np.ndarray]] = {}
+        self._lookups: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._dense: Dict[int, np.ndarray] = {}
 
     def add(self, embedding, idx: np.ndarray, rows: np.ndarray) -> None:
-        table = embedding.weight
-        self._parts.setdefault(id(table), []).append(_xp().scatter_rows(
-            idx, rows, table.data.shape[0]))
+        self._lookups.setdefault(id(embedding.weight), []).append(
+            (idx, rows))
 
     def add_interaction(self, model: STTransRec, step: InteractionBCE,
                         grad) -> None:
-        """The interaction BCE's contributions for upstream ``grad``, in
-        the order the tape reaches them: the user and POI lookups, the
-        tower's parameters, then ``poi_bias``."""
+        """The interaction BCE's contributions for upstream ``grad``:
+        the user and POI lookups, the tower's parameters, then
+        ``poi_bias``."""
         g_user, g_poi, g_bias, tower = step.backward(grad)
         self.add(model.user_embeddings, step.users, g_user)
         self.add(model.poi_embeddings, step.pois, g_poi)
-        for param, part in zip(model.tower.parameters(), tower):
+        for param, part in zip(step.tower_params, tower):
             self.set(param, part)
         self.add(model.poi_bias, step.pois, g_bias)
 
     def set(self, param, grad: np.ndarray) -> None:
-        self._parts.setdefault(id(param), []).append(grad)
+        self._dense[id(param)] = grad
 
     def value(self, param, out: Optional[np.ndarray] = None
               ) -> Optional[np.ndarray]:
         """The parameter's gradient (``None`` if unreached), written
-        into ``out`` when given.  Adds in place into the first image,
-        which the step owns."""
-        parts = self._parts.get(id(param))
-        if not parts:
-            return None
-        total = parts[0]
-        for part in parts[1:-1]:
-            total += part
-        if out is None:
-            return total + parts[-1] if len(parts) > 1 else total
-        if len(parts) > 1:
-            return np.add(total, parts[-1], out=out)
-        out[...] = total
-        return out
+        into ``out`` when given."""
+        lookups = self._lookups.get(id(param))
+        if lookups is None:
+            grad = self._dense.get(id(param))
+            if grad is not None and out is not None:
+                out[...] = grad
+                return out
+            return grad
+        xp = _xp()
+        if len(lookups) == 1:
+            idx, rows = lookups[0]
+        else:
+            idx = xp.concatenate([i for i, _ in lookups])
+            rows = xp.concatenate([r for _, r in lookups])
+        return xp.scatter_rows(idx, rows, param.data.shape[0], out=out)
 
 
 @dataclass
@@ -550,11 +554,11 @@ class STTransRecTrainer:
                      ) -> "_Grads":
         """Every parameter's gradient of one joint step's loss (Eq. 3).
 
-        The tape seeds backward with a 1 in the loss's dtype and scales
-        it by each term's weight on the way down.  Contributions are
-        added in the order the tape's topological walk reaches them:
-        the interaction lookups, then the context lookups, then the
-        source and target MMD batches.
+        Backward is seeded with a 1 in the loss's dtype, scaled by each
+        term's weight on the way down, as on the tape.  Each table's
+        lookups are recorded in arrival order (the interaction, the
+        anchor, the context, then the source and target MMD batches)
+        and scattered together by :meth:`_set_grads`.
         """
         cfg = self.config
         model = self.model

@@ -12,7 +12,7 @@ constructions.
 
 Shards attach through :func:`attach_serving_engine`: a read-only
 :class:`~repro.perf.transport.WorkerTransportClient` plus
-``read_params(copy=False)`` yields non-writeable zero-copy views, and
+``read_params()`` yields non-writeable zero-copy views, and
 :meth:`InferenceEngine.from_serving_state` installs them as-is.  N
 shards therefore share one physical copy of the tables; a shard that
 tries to assign into a parameter raises ``ValueError`` at the numpy
@@ -121,7 +121,7 @@ def attach_serving_engine(manifest: FleetManifest):
     """
     client = WorkerTransportClient(manifest.layout, read_only=True)
     try:
-        state = client.read_params(copy=False)
+        state = client.read_params()
         engine = InferenceEngine.from_serving_state(
             state, dtype=manifest.dtype)
     except Exception:

@@ -6,7 +6,7 @@ namespace object, ``xp`` in Array-API parlance, obtained from
 codebase uses (elementwise math, reductions, ``matmul``, shape
 manipulation, sorting/searching) plus the handful of non-standard ops a
 recommender hot path needs: scatter-add (``add_at``, and
-``scatter_rows`` into a fresh zero table), row gather
+``scatter_rows`` into a zero table), row gather
 (``take``), ``searchsorted``, RNG draws and the Adam recurrence.  The
 floating-point promotion policy of :mod:`repro.nn.dtypes` is folded in
 as :meth:`ArrayBackend.coerce`.
@@ -132,43 +132,43 @@ class ArrayBackend:
         duplicate indices accumulating (``np.add.at`` semantics)."""
         np.add.at(target, index, values)
 
-    def scatter_rows(self, index, rows, num_rows: int) -> np.ndarray:
-        """Scatter-add ``rows`` into a fresh zero table of ``num_rows``.
+    def scatter_rows(self, index, rows, num_rows: int,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Scatter-add ``rows`` into a zero table of ``num_rows``.
 
         Returns an array of shape ``(num_rows,) + rows.shape[index.ndim:]``
-        in ``rows.dtype``, byte-identical to ``np.add.at`` into zeros.  In
-        f64 that runs as one ``np.bincount`` over flattened
-        ``(row, column)`` keys: bincount visits its input in order and
-        adds each weight to its cell, which starts at ``+0.0`` — the same
-        sequence of IEEE additions ``np.add.at`` performs, several times
-        faster.  Bincount accumulates in f64, so every other dtype keeps
-        ``np.add.at``.  So do rows holding a NaN: when two NaNs meet,
-        the payload that survives depends on the operand order of the
-        addition, which bincount and ``np.add.at`` do not share.
-        Without an input NaN the only NaN is the default one
-        ``inf - inf`` makes, and operand order cannot show.
-
-        Those other cases go through :meth:`add_at` into zeros.
+        in ``rows.dtype`` (or ``out``, C-contiguous, zeroed first),
+        byte-identical to ``np.add.at`` into zeros.  It runs as
+        ``np.add.at`` over the flattened table and flattened ``(row,
+        column)`` keys, which adds into each cell in the same order and
+        is several times faster than the row-wise call.  Rows holding a
+        NaN keep the row-wise call: when two NaNs meet, the payload that
+        survives depends on the operand order of the addition, which
+        the two loops do not share.  Without an input NaN the only NaN
+        is the default one ``inf - inf`` makes, and operand order cannot
+        show.  Row ids may be negative, as in numpy indexing; ids outside
+        ``[-num_rows, num_rows)`` raise ``IndexError``.
         """
         index = np.asarray(index)
         rows = np.asarray(rows)
         tail = rows.shape[index.ndim:]
-        if rows.dtype != np.float64 or np.isnan(rows).any():
-            out = np.zeros((num_rows,) + tail, dtype=rows.dtype)
-            self.add_at(out, index, rows)
-            return out
         ids = index.reshape(-1).astype(np.int64, copy=False)
         if ids.size and (ids.min() < -num_rows or ids.max() >= num_rows):
             raise IndexError(
                 f"row index out of range for {num_rows} rows: "
                 f"min={ids.min()}, max={ids.max()}")
-        ids = np.where(ids < 0, ids + num_rows, ids)
+        if out is None:
+            out = np.zeros((num_rows,) + tail, dtype=rows.dtype)
+        else:
+            out[...] = 0
+        if np.isnan(rows).any():
+            self.add_at(out, index, rows)
+            return out
         cols = int(np.prod(tail, dtype=np.int64))
+        ids = np.where(ids < 0, ids + num_rows, ids)
         keys = (ids[:, None] * cols + np.arange(cols)).reshape(-1)
-        out = np.bincount(keys, weights=rows.reshape(-1),
-                          minlength=num_rows * cols)
-        return out.astype(np.float64, copy=False).reshape(
-            (num_rows,) + tail)
+        self.add_at(np.reshape(out, -1, copy=False), keys, rows.reshape(-1))
+        return out
 
     def stable_sigmoid(self, x: np.ndarray) -> np.ndarray:
         """Logistic function computed without overflow for large |x|.

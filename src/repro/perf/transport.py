@@ -41,7 +41,7 @@ out is non-writeable at the numpy level — a buggy shard that assigns
 into a parameter raises ``ValueError`` instead of corrupting the block
 every other shard serves from — and :meth:`~WorkerTransportClient.
 grad_vector` raises :class:`ReadOnlyTransportError` outright.
-``read_params(copy=False)`` returns zero-copy views, which is what
+``read_params()`` returns zero-copy views, which is what
 lets N shard processes share a single physical copy of the
 user/POI embedding tables.  A params-only block may mix dtypes (the
 serving state carries int64 catalogue ids; the fleet builds its own
@@ -200,24 +200,19 @@ class WorkerTransportClient:
         buf = self._params_shm.buf
         return buf.toreadonly() if self.read_only else buf
 
-    def read_params(self, copy: bool = True) -> Dict[str, np.ndarray]:
-        """Current parameter values out of the params block.
-
-        With ``copy=True`` (default) the returned arrays are private
-        copies, so a late or killed worker can never observe a torn
-        mid-write state after its step ended.  ``copy=False`` returns
-        zero-copy views into the shared segment — the mode the serving
-        fleet runs in, where N read-only shards share one physical copy
-        of the tables and the owner never rewrites them mid-flight.
-        Views from a read-only attachment are non-writeable.
+    def read_params(self) -> Dict[str, np.ndarray]:
+        """The parameters in the params block, by name, as zero-copy
+        views into the shared segment: the serving fleet's mode, where
+        N read-only shards share one physical copy of the tables and
+        the owner never rewrites them mid-flight.  Views from a
+        read-only attachment are non-writeable.  A training worker
+        copies :meth:`params_vector` into its own store instead.
         """
         buf = self._params_buf()
-        out: Dict[str, np.ndarray] = {}
-        for slot in self.layout.slots:
-            view = np.frombuffer(buf, dtype=slot.dtype, count=slot.size,
-                                 offset=slot.offset).reshape(slot.shape)
-            out[slot.name] = view.copy() if copy else view
-        return out
+        return {slot.name: np.frombuffer(
+                    buf, dtype=slot.dtype, count=slot.size,
+                    offset=slot.offset).reshape(slot.shape)
+                for slot in self.layout.slots}
 
     def params_vector(self) -> np.ndarray:
         """The params block as one flat vector, zero-copy."""
@@ -233,7 +228,7 @@ class WorkerTransportClient:
         return self.layout.vector(self._grad_shm.buf)
 
     def close(self) -> None:
-        # BufferError: zero-copy views (read_params(copy=False)) may
+        # BufferError: zero-copy views (read_params()) may
         # still alias the mapping at shutdown; the process exit that
         # follows releases it, and the owner does the unlinking.
         for shm in (self._params_shm, self._grad_shm):

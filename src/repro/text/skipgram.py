@@ -33,9 +33,11 @@ class SkipgramBatch:
     ``poi_idx`` ``(batch,)``, positive words ``pos_word_idx``
     ``(batch,)`` and negative words ``neg_word_idx`` ``(batch, k)``;
     :meth:`backward` returns the gradient rows of its three lookups.
-    Both run the numpy operations of the loss built from autograd tape
-    ops (``tests/oracle/model.py``) in the tape's order, so the rows
-    carry the tape's bits.
+    The negatives are scored as one ``(batch, k, d)`` array against
+    their POI rows with ``einsum``, so no POI row is repeated ``k``
+    times and scattered back.  The loss and rows match the same loss
+    built from autograd tape ops (``tests/oracle/model.py``) within the
+    band of ``docs/performance.md``.
     """
 
     def __init__(self, poi_table: np.ndarray, word_table: np.ndarray,
@@ -52,15 +54,14 @@ class SkipgramBatch:
         self.neg_word_idx = neg_word_idx.reshape(-1)
         self._poi = xp.take(poi_table, poi_idx, axis=0)
         self._pos = xp.take(word_table, pos_word_idx, axis=0)
-        self._neg = xp.take(word_table, self.neg_word_idx, axis=0)
-        self._rep_idx = np.repeat(np.arange(batch), k)
-        self._rep = xp.take(self._poi, self._rep_idx, axis=0)
+        self._neg = xp.take(word_table, self.neg_word_idx,
+                            axis=0).reshape(batch, k, -1)
         pos_scores = (self._poi * self._pos).sum(axis=-1)
-        neg_scores = (self._rep * self._neg).sum(axis=-1).reshape(batch, k)
+        neg_scores = np.einsum("bd,bkd->bk", self._poi, self._neg)
         self._pos_sig = xp.stable_sigmoid(pos_scores)
         self._neg_sig = xp.stable_sigmoid(-neg_scores)
-        losses = -(-xp.softplus(-pos_scores)) \
-            + (-(-xp.softplus(neg_scores))).sum(axis=1)
+        losses = xp.softplus(-pos_scores) \
+            + xp.softplus(neg_scores).sum(axis=1)
         self._mean = coerce(1.0 / batch, dtype=losses.dtype)
         #: The batch's mean loss, a 0-d value in the tables' dtype.
         self.loss = losses.sum() * self._mean
@@ -72,11 +73,11 @@ class SkipgramBatch:
         for the lookups at ``poi_idx``, ``pos_word_idx`` and the
         flattened ``neg_word_idx``.
         """
-        g = -(grad * self._mean)
-        g_pos = (g * (1.0 - self._pos_sig))[:, None]
-        g_neg = (-(g * (1.0 - self._neg_sig))).reshape(-1)[:, None]
-        g_rep = _xp().scatter_rows(self._rep_idx, g_neg * self._neg,
-                                   self._poi.shape[0])
-        return (g_pos * self._pos + g_rep, g_pos * self._poi,
-                g_neg * self._rep)
-
+        g = grad * self._mean
+        g_pos = (g * (self._pos_sig - 1.0))[:, None]
+        g_neg = g * (1.0 - self._neg_sig)
+        g_poi = g_pos * self._pos
+        g_poi += np.einsum("bk,bkd->bd", g_neg, self._neg)
+        g_words = g_neg[:, :, None] * self._poi[:, None, :]
+        return (g_poi, g_pos * self._poi,
+                g_words.reshape(-1, self._poi.shape[1]))

@@ -16,13 +16,13 @@ Its backward, in closed numpy, carries the gradient into both sample
 matrices: minimizing the estimate shapes the POI embedding
 distributions toward each other, which is the transfer step that
 eliminates city-dependent features.  Forward-only callers read
-:attr:`MMDBatch.loss`.
+:attr:`MMDBatch.loss`.  The linear estimator evaluates only the
+``n/2`` paired kernel values it reads, in ``O(n·d)``.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,15 +34,18 @@ class MMDBatch:
     """The MMD² estimate between two sample arrays, with its backward.
 
     Construction computes the estimate (:attr:`loss`, a 0-d value in
-    the samples' dtype) through the kernel's :meth:`gram` closed form;
-    :meth:`backward` returns the gradient of each sample matrix.  Both
-    replay the numpy operations of the estimator built from autograd
-    tape ops (``tests/oracle/mmd.py``) in the tape's order, Gram by
-    Gram, and add each Gram's contributions into a sample matrix in the
-    tape's topological order (f64 addition is not associative), so the
-    results carry the tape's bits.  Supports the ``quadratic``,
-    ``unbiased`` and ``linear`` estimators over kernels that have a
-    ``gram`` method (:class:`~repro.transfer.kernels.GaussianKernel`,
+    the samples' dtype) through the kernel's :meth:`gram` closed form
+    (:meth:`paired` for ``linear``); :meth:`backward` returns the
+    gradient of each sample matrix.  The quadratic and unbiased losses
+    run the numpy operations of the estimator built from autograd tape
+    ops (``tests/oracle/mmd.py``) in the tape's order, so they carry the
+    tape's bits; the linear loss and every backward match the tape
+    within the band of ``docs/performance.md``.  Each backward is one
+    weighted matrix per Gram (:meth:`Gram.backward`), with a self-Gram's
+    two operands computed once.  Supports the ``quadratic``,
+    ``unbiased`` and ``linear`` estimators over kernels that have
+    ``gram`` and ``paired`` methods
+    (:class:`~repro.transfer.kernels.GaussianKernel`,
     :class:`~repro.transfer.kernels.MultiGaussianKernel`).
     """
 
@@ -53,7 +56,6 @@ class MMDBatch:
         self._x, self._y = x, y
         self._estimator = estimator
         dtype = x.dtype
-        self._two = coerce(2.0, dtype=dtype)
         n, m = x.shape[0], y.shape[0]
         if estimator == "linear":
             half = (min(n, m) // 2) * 2
@@ -63,15 +65,13 @@ class MMDBatch:
             self._odd, self._even = slice(0, half, 2), slice(1, half, 2)
             x_odd, x_even = x[self._odd], x[self._even]
             y_odd, y_even = y[self._odd], y[self._even]
-            self._grams = [kernel.gram(x_odd, x_even),
-                           kernel.gram(y_odd, y_even),
-                           kernel.gram(x_odd, y_even),
-                           kernel.gram(x_even, y_odd)]
-            self._diag = np.arange(half // 2)
-            k1, k2, k3, k4 = (gram.K[self._diag, self._diag]
-                              for gram in self._grams)
-            self._scales = [coerce(1.0 / (half // 2), dtype=dtype)]
-            self.loss = (k1 + k2 - k3 - k4).sum() * self._scales[0]
+            self._pairs = [kernel.paired(x_odd, x_even),
+                           kernel.paired(y_odd, y_even),
+                           kernel.paired(x_odd, y_even),
+                           kernel.paired(x_even, y_odd)]
+            k1, k2, k3, k4 = (pair.k for pair in self._pairs)
+            self._scale = coerce(1.0 / (half // 2), dtype=dtype)
+            self.loss = (k1 + k2 - k3 - k4).sum() * self._scale
             return
         if estimator == "unbiased" and (n < 2 or m < 2):
             raise ValueError(
@@ -80,7 +80,7 @@ class MMDBatch:
                        kernel.gram(x, y)]
         k_xx, k_yy, k_xy = (gram.K for gram in self._grams)
         scale_xy = coerce(1.0 / k_xy.size, dtype=dtype)
-        term_xy = k_xy.sum() * scale_xy * self._two
+        term_xy = k_xy.sum() * scale_xy * coerce(2.0, dtype=dtype)
         if estimator == "quadratic":
             self._scales = [coerce(1.0 / k_xx.size, dtype=dtype),
                             coerce(1.0 / k_yy.size, dtype=dtype), scale_xy]
@@ -98,61 +98,31 @@ class MMDBatch:
 
     def backward(self, grad) -> Tuple[np.ndarray, np.ndarray]:
         """Gradients of ``x`` and ``y`` for an upstream gradient ``grad``
-        (0-d) on :attr:`loss`."""
+        (0-d) on :attr:`loss`.
+
+        The unbiased estimator drops a self-Gram's diagonal, whose
+        entries ``k(x_i, x_i) = 1`` do not depend on ``x``; so both
+        estimators weight every entry of a Gram alike.
+        """
         if self._estimator == "linear":
             return self._backward_linear(grad)
-        g_xx = grad * self._scales[0]
-        g_yy = grad * self._scales[1]
-        g_xy = ((-grad) * self._two) * self._scales[2]
-        if self._estimator == "unbiased":
-            g_xx = g_xx + _diagonal(-g_xx, self._grams[0].K.shape[0])
-            g_yy = g_yy + _diagonal(-g_yy, self._grams[1].K.shape[0])
-        xx, yy, xy = (gram.backward(g) for gram, g in
-                      zip(self._grams, (g_xx, g_yy, g_xy)))
-        return (_fold(_self_parts(*xx) + xy[0]),
-                _fold(_self_parts(*yy) + xy[1]))
-
-    def _backward_linear(self, grad) -> Tuple[np.ndarray, np.ndarray]:
-        g = grad * self._scales[0]
-        h = self._diag.size
-        signs = (g, g, -g, -g)
-        (x_odd1, x_even1), (y_odd2, y_even2), (x_odd3, y_even3), \
-            (x_even4, y_odd4) = (
-                gram.backward(_diagonal(sign, h))
-                for gram, sign in zip(self._grams, signs))
-        g_x = (_sliced(self._x, self._odd, x_odd1 + x_odd3)
-               + _sliced(self._x, self._even, x_even1 + x_even4))
-        g_y = (_sliced(self._y, self._even, y_even2 + y_even3)
-               + _sliced(self._y, self._odd, y_odd2 + y_odd4))
+        xx, yy, xy = self._grams
+        g_xy_x, g_xy_y = xy.backward(
+            grad * coerce(-2.0, dtype=self._x.dtype) * self._scales[2])
+        g_x = xx.backward_self(grad * self._scales[0])
+        g_x += g_xy_x
+        g_y = yy.backward_self(grad * self._scales[1])
+        g_y += g_xy_y
         return g_x, g_y
 
-
-def _fold(parts: List[np.ndarray]) -> np.ndarray:
-    """Add gradient contributions left to right, as the tape does."""
-    return reduce(np.add, parts)
-
-
-def _self_parts(x_parts: List[np.ndarray], y_parts: List[np.ndarray]
-                ) -> List[np.ndarray]:
-    """Tape order of a Gram's contributions when ``x`` is ``y``."""
-    return x_parts[:2] + y_parts[:2] + [x_parts[2], y_parts[2]]
-
-
-def _diagonal(value, n: int) -> np.ndarray:
-    """The backward of ``gram[idx, idx]``: ``value`` scattered onto the
-    diagonal of an ``(n, n)`` zero matrix."""
-    xp = _xp()
-    vec = xp.full(n, value)
-    out = xp.zeros((n, n), dtype=vec.dtype)
-    idx = np.arange(n)
-    xp.add_at(out, (idx, idx), vec)
-    return out
-
-
-def _sliced(like: np.ndarray, index: slice, parts: List[np.ndarray]
-            ) -> np.ndarray:
-    """The backward of ``like[index]`` for the slice's contributions."""
-    xp = _xp()
-    out = xp.zeros_like(like)
-    xp.add_at(out, index, _fold(parts))
-    return out
+    def _backward_linear(self, grad) -> Tuple[np.ndarray, np.ndarray]:
+        g = grad * self._scale
+        xx, yy, xy, yx = (pair.backward(sign) for pair, sign in
+                          zip(self._pairs, (g, g, -g, -g)))
+        xp = _xp()
+        g_x, g_y = xp.zeros_like(self._x), xp.zeros_like(self._y)
+        g_x[self._odd] = xx + xy
+        g_x[self._even] = yx - xx
+        g_y[self._odd] = yy - yx
+        g_y[self._even] = -(yy + xy)
+        return g_x, g_y

@@ -3,8 +3,11 @@
 Each baseline's training step is a closed numpy pass.  The references
 here are the same steps on the tape (``tests/oracle``), written as the
 baselines ran them before: every step term's gradients, then whole
-fits (every Adam step) with the tape step swapped in, byte for byte,
-in f64 and f32.
+fits (every Adam step) with the tape step swapped in, in f64 and f32.
+SH-CDL matches byte for byte.  PACE matches within the tape band
+(``tests/oracle/band.py``): its step scatters each table's lookups in
+one pass and scores skipgram negatives with ``einsum``, as the joint
+trainer does, so its test ids keep their name but not their bytes.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.nn.dtypes import using_dtype
 from repro.nn.module import Parameter
 from tests.oracle import (
     Tensor,
+    assert_within_band,
     bce_with_logits,
     concat,
     forward,
@@ -119,7 +123,9 @@ class TestPACETapeFree:
             terms in ("interaction", "spatial")) - (
             terms in ("interaction", "words"))
         for name, g, w in zip(names, got, want):
-            _bytes_equal(g, w, name)
+            assert (g is None) == (w is None), name
+            if g is not None:
+                assert_within_band(g, w, name)
 
     @pytest.mark.parametrize("precision", PRECISIONS)
     def test_fit_bit_identical(self, tiny_split, precision, monkeypatch):
@@ -127,11 +133,11 @@ class TestPACETapeFree:
         want = _pace_fit(tiny_split, precision, tape_pace_step, monkeypatch)
         for (name, p), (_, q) in zip(got._network.named_parameters(),
                                      want._network.named_parameters()):
-            _bytes_equal(p.data, q.data, name)
+            assert_within_band(p.data, q.data, name)
         user = sorted(tiny_split.train.users)[0]
         pois = sorted(tiny_split.train.pois)[:20]
-        _bytes_equal(got.score_candidates(user, pois),
-                     tape_pace_scores(want, user, pois), "scores")
+        assert_within_band(got.score_candidates(user, pois),
+                           tape_pace_scores(want, user, pois), "scores")
 
 
 def tape_pace_scores(method, user_id, poi_ids):

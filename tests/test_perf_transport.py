@@ -208,27 +208,30 @@ class TestShmRoundtrip:
             client = WorkerTransportClient(transport.layout, 0)
             try:
                 transport.write_params(state)
-                back = client.read_params()
+                back = client.params_vector().copy()
                 transport.write_params_vector(-_pack(state))
                 vector = client.params_vector().copy()
             finally:
                 client.close()
-        for name in state:
-            np.testing.assert_array_equal(back[name], state[name])
+        _assert_bytes_equal(back, _pack(state))
         _assert_bytes_equal(vector, -_pack(state))
 
-    def test_read_params_copies(self):
+    def test_params_vector_copy_is_private(self):
+        """A worker loads the block by copying ``params_vector()`` into
+        its own store; the master's next broadcast leaves that copy
+        alone."""
         state = {name: np.zeros(shape) for name, shape, _ in SPECS}
         with ShmTransport(LAYOUT, num_slots=1) as transport:
             client = WorkerTransportClient(transport.layout, 0)
             try:
                 transport.write_params(state)
-                first = client.read_params()
+                first = client.params_vector().copy()
                 transport.write_params(
                     {n: np.ones_like(v) for n, v in state.items()})
+                assert (client.params_vector() == 1.0).all()
             finally:
                 client.close()
-            np.testing.assert_array_equal(first["emb.weight"], 0.0)
+            np.testing.assert_array_equal(first, 0.0)
 
     def test_close_is_idempotent(self):
         transport = ShmTransport(LAYOUT, num_slots=1)
@@ -256,11 +259,13 @@ class TestReadOnlyAttach:
                                            read_only=True)
             try:
                 transport.write_params(state)
-                back = client.read_params()
+                views = client.read_params()
+                for name in state:
+                    np.testing.assert_array_equal(views[name], state[name])
             finally:
+                # Views alias the mapping; drop them before unmapping.
+                views = None
                 client.close()
-        for name in state:
-            np.testing.assert_array_equal(back[name], state[name])
 
     def test_read_only_client_rejects_grad_writes(self):
         with ShmTransport(LAYOUT, num_slots=0) as transport:
@@ -278,7 +283,7 @@ class TestReadOnlyAttach:
             client = WorkerTransportClient(transport.layout,
                                            read_only=True)
             try:
-                view = client.read_params(copy=False)
+                view = client.read_params()
                 assert not view["emb.weight"].flags.writeable
                 with pytest.raises(ValueError):
                     view["emb.weight"][0, 0] = 1.0
@@ -295,7 +300,7 @@ class TestReadOnlyAttach:
             client = WorkerTransportClient(transport.layout,
                                            read_only=True)
             try:
-                view = client.read_params(copy=False)
+                view = client.read_params()
                 transport.write_params(
                     {n: np.ones_like(v) for n, v in state.items()})
                 np.testing.assert_array_equal(view["emb.weight"], 1.0)
